@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-import threading
 
 GL = "GL"
 SL = "SL"
@@ -180,53 +178,7 @@ def normal_order_strategy(word, direction="left"):
 # ---------------------------------------------------------------------------
 # SL quotient: eliminate T_{n,n}^{(k)} using the quantum determinant
 
-_SL_LOCK = threading.RLock()
 _SL_TABLES = {}
-
-
-def _signed_permutations(n):
-    for perm in permutations(range(1, n + 1)):
-        inv = sum(1 for a in range(n) for b in range(a + 1, n)
-                  if perm[a] > perm[b])
-        yield perm, -1 if inv % 2 else 1
-
-
-def _qdet_raw_coefficient(n, m):
-    """u^{-m} coefficient of qdet T(u), as {GL normal word: int}.
-
-    Direct expansion of the signed sum over permutations of
-    T_{s(1),1}(u) T_{s(2),2}(u+1) ... T_{s(n),n}(u+n-1), using
-    (u+c)^{-k} = sum_t binom(-k,t) c^t u^{-k-t}.
-    """
-    from math import comb
-
-    total = {}
-
-    def walk(perm, sign, col, budget, word, weight):
-        if col > n:
-            if budget == 0:
-                for w, c in normal_form_word(tuple(word)):
-                    total[w] = total.get(w, 0) + sign * weight * c
-            return
-        row = perm[col - 1]
-        if row == col:
-            walk(perm, sign, col + 1, budget, word, weight)
-        shift = col - 1
-        for k in range(1, budget + 1):
-            top = budget - k if shift else 0
-            for t in range(top + 1):
-                w = comb(k + t - 1, t) * (shift ** t)
-                if t % 2:
-                    w = -w
-                if w == 0:
-                    continue
-                word.append((k, row, col))
-                walk(perm, sign, col + 1, budget - k - t, word, weight * w)
-                word.pop()
-
-    for perm, sign in _signed_permutations(n):
-        walk(perm, sign, 1, m, [], 1)
-    return {w: c for w, c in total.items() if c}
 
 
 def _sl_elimination(n, k):
@@ -234,21 +186,25 @@ def _sl_elimination(n, k):
 
     Solves coefficient_k(qdet) = 0 for T_{n,n}^{(k)}, lowest mode first.
     """
-    with _SL_LOCK:
-        table = _SL_TABLES.setdefault(n, {})
-        for m in range(1, k + 1):
-            if m in table:
-                continue
-            raw = _qdet_raw_coefficient(n, m)
-            top = ((m, n, n),)
-            lead = raw.pop(top, 0)
-            assert lead == 1, "qdet coefficient is not monic in T_nn"
-            out = {}
-            for word, coeff in raw.items():
-                for w, c in _sl_word_nf(n, word):
-                    out[w] = out.get(w, 0) - coeff * c
-            table[m] = tuple(sorted((w, c) for w, c in out.items() if c))
-        return table[k]
+    # imported here because rtt imports this module
+    from .rtt import qdet
+
+    table = _SL_TABLES.setdefault(n, {})
+    for m in range(1, k + 1):
+        if m in table:
+            continue
+        coeffs = qdet(Context(n, m, GL), m).coefficient(m).terms
+        raw = {w: int(c) for w, c in coeffs.items()}
+        assert raw == coeffs, "qdet coefficient is not integral"
+        top = ((m, n, n),)
+        lead = raw.pop(top, 0)
+        assert lead == 1, "qdet coefficient is not monic in T_nn"
+        out = {}
+        for word, coeff in raw.items():
+            for w, c in _sl_word_nf(n, word):
+                out[w] = out.get(w, 0) - coeff * c
+        table[m] = tuple(sorted((w, c) for w, c in out.items() if c))
+    return table[k]
 
 
 @lru_cache(maxsize=None)
@@ -644,8 +600,3 @@ def _expand_slotwise(ctx, parts, coeff, out):
             out[key] = v
         elif key in out:
             del out[key]
-
-
-def tensor_multiply(x, y):
-    """Componentwise tensor product (normal-ordering each slot)."""
-    return x * y

@@ -29,7 +29,7 @@ from .algebra import (
 )
 from .drinfeld import current, root_element
 from .report import Report
-from .rtt import matrix_minor, quantum_minor, t_matrix, t_star_matrix
+from .rtt import quantum_minor, reflected_minor, t_matrix, t_star_matrix
 from .series import Series, geometric_unit_sum, series_outer, slot_embed
 
 HALF = Fraction(1, 2)
@@ -263,6 +263,10 @@ def structure_morphism_check(n, order, mode=SL, seed=0, samples=12):
     ctx = Context(n, order, mode)
     rng = random.Random(seed)
     rep = Report("structure-morphisms", n=n, order=order, mode=mode, seed=seed)
+    if ctx.max_degree < 2:
+        rep.note("degree bound %d leaves no room for two factors of "
+                 "degree >= 1; sampling skipped" % ctx.max_degree)
+        return rep
     for t in range(samples):
         cap = rng.randint(1, ctx.max_degree - 1)
         x = _random_element(rng, ctx, 2, cap)
@@ -335,13 +339,6 @@ def qdet_grouplike_check(n, order):
     return rep
 
 
-def reflected_minor(ctx, rows, cols, order):
-    """Minor of the inverse-reflected matrix, taken at -u-(size-1)."""
-    m = len(rows)
-    star = matrix_minor(t_star_matrix(ctx, order), rows, cols)
-    return star.negate_variable().shift(m - 1)
-
-
 def minor_antipode_sign_check(n, order, mode=GL):
     """Empirical sign relating S(minor) to the reflected-matrix minor.
 
@@ -351,13 +348,14 @@ def minor_antipode_sign_check(n, order, mode=GL):
     """
     ctx = Context(n, order, mode)
     rep = Report("minor-antipode-sign", n=n, order=order, mode=mode)
+    star = t_star_matrix(ctx, order)
     signs = {}
     for m in range(1, n + 1):
         seen = None
         for rows in _index_subsets(n, m):
             for cols in _index_subsets(n, m):
                 pull = antipode_series(quantum_minor(ctx, rows, cols, order))
-                cand = reflected_minor(ctx, rows, cols, order)
+                cand = reflected_minor(star, rows, cols, m - 1)
                 match = None
                 for sign in (1, -1):
                     if all((pull.coefficient(k) - cand.coefficient(k) * sign).is_zero()

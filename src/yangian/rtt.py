@@ -9,7 +9,6 @@ reflected matrix (T(-u))^{-1} whose minors mirror ordinary ones.
 
 from fractions import Fraction
 from itertools import permutations
-import threading
 
 from .algebra import Context, Element, GL, SL, ZERO, ONE, generator, unit, zero
 from .series import Series, SeriesMatrix
@@ -143,7 +142,6 @@ def t_matrix(ctx, order):
                          for i in range(1, n + 1)])
 
 
-_MINOR_LOCK = threading.Lock()
 _MINOR_CACHE = {}
 
 
@@ -160,10 +158,11 @@ def _minor_rows_normalized(rows):
 def quantum_minor(ctx, rows, cols, order):
     """Quantum minor t(rows; cols)(u) of the generating matrix.
 
-    Signed sum over row permutations of
-        T_{a_{s(1)},b_1}(u) T_{a_{s(2)},b_2}(u+1) ... (shift +1 per column).
-    Rows are normalized by sorting (a relabelling of the defining sum);
-    columns are taken exactly as given.
+    Defined as the signed sum over row permutations of
+        T_{a_{s(1)},b_1}(u) T_{a_{s(2)},b_2}(u+1) ... (shift +1 per column),
+    and computed by expanding along the last column over memoised
+    sub-minors.  Rows are normalized by sorting (a relabelling of the
+    defining sum); columns are taken exactly as given.
     """
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
@@ -176,23 +175,42 @@ def quantum_minor(ctx, rows, cols, order):
     if sign == 0:
         return Series(ctx, order)
     key = (ctx, sorted_rows, cols, order)
-    with _MINOR_LOCK:
-        hit = _MINOR_CACHE.get(key)
+    hit = _MINOR_CACHE.get(key)
     if hit is None:
-        hit = _minor_sum(ctx, sorted_rows, cols, order)
-        with _MINOR_LOCK:
-            _MINOR_CACHE[key] = hit
+        hit = _MINOR_CACHE[key] = _minor_sum(ctx, sorted_rows, cols, order)
     return hit if sign == 1 else -hit
 
 
 def _minor_sum(ctx, rows, cols, order):
+    """A minor missing from the cache: one last-column expansion."""
+    return minor_expand_last_column(ctx, rows, cols, order)
+
+
+def _expand_last_column(entry, minor, rows, cols, total):
+    """Add to total the column-form minor of `entry` expanded along its
+    final column:
+        sum_k (-1)^(k+m) minor(rows without a_k; cols[:-1])(u)
+                         * entry(a_k, b_m)(u+m-1).
+    """
     m = len(rows)
-    total = Series(ctx, order)
+    for k in range(1, m + 1):
+        sub = minor(rows[:k - 1] + rows[k:], cols[:-1])
+        factor = entry(rows[k - 1], cols[-1]).shift(m - 1)
+        total = total + (sub * factor) * ((-1) ** (k + m))
+    return total
+
+
+def minor_by_permutations(mat, rows, cols):
+    """Reference column-form minor of a series matrix: the defining
+    signed sum over row permutations (m! products; a test oracle)."""
+    m = len(rows)
+    if m == 0:
+        return Series.constant(mat.ctx, mat.order)
+    total = Series(mat.ctx, mat.order)
     for perm in permutations(range(m)):
-        prod = t_entry(ctx, rows[perm[0]], cols[0], order)
+        prod = mat.entry(rows[perm[0]], cols[0])
         for p in range(1, m):
-            prod = prod * t_entry(ctx, rows[perm[p]], cols[p],
-                                  order).shift(p)
+            prod = prod * mat.entry(rows[perm[p]], cols[p]).shift(p)
         total = total + prod * perm_sign(perm)
     return total
 
@@ -221,14 +239,13 @@ def qdet(ctx, order):
 
 
 def minor_expand_last_column(ctx, rows, cols, order):
-    """Signed expansion along the final column."""
-    m = len(rows)
-    total = Series(ctx, order)
-    for k in range(1, m + 1):
-        sub = quantum_minor(ctx, rows[:k - 1] + rows[k:], cols[:-1], order)
-        factor = t_entry(ctx, rows[k - 1], cols[-1], order).shift(m - 1)
-        total = total + (sub * factor) * ((-1) ** (k + m))
-    return total
+    """Signed expansion along the final column over cached sub-minors:
+    the step quantum_minor computes every minor with."""
+    return _expand_last_column(
+        lambda i, j: t_entry(ctx, i, j, order),
+        lambda sub_rows, sub_cols: quantum_minor(ctx, sub_rows, sub_cols,
+                                                 order),
+        tuple(rows), tuple(cols), Series(ctx, order))
 
 
 def minor_expand_last_row(ctx, rows, cols, order):
@@ -470,24 +487,27 @@ def t_star_matrix(ctx, order):
 
 
 def matrix_minor(mat, rows, cols):
-    """Quantum minor of an arbitrary series matrix (column-shift form)."""
-    m = len(rows)
-    if m == 0:
-        return Series.constant(mat.ctx, mat.order)
-    total = Series(mat.ctx, mat.order)
-    for perm in permutations(range(m)):
-        prod = mat.entry(rows[perm[0]], cols[0])
-        for p in range(1, m):
-            prod = prod * mat.entry(rows[perm[p]], cols[p]).shift(p)
-        total = total + prod * perm_sign(perm)
-    return total
+    """Quantum minor of an arbitrary series matrix (column-shift form),
+    by last-column expansion over sub-minors memoised within the call."""
+    # keyed on rows alone: a sub-minor's columns are always the leading
+    # len(rows) columns
+    memo = {}
+
+    def minor(sub_rows, sub_cols):
+        if not sub_rows:
+            return Series.constant(mat.ctx, mat.order)
+        if sub_rows not in memo:
+            memo[sub_rows] = _expand_last_column(
+                mat.entry, minor, sub_rows, sub_cols,
+                Series(mat.ctx, mat.order))
+        return memo[sub_rows]
+
+    return minor(tuple(rows), tuple(cols))
 
 
-def reflected_star_minor(ctx, rows, cols, order, star=None):
-    """Minor of the reflected matrix, evaluated at -u-(n-1)."""
-    star = star or t_star_matrix(ctx, order)
-    s = matrix_minor(star, tuple(rows), tuple(cols))
-    return s.negate_variable().shift(ctx.n - 1)
+def reflected_minor(star, rows, cols, shift):
+    """Minor of the reflected matrix star = (T(-u))^{-1}, at -u-shift."""
+    return matrix_minor(star, rows, cols).negate_variable().shift(shift)
 
 
 def star_minor_identities_check(ctx, order):
@@ -500,7 +520,7 @@ def star_minor_identities_check(ctx, order):
     star = t_star_matrix(ctx, order)
 
     def refl(rows, cols):
-        return reflected_star_minor(ctx, rows, cols, order, star)
+        return reflected_minor(star, rows, cols, n - 1)
 
     for m in range(1, n + 1):
         head = tuple(range(1, m + 1))

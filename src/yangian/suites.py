@@ -1,12 +1,11 @@
 """Named verification suites over the identity checks.
 
-Each suite resolves to a fixed list of jobs; jobs fan out across worker
-threads and the reports are collated in submission order, so the output
-stream is deterministic regardless of completion order.
+Each suite resolves to a fixed list of jobs, run one after another in
+the calling thread; their reports are concatenated in that fixed order,
+so the output stream is deterministic.
 """
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 
@@ -69,6 +68,7 @@ def _minor_index_sets(n, max_size):
 
 def suite_minors(n, order, seed):
     ctx = Context(n, order, GL)
+    t = rtt.t_matrix(ctx, order)
     comm = Report("minor-commutation-sweep", n=n, order=order, max_size=3)
     cent = Report("minor-centrality-sweep", n=n, order=order, max_size=3)
     rowform = Report("minor-row-column-forms", n=n, order=order, max_size=3)
@@ -84,7 +84,8 @@ def suite_minors(n, order, seed):
                         "T%d%d %s" % (i, j, label))
         _absorb(cent, rtt.minor_centrality_check(ctx, rows, cols, order),
                 label)
-        mi = rtt.quantum_minor(ctx, rows, cols, order)
+        # reference: the defining permutation sum, not the engine itself
+        mi = rtt.minor_by_permutations(t, rows, cols)
         alt = rtt.quantum_minor_row_form(ctx, rows, cols, order)
         for k in range(order + 1):
             rowform.check("%s,k=%d" % (label, k), mi.coefficient(k),
@@ -179,27 +180,17 @@ SUITES = {
 RANK_FIXED = {"sl2": 2, "sl3": 3}
 
 
-def run_suite(name, n=2, order=None, seed=0, workers=4):
+def run_suite(name, n=2, order=None, seed=0):
     """Run one named suite (or "all"), returning reports in fixed order."""
     if name == "all":
-        jobs = [(sub, SUITES[sub]) for sub in SUITES]
+        names = list(SUITES)
     elif name in SUITES:
-        jobs = [(name, SUITES[name])]
+        names = [name]
     else:
         raise KeyError(name)
-
-    def run_one(item):
-        sub, fn = item
+    out = []
+    for sub in names:
         rank = RANK_FIXED.get(sub, n)
         ordr = order if order is not None else default_order(rank)
-        return fn(rank, ordr, seed)
-
-    if len(jobs) == 1:
-        batches = [run_one(jobs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(run_one, jobs))
-    out = []
-    for batch in batches:
-        out.extend(batch)
+        out.extend(SUITES[sub](rank, ordr, seed))
     return out

@@ -79,11 +79,13 @@ def test_criterion_04_minor_identities_all_sizes():
     start = time.monotonic()
     ctx = Context(3, 3, GL)
     from itertools import combinations
+    t = rtt.t_matrix(ctx, 3)
     checked = 0
     for m in (1, 2, 3):
         for rows in combinations((1, 2, 3), m):
             for cols in combinations((1, 2, 3), m):
-                minor = rtt.quantum_minor(ctx, rows, cols, 3)
+                minor = rtt.minor_by_permutations(t, rows, cols)
+                assert rtt.quantum_minor(ctx, rows, cols, 3) == minor
                 assert rtt.quantum_minor_row_form(ctx, rows, cols, 3) == minor
                 if m >= 2:
                     assert rtt.minor_expand_last_column(

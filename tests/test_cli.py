@@ -1,5 +1,7 @@
 """Command-line surface: targets, formats, exit codes, determinism."""
 
+import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,9 +9,10 @@ import sys
 import pytest
 
 from yangian.algebra import Context, GL, SL, Tensor, generator, unit
-from yangian.cli import main
+from yangian.cli import _render_verify, main
 from yangian.drinfeld import current
 from yangian.hopf import delta_series
+from yangian.suites import SUITES, default_order, run_suite
 from yangian import render
 
 
@@ -170,6 +173,32 @@ def test_verify_seed_changes_random_points_not_status(capsys):
     code2, doc2 = run_json(capsys, "verify", "r-matrix", "--seed", "2")
     assert code1 == code2 == 0
     assert doc1 != doc2
+
+
+# sha256 of the `verify all --n N --format json` output at seed 0.  A
+# change meant to alter that output updates these and says why.
+ALL_JSON_SHA256 = {
+    2: "a1789c24919f17fcf8d1aa60f774e25b4f52fbe7ad85feb42a6e8d9eb51edc2b",
+    3: "dcfa70f9f80b4cd64e0d68dec96de2854670f833bda3a66493a019aab668269b",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ALL_JSON_SHA256))
+def test_verify_all_json_is_pinned(n):
+    # the CLI resolves the default order from --n before running suites
+    order = default_order(n)
+    args = argparse.Namespace(suite="all", n=n, order=order, seed=0,
+                              fmt="json")
+    text = _render_verify(args, run_suite("all", n, order, seed=0)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == ALL_JSON_SHA256[n]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("suite", sorted(SUITES) + ["all"])
+def test_verify_order_one_ends_in_a_report(capsys, suite, n):
+    code = main(["verify", suite, "--n", str(n), "--order", "1"])
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -93,21 +94,40 @@ def test_minor_column_alternation():
 
 def test_minor_row_form_equals_column_form():
     ctx = Context(3, 3)
+    t = rtt.t_matrix(ctx, 3)
     cases = [((1, 2), (1, 2)), ((1, 2), (2, 3)), ((1, 3), (1, 2)),
              ((1, 2, 3), (1, 2, 3))]
     for rows, cols in cases:
         assert (rtt.quantum_minor_row_form(ctx, rows, cols, 3)
-                == rtt.quantum_minor(ctx, rows, cols, 3)), (rows, cols)
+                == rtt.minor_by_permutations(t, rows, cols)), (rows, cols)
 
 
 def test_minor_expansions():
     ctx = Context(3, 3)
+    t = rtt.t_matrix(ctx, 3)
     cases = [((1, 2), (1, 2)), ((1, 2), (1, 3)), ((1, 3), (2, 3)),
              ((1, 2, 3), (1, 2, 3))]
     for rows, cols in cases:
-        minor = rtt.quantum_minor(ctx, rows, cols, 3)
+        minor = rtt.minor_by_permutations(t, rows, cols)
         assert rtt.minor_expand_last_column(ctx, rows, cols, 3) == minor
         assert rtt.minor_expand_last_row(ctx, rows, cols, 3) == minor
+
+
+def test_minor_engine_matches_permutation_sums_n4():
+    # every size 1..4 at n=4, for T(u), for the reflected matrix, and
+    # for the determinant, against the defining permutation sums
+    ctx = Context(4, 2)
+    t = rtt.t_matrix(ctx, 2)
+    star = rtt.t_star_matrix(ctx, 2)
+    for m in range(1, 5):
+        for rows in combinations(range(1, 5), m):
+            for cols in combinations(range(1, 5), m):
+                assert (rtt.quantum_minor(ctx, rows, cols, 2)
+                        == rtt.minor_by_permutations(t, rows, cols))
+                assert (rtt.matrix_minor(star, rows, cols)
+                        == rtt.minor_by_permutations(star, rows, cols))
+    idx = (1, 2, 3, 4)
+    assert rtt.qdet(ctx, 2) == rtt.minor_by_permutations(t, idx, idx)
 
 
 def test_minor_commutation_cases():
