@@ -67,10 +67,6 @@ def word_degree(word):
     return sum(sym[0] for sym in word)
 
 
-def is_normal(word):
-    return all(word[t] <= word[t + 1] for t in range(len(word) - 1))
-
-
 # ---------------------------------------------------------------------------
 # structure constants and rewriting (context-free: valid for every n)
 
@@ -178,33 +174,26 @@ def normal_order_strategy(word, direction="left"):
 # ---------------------------------------------------------------------------
 # SL quotient: eliminate T_{n,n}^{(k)} using the quantum determinant
 
-_SL_TABLES = {}
-
-
+@lru_cache(maxsize=None)
 def _sl_elimination(n, k):
     """Replacement of T_{n,n}^{(k)}: T_{nn}-free normal terms as a tuple.
 
-    Solves coefficient_k(qdet) = 0 for T_{n,n}^{(k)}, lowest mode first.
+    Solves coefficient_k(qdet) = 0 for T_{n,n}^{(k)}; the lower modes of
+    T_{n,n} left in that coefficient are eliminated through _sl_word_nf.
     """
     # imported here because rtt imports this module
     from .rtt import qdet
 
-    table = _SL_TABLES.setdefault(n, {})
-    for m in range(1, k + 1):
-        if m in table:
-            continue
-        coeffs = qdet(Context(n, m, GL), m).coefficient(m).terms
-        raw = {w: int(c) for w, c in coeffs.items()}
-        assert raw == coeffs, "qdet coefficient is not integral"
-        top = ((m, n, n),)
-        lead = raw.pop(top, 0)
-        assert lead == 1, "qdet coefficient is not monic in T_nn"
-        out = {}
-        for word, coeff in raw.items():
-            for w, c in _sl_word_nf(n, word):
-                out[w] = out.get(w, 0) - coeff * c
-        table[m] = tuple(sorted((w, c) for w, c in out.items() if c))
-    return table[k]
+    coeffs = qdet(Context(n, k, GL), k).coefficient(k).terms
+    raw = {w: int(c) for w, c in coeffs.items()}
+    assert raw == coeffs, "qdet coefficient is not integral"
+    lead = raw.pop(((k, n, n),), 0)
+    assert lead == 1, "qdet coefficient is not monic in T_nn"
+    out = {}
+    for word, coeff in raw.items():
+        for w, c in _sl_word_nf(n, word):
+            out[w] = out.get(w, 0) - coeff * c
+    return tuple(sorted((w, c) for w, c in out.items() if c))
 
 
 @lru_cache(maxsize=None)
@@ -251,10 +240,76 @@ def _reduce_raw(ctx, raw):
             if c and word_degree(w) <= ctx.max_degree}
 
 
-class Element:
-    """Fraction-linear combination of normal words under a context."""
+class LinearCombination:
+    """Fraction-linear combination of keys over a context.
+
+    Holds the vector-space operations shared by elements (keys are normal
+    words) and tensors (keys are tuples of normal words, one per slot).
+    A subclass supplies its product, its unit, `_like` (a result of the
+    same kind built from trusted terms) and its degree.
+    """
 
     __slots__ = ("ctx", "terms")
+
+    def is_zero(self):
+        return not self.terms
+
+    def items_sorted(self):
+        return sorted(self.terms.items())
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._unit() * other
+        return (isinstance(other, type(self)) and self.ctx == other.ctx
+                and self.arity == other.arity and self.terms == other.terms)
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._unit() * other
+        if self.ctx != other.ctx or self.arity != other.arity:
+            raise ValueError("context mismatch")
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            v = out.get(k, ZERO) + c
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
+        return self._like(out)
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._unit() * other
+        return self.__add__(other.__neg__())
+
+    def __rsub__(self, other):
+        return self.__neg__().__add__(self._unit() * other)
+
+    def _scale(self, c):
+        c = Fraction(c)
+        if not c:
+            return self._like({})
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+
+class Element(LinearCombination):
+    """Fraction-linear combination of normal words under a context."""
+
+    __slots__ = ()
+    arity = 1
 
     def __init__(self, ctx, raw=None):
         self.ctx = ctx
@@ -267,8 +322,15 @@ class Element:
         el.terms = terms
         return el
 
-    def is_zero(self):
-        return not self.terms
+    def _like(self, terms):
+        # _trusted written out: sums of elements are the hottest call
+        el = object.__new__(Element)
+        el.ctx = self.ctx
+        el.terms = terms
+        return el
+
+    def _unit(self):
+        return unit(self.ctx)
 
     def degree(self):
         return max((word_degree(w) for w in self.terms), default=0)
@@ -277,53 +339,9 @@ class Element:
         """Coefficient of the empty word."""
         return self.terms.get((), ZERO)
 
-    def items_sorted(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = unit(self.ctx) * other
-        return (isinstance(other, Element) and self.ctx == other.ctx
-                and self.terms == other.terms)
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = unit(self.ctx) * other
-        if self.ctx != other.ctx:
-            raise ValueError("context mismatch")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, ZERO) + c
-            if v:
-                out[w] = v
-            elif w in out:
-                del out[w]
-        return Element._trusted(self.ctx, out)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        return Element._trusted(self.ctx,
-                                {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = unit(self.ctx) * other
-        return self.__add__(other.__neg__())
-
-    def __rsub__(self, other):
-        return (self.__neg__()).__add__(unit(self.ctx) * other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Element._trusted(self.ctx, {})
-            return Element._trusted(
-                self.ctx, {w: c * v for w, v in self.terms.items()})
+            return self._scale(other)
         if self.ctx != other.ctx:
             raise ValueError("context mismatch")
         raw = {}
@@ -333,11 +351,6 @@ class Element:
                 for w, k in normal_form_word(w1 + w2):
                     raw[w] = raw.get(w, ZERO) + c * k
         return Element(self.ctx, raw)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
 
     def __repr__(self):
         if not self.terms:
@@ -437,14 +450,14 @@ def _slot_reduce(ctx, word_product):
     return tuple((w, c) for w, c in out.items() if c)
 
 
-class Tensor:
-    """Linear combination of slot pairs (word, word) over a shared context.
+class Tensor(LinearCombination):
+    """Linear combination of slot tuples (word, word, ...) over a context.
 
     The product is componentwise; the total degree (sum over slots) is
     truncated by the context bound.
     """
 
-    __slots__ = ("ctx", "arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, ctx, arity, raw=None):
         self.ctx = ctx
@@ -467,6 +480,12 @@ class Tensor:
         t.terms = terms
         return t
 
+    def _like(self, terms):
+        return Tensor._trusted(self.ctx, self.arity, terms)
+
+    def _unit(self):
+        return Tensor.unit(self.ctx, self.arity)
+
     @classmethod
     def unit(cls, ctx, arity=2):
         return cls._trusted(ctx, arity, {((),) * arity: ONE})
@@ -477,76 +496,28 @@ class Tensor:
 
     @classmethod
     def of_elements(cls, *parts):
-        """Outer product e_1 (x) e_2 (x) ... of elements."""
+        """Outer product e_1 (x) e_2 (x) ... of elements.
+
+        Element terms are already normal (and T_{nn}-free in SL mode), so
+        the product needs only the cut at the context's degree bound.
+        """
         ctx = parts[0].ctx
-        arity = len(parts)
-        raw = {((),) * arity: ONE}
-        t = cls._trusted(ctx, arity, raw)
-        for slot, el in enumerate(parts):
-            t = t._slot_scale(slot, el)
-        return cls(ctx, arity, t.terms)
+        terms = {(): ONE}
+        for el in parts:
+            if el.ctx != ctx:
+                raise ValueError("context mismatch")
+            terms = {key + (w,): c * c2 for key, c in terms.items()
+                     for w, c2 in el.terms.items()}
+        return cls(ctx, len(parts), terms)
 
-    def _slot_scale(self, slot, el):
-        if el.ctx != self.ctx:
-            raise ValueError("context mismatch")
-        raw = {}
-        for key, c in self.terms.items():
-            for w, c2 in el.terms.items():
-                new = key[:slot] + (key[slot] + w,) + key[slot + 1:]
-                raw[new] = raw.get(new, ZERO) + c * c2
-        # slots stay normal only if the old slot was empty; renormalize
-        out = {}
-        for key, c in raw.items():
-            parts = [_slot_reduce(self.ctx, w) for w in key]
-            _expand_slotwise(self.ctx, parts, c, out)
-        return Tensor._trusted(self.ctx, self.arity, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def total_degree(self):
+    def degree(self):
+        """Total degree: the largest sum of slot degrees over the keys."""
         return max((sum(word_degree(w) for w in key) for key in self.terms),
                    default=0)
 
-    def items_sorted(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        return (isinstance(other, Tensor) and self.ctx == other.ctx
-                and self.arity == other.arity and self.terms == other.terms)
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Tensor.unit(self.ctx, self.arity) * other
-        if self.ctx != other.ctx or self.arity != other.arity:
-            raise ValueError("context mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, ZERO) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return Tensor._trusted(self.ctx, self.arity, out)
-
-    def __neg__(self):
-        return Tensor._trusted(self.ctx, self.arity,
-                               {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Tensor.unit(self.ctx, self.arity) * other
-        return self.__add__(other.__neg__())
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Tensor.zero(self.ctx, self.arity)
-            return Tensor._trusted(self.ctx, self.arity,
-                                   {k: c * v for k, v in self.terms.items()})
+            return self._scale(other)
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
         out = {}
@@ -555,18 +526,12 @@ class Tensor:
                 parts = [_slot_reduce(self.ctx, k1[s] + k2[s])
                          for s in range(self.arity)]
                 _expand_slotwise(self.ctx, parts, c1 * c2, out)
-        return Tensor(self.ctx, self.arity,
-                      {k: c for k, c in out.items() if c})
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+        # _expand_slotwise already dropped zero and over-degree keys
+        return self._like(out)
 
     def flip(self):
         """Reverse the slot order."""
-        return Tensor(self.ctx, self.arity,
-                      {key[::-1]: c for key, c in self.terms.items()})
+        return self._like({key[::-1]: c for key, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

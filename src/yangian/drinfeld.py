@@ -75,13 +75,13 @@ def _corner_block(ctx, i, order):
     return quantum_minor(ctx, idx, idx, order)
 
 
-@lru_cache(maxsize=None)
 def h_current(ctx, i, order, variant=1):
     """Diagonal current for root i, computed by one of three routes.
 
     Variant 1 is a product of four shifted minor blocks; variants 2
     and 3 subtract a lowering*raising correction from a single minor
     ratio taken on either side.  All three agree in the algebra.
+    Variant 1 is cached as current(ctx, "h", i, order).
     """
     if not 1 <= i <= ctx.n - 1:
         raise ValueError("simple root index out of range")
@@ -114,7 +114,6 @@ def current_mode(series, kind, k):
     return series.coefficient(k + 1)
 
 
-@lru_cache(maxsize=None)
 def _mode(ctx, kind, i, k, order):
     return current_mode(current(ctx, kind, i, order), kind, k)
 
@@ -277,7 +276,7 @@ def h_variants_check(n, degree, mode=SL):
     order = degree + 1
     rep = Report("diagonal-current-variants", n=n, degree=degree, mode=mode)
     for i in range(1, n):
-        first = h_current(ctx, i, order, variant=1)
+        first = current(ctx, "h", i, order)
         for variant in (2, 3):
             other = h_current(ctx, i, order, variant=variant)
             for k in range(order + 1):

@@ -20,6 +20,7 @@ from .algebra import (
     Context,
     Element,
     Tensor,
+    ONE,
     ZERO,
     commutator,
     from_words,
@@ -121,49 +122,44 @@ def antipode_series(s):
 # slot maps on tensor squares / cubes
 
 
-def delta_on_slot(t, slot):
-    """Apply the coproduct inside one slot, raising the arity by one."""
+def _map_slot(t, slot, image, arity):
+    """Replace one slot of every key by the slot tuples of image(word).
+
+    image maps the slot's word to (slot_tuple, coefficient) pairs; the
+    result has the given arity, and arity 1 gives an element.
+    """
     out = {}
     for key, c in t.terms.items():
-        for pair, c2 in _delta_word(t.ctx, key[slot]).terms.items():
-            new = key[:slot] + pair + key[slot + 1:]
+        head, tail = key[:slot], key[slot + 1:]
+        for parts, c2 in image(key[slot]):
+            new = head + parts + tail
             v = out.get(new, ZERO) + c * c2
             if v:
                 out[new] = v
             elif new in out:
                 del out[new]
-    return Tensor(t.ctx, t.arity + 1, out)
+    if arity == 1:
+        return Element._trusted(t.ctx, {k[0]: c for k, c in out.items()})
+    return Tensor(t.ctx, arity, out)
+
+
+def delta_on_slot(t, slot):
+    """Apply the coproduct inside one slot, raising the arity by one."""
+    return _map_slot(t, slot, lambda w: _delta_word(t.ctx, w).terms.items(),
+                     t.arity + 1)
 
 
 def counit_on_slot(t, slot):
     """Contract one slot with the counit, lowering the arity by one."""
-    out = {}
-    for key, c in t.terms.items():
-        if key[slot] != ():
-            continue
-        new = key[:slot] + key[slot + 1:]
-        v = out.get(new, ZERO) + c
-        if v:
-            out[new] = v
-        elif new in out:
-            del out[new]
-    if t.arity == 2:
-        return Element._trusted(t.ctx, {k[0]: c for k, c in out.items()})
-    return Tensor(t.ctx, t.arity - 1, out)
+    return _map_slot(t, slot, lambda w: () if w else (((), ONE),),
+                     t.arity - 1)
 
 
 def antipode_on_slot(t, slot):
     """Apply the antipode inside one slot."""
-    out = {}
-    for key, c in t.terms.items():
-        for w, c2 in _antipode_word(t.ctx, key[slot]).terms.items():
-            new = key[:slot] + (w,) + key[slot + 1:]
-            v = out.get(new, ZERO) + c * c2
-            if v:
-                out[new] = v
-            elif new in out:
-                del out[new]
-    return Tensor(t.ctx, t.arity, out)
+    return _map_slot(t, slot, lambda w: (
+        ((v,), c) for v, c in _antipode_word(t.ctx, w).terms.items()),
+        t.arity)
 
 
 def multiply_slots(t):
@@ -431,50 +427,32 @@ def _bracket_map(root, sign):
     return act
 
 
-def elementary_raising(frame, side, alpha, i, j, shift, gate="printed"):
-    """Adjoint action of the raising root (i, j), with spectral correction.
+def elementary_root(frame, kind, side, alpha, low, high, shift,
+                    gate="printed"):
+    """Adjoint action of the root vector (low, high), with spectral correction.
 
-    side "L" multiplies the correction current from the left of the
-    argument, side "R" from the right.  The correction switches on for
-    i <= alpha < j ("printed") or i <= alpha < j-1 ("narrow").
+    kind "e" raises and kind "f" lowers: the lowering action is the
+    raising one with every bracket sign reversed.  side "L" multiplies
+    the correction current from the left of the argument, side "R" from
+    the right.  The correction switches on for low <= alpha < high
+    ("printed") or low <= alpha < high-1 ("narrow").
     """
-    if i > j:
-        raise ValueError("raising operator needs i <= j")
-    root = None if i == j else frame.root("e", i, j)
+    if low > high:
+        raise ValueError("root operator needs low <= high")
+    sign = 1 if kind == "e" else -1
+    root = None if low == high else frame.root(kind, low, high)
     corr = None
-    if _gate_fires(alpha, i, j, gate):
-        inner = frame.current("e", alpha).shift(shift)
-        if alpha + 1 != j:
-            inner = inner.map_coeffs(_bracket_map(frame.root("e", alpha + 1, j), 1))
-        if i != alpha:
-            inner = inner.map_coeffs(_bracket_map(frame.root("e", i, alpha), -1))
-        corr = inner
+    if _gate_fires(alpha, low, high, gate):
+        corr = frame.current(kind, alpha).shift(shift)
+        if alpha + 1 != high:
+            corr = corr.map_coeffs(
+                _bracket_map(frame.root(kind, alpha + 1, high), sign))
+        if low != alpha:
+            corr = corr.map_coeffs(
+                _bracket_map(frame.root(kind, low, alpha), -sign))
 
     def act(x):
-        out = x if root is None else x.map_coeffs(_bracket_map(root, 1))
-        if corr is not None:
-            out = out + (corr * x if side == "L" else x * corr)
-        return out
-
-    return act
-
-
-def elementary_lowering(frame, side, alpha, j, i, shift, gate="printed"):
-    """Adjoint action of the lowering root (j, i), with spectral correction."""
-    if j < i:
-        raise ValueError("lowering operator needs j >= i")
-    root = None if i == j else frame.root("f", i, j)
-    corr = None
-    if _gate_fires(alpha, i, j, gate):
-        inner = frame.current("f", alpha).shift(shift)
-        if j != alpha + 1:
-            inner = inner.map_coeffs(_bracket_map(frame.root("f", alpha + 1, j), -1))
-        if alpha != i:
-            inner = inner.map_coeffs(_bracket_map(frame.root("f", i, alpha), 1))
-        corr = inner
-
-    def act(x):
-        out = x if root is None else x.map_coeffs(_bracket_map(root, -1))
+        out = x if root is None else x.map_coeffs(_bracket_map(root, sign))
         if corr is not None:
             out = out + (corr * x if side == "L" else x * corr)
         return out
@@ -488,12 +466,9 @@ def elementary_diagonal(frame, side, alpha, i, j, shift, gate="printed"):
         return frame.constant_one
     if i == j:
         return lambda x: x
-    if side == "L":
-        e_op = elementary_raising(frame, side, alpha, i, j, shift, gate)
-        f_op = elementary_lowering(frame, side, alpha, j, i, shift + 1, gate)
-    else:
-        e_op = elementary_raising(frame, side, alpha, i, j, shift + 1, gate)
-        f_op = elementary_lowering(frame, side, alpha, j, i, shift, gate)
+    up, down = (shift, shift + 1) if side == "L" else (shift + 1, shift)
+    e_op = elementary_root(frame, "e", side, alpha, i, j, up, gate)
+    f_op = elementary_root(frame, "f", side, alpha, i, j, down, gate)
     return lambda x: x + e_op(f_op(x))
 
 
@@ -506,40 +481,24 @@ def _chain(ops):
     return act
 
 
-def composite_raising(frame, side, alpha, ks, shift, gate="printed"):
-    """Ordered product of elementary raising actions over an index set."""
+def composite(frame, kind, side, alpha, ks, shift, gate="printed"):
+    """Ordered product of elementary actions over an index set.
+
+    kind "e" (raising) or "f" (lowering) takes root actions, kind "h"
+    diagonal steps; step p pairs p with k_p, the last step m+1 with k_m.
+    """
     ks = tuple(ks)
     if not ks:
         return frame.constant_one
     m = len(ks)
-    ops = [elementary_raising(frame, side, alpha, p, ks[p - 1], shift, gate)
-           for p in range(1, m)]
-    ops.append(elementary_raising(frame, side, alpha, m + 1, ks[-1], shift, gate))
-    return _chain(ops)
-
-
-def composite_lowering(frame, side, alpha, ks, shift, gate="printed"):
-    """Ordered product of elementary lowering actions over an index set."""
-    ks = tuple(ks)
-    if not ks:
-        return frame.constant_one
-    m = len(ks)
-    ops = [elementary_lowering(frame, side, alpha, ks[p - 1], p, shift, gate)
-           for p in range(1, m)]
-    ops.append(elementary_lowering(frame, side, alpha, ks[-1], m + 1, shift, gate))
-    return _chain(ops)
-
-
-def composite_diagonal(frame, side, alpha, ks, shift, gate="printed"):
-    """Ordered product of elementary diagonal actions over an index set."""
-    ks = tuple(ks)
-    if not ks:
-        return frame.constant_one
-    m = len(ks)
-    ops = [elementary_diagonal(frame, side, alpha, p, ks[p - 1], shift, gate)
-           for p in range(1, m)]
-    ops.append(elementary_diagonal(frame, side, alpha, m + 1, ks[-1], shift, gate))
-    return _chain(ops)
+    lows = list(range(1, m)) + [m + 1]
+    if kind == "h":
+        return _chain([elementary_diagonal(frame, side, alpha, low, high,
+                                           shift, gate)
+                       for low, high in zip(lows, ks)])
+    return _chain([elementary_root(frame, kind, side, alpha, low, high,
+                                   shift, gate)
+                   for low, high in zip(lows, ks)])
 
 
 def hat_raising(frame, m, shift, gate="printed"):
@@ -548,15 +507,15 @@ def hat_raising(frame, m, shift, gate="printed"):
     if not 1 <= m <= n - 1:
         raise ValueError("index out of range")
     if m == 1:
-        ops = [elementary_raising(frame, "R", 1, 2, n, shift + 1, gate),
-               elementary_lowering(frame, "R", 1, n - 1, 1, shift, gate)]
+        ops = [elementary_root(frame, "e", "R", 1, 2, n, shift + 1, gate),
+               elementary_root(frame, "f", "R", 1, 1, n - 1, shift, gate)]
         return _chain(ops)
-    ops = [elementary_raising(frame, "R", m, 1, n - m + 1, shift + 1, gate),
-           elementary_lowering(frame, "R", m, n - m, 1, shift, gate)]
+    ops = [elementary_root(frame, "e", "R", m, 1, n - m + 1, shift + 1, gate),
+           elementary_root(frame, "f", "R", m, 1, n - m, shift, gate)]
     ops.extend(elementary_diagonal(frame, "R", m, p, n - m + p, shift, gate)
                for p in range(2, m))
-    ops.append(elementary_raising(frame, "R", m, m + 1, n, shift + 1, gate))
-    ops.append(elementary_lowering(frame, "R", m, n, m, shift, gate))
+    ops.append(elementary_root(frame, "e", "R", m, m + 1, n, shift + 1, gate))
+    ops.append(elementary_root(frame, "f", "R", m, m, n, shift, gate))
     return _chain(ops)
 
 
@@ -571,16 +530,16 @@ def hat_lowering(frame, m, shift, gate="printed", pattern="printed"):
     if not 1 <= m <= n - 1:
         raise ValueError("index out of range")
     if m == 1:
-        ops = [elementary_raising(frame, "L", 1, 1, n - 1, shift, gate),
-               elementary_lowering(frame, "L", 1, n, 2, shift + 1, gate)]
+        ops = [elementary_root(frame, "e", "L", 1, 1, n - 1, shift, gate),
+               elementary_root(frame, "f", "L", 1, 2, n, shift + 1, gate)]
         return _chain(ops)
     up, low = (shift + 1, shift) if pattern == "printed" else (shift, shift + 1)
-    ops = [elementary_raising(frame, "L", m, 1, n - m, up, gate),
-           elementary_lowering(frame, "L", m, n - m + 1, 1, low, gate)]
+    ops = [elementary_root(frame, "e", "L", m, 1, n - m, up, gate),
+           elementary_root(frame, "f", "L", m, 1, n - m + 1, low, gate)]
     ops.extend(elementary_diagonal(frame, "L", m, p, n - m + p, shift, gate)
                for p in range(2, m))
-    ops.append(elementary_raising(frame, "L", m, m, n, up, gate))
-    ops.append(elementary_lowering(frame, "L", m, n, m + 1, low, gate))
+    ops.append(elementary_root(frame, "e", "L", m, m, n, up, gate))
+    ops.append(elementary_root(frame, "f", "L", m, m + 1, n, low, gate))
     return _chain(ops)
 
 
@@ -605,7 +564,12 @@ def _series_match(rep, label, lhs, rhs, upto, documented=False):
                       lhs.coefficient(k), rhs.coefficient(k))
 
 
-def ratio_identities_check(n, order, gate="printed", families=None):
+RATIO_FAMILIES = ("raise-left", "raise-right", "lower-left", "lower-right",
+                  "pair-raise-left", "pair-raise-right", "pair-lower-left",
+                  "pair-lower-right")
+
+
+def ratio_identities_check(n, order, gate="printed"):
     """Minor ratios against composite raising/lowering images.
 
     Eight families: each pairs a one-sided minor ratio with a composite
@@ -613,56 +577,32 @@ def ratio_identities_check(n, order, gate="printed", families=None):
     """
     ctx = Context(n, order, SL)
     frame = CurrentFrame(ctx, order)
-    wanted = families or ("raise-left", "raise-right", "lower-left",
-                          "lower-right", "pair-raise-left", "pair-raise-right",
-                          "pair-lower-left", "pair-lower-right")
     reports = []
-    for fam in wanted:
+    for fam in RATIO_FAMILIES:
+        sector, _, hand = fam.rpartition("-")
+        kind = "e" if sector.endswith("raise") else "f"
+        side = "L" if hand == "left" else "R"
         rep = Report("ratio-" + fam, n=n, order=order, gate=gate)
         for i in range(1, n):
             inv = _leading(ctx, i, order).invert()
-            ei = frame.current("e", i)
-            fi = frame.current("f", i)
             low = Fraction(i - 2, 2)
             high = Fraction(i, 2)
-            rows_mid = tuple(range(1, i)) + (i + 1,)
-            for a in combinations(range(1, n + 1), i):
-                if a == tuple(range(1, i + 1)):
-                    continue
-                label = "i=%d,a=%s" % (i, a)
-                if fam == "raise-left":
-                    lhs = inv * quantum_minor(ctx, tuple(range(1, i + 1)), a, order)
-                    op = composite_raising(frame, "L", i, a, low, gate)
-                    rhs = op(ei.shift(low))
-                elif fam == "raise-right":
-                    lhs = quantum_minor(ctx, tuple(range(1, i + 1)), a, order) * inv
-                    op = composite_raising(frame, "R", i, a, high, gate)
-                    rhs = op(ei.shift(high))
-                elif fam == "lower-left":
-                    lhs = inv * quantum_minor(ctx, a, tuple(range(1, i + 1)), order)
-                    op = composite_lowering(frame, "L", i, a, high, gate)
-                    rhs = op(fi.shift(high))
-                elif fam == "lower-right":
-                    lhs = quantum_minor(ctx, a, tuple(range(1, i + 1)), order) * inv
-                    op = composite_lowering(frame, "R", i, a, low, gate)
-                    rhs = op(fi.shift(low))
-                elif fam == "pair-raise-left":
-                    lhs = inv * quantum_minor(ctx, rows_mid, a, order)
-                    op = composite_raising(frame, "L", i, a, low, gate)
-                    rhs = op(frame.g_tilde(i).shift(low))
-                elif fam == "pair-raise-right":
-                    lhs = quantum_minor(ctx, rows_mid, a, order) * inv
-                    op = composite_raising(frame, "R", i, a, high, gate)
-                    rhs = op(frame.g(i).shift(low))
-                elif fam == "pair-lower-left":
-                    lhs = inv * quantum_minor(ctx, a, rows_mid, order)
-                    op = composite_lowering(frame, "L", i, a, high, gate)
-                    rhs = op(frame.g_tilde(i).shift(low))
-                else:
-                    lhs = quantum_minor(ctx, a, rows_mid, order) * inv
-                    op = composite_lowering(frame, "R", i, a, low, gate)
-                    rhs = op(frame.g(i).shift(low))
-                _series_match(rep, label, lhs, rhs, order)
+            # raising from the left and lowering from the right take the
+            # lower shift, the two mirror families the higher one
+            shift = low if (side == "L") == (kind == "e") else high
+            if sector.startswith("pair-"):
+                top = tuple(range(1, i)) + (i + 1,)
+                pairing = frame.g_tilde(i) if side == "L" else frame.g(i)
+                arg = pairing.shift(low)
+            else:
+                top = tuple(range(1, i + 1))
+                arg = frame.current(kind, i).shift(shift)
+            for a in _proper_subsets(n, i):
+                minor = (quantum_minor(ctx, top, a, order) if kind == "e"
+                         else quantum_minor(ctx, a, top, order))
+                lhs = inv * minor if side == "L" else minor * inv
+                rhs = composite(frame, kind, side, i, a, shift, gate)(arg)
+                _series_match(rep, "i=%d,a=%s" % (i, a), lhs, rhs, order)
         reports.append(rep)
     return reports
 
@@ -679,13 +619,19 @@ def diagonal_ratio_check(n, order, gate="printed"):
         for j in range(1, i + 2):
             ks = (j,) + tuple(range(i + 2, n + 1))
             block = quantum_minor(ctx, ks, ks, order)
-            op_r = composite_diagonal(frame, "R", m, ks, c, gate)
+            op_r = composite(frame, "h", "R", m, ks, c, gate)
             _series_match(rep, "right,i=%d,j=%d" % (i, j),
                           block * inv, op_r(frame.g(m).shift(c)), order)
-            op_l = composite_diagonal(frame, "L", m, ks, c, gate)
+            op_l = composite(frame, "h", "L", m, ks, c, gate)
             _series_match(rep, "left,i=%d,j=%d" % (i, j),
                           inv * block, op_l(frame.g_tilde(m).shift(c)), order)
     return rep
+
+
+# probes of a failing hat composite: name, operator shift, argument
+# shift and shift pattern
+HAT_VARIANTS = (("op-1", -1, 0, "printed"), ("arg-1", 0, -1, "printed"),
+                ("uniform-shift-pattern", 0, 0, "uniform"))
 
 
 def hat_ratio_check(n, order, gate="printed", diagnose=True):
@@ -705,33 +651,23 @@ def hat_ratio_check(n, order, gate="printed", diagnose=True):
         tail = tuple(range(i + 2, n + 1))
         up = quantum_minor(ctx, (i,) + tail, (i + 1,) + tail, order)
         down = quantum_minor(ctx, (i + 1,) + tail, (i,) + tail, order)
-        arg_e = frame.current("e", m).shift(c + 1)
-        arg_f = frame.current("f", m).shift(c + 1)
-        for label, lhs, got in (
-            ("raise,i=%d" % i, up * inv,
-             hat_raising(frame, m, c, gate)(arg_e)),
-            ("lower,i=%d" % i, inv * down,
-             hat_lowering(frame, m, c, gate)(arg_f)),
-        ):
+        for kind, label, lhs in (("e", "raise,i=%d" % i, up * inv),
+                                 ("f", "lower,i=%d" % i, inv * down)):
+            def image(d_op=0, d_arg=0, pattern="printed"):
+                hat = (hat_raising(frame, m, c + d_op, gate) if kind == "e"
+                       else hat_lowering(frame, m, c + d_op, gate, pattern))
+                return hat(frame.current(kind, m).shift(c + 1 + d_arg))
+            got = image()
             bad = _first_mismatch(got, lhs, order)
             repaired = []
             if bad is not None:
                 rep.note("%s: earliest failing degree %d" % (label, bad))
                 if diagnose:
-                    for name, (d_op, d_arg, pattern) in {
-                        "op-1": (-1, 0, "printed"),
-                        "arg-1": (0, -1, "printed"),
-                        "uniform-shift-pattern": (0, 0, "uniform"),
-                    }.items():
-                        if label.startswith("raise") and pattern != "printed":
+                    for name, d_op, d_arg, pattern in HAT_VARIANTS:
+                        # the raising hat has a single shift pattern
+                        if kind == "e" and pattern != "printed":
                             continue
-                        cand = (hat_raising(frame, m, c + d_op, gate)
-                                if label.startswith("raise") else
-                                hat_lowering(frame, m, c + d_op, gate,
-                                             pattern))(
-                            frame.current(
-                                "e" if label.startswith("raise") else "f",
-                                m).shift(c + 1 + d_arg))
+                        cand = image(d_op, d_arg, pattern)
                         if _first_mismatch(cand, lhs, order) is None:
                             repaired.append(name)
                     rep.note("%s: %s" % (
@@ -778,67 +714,45 @@ def formula_delta(frame, kind, i, shifts=None, gate="printed",
     subsets = _proper_subsets(n, i)
     ei = frame.current("e", i)
     fi = frame.current("f", i)
+    e_arg = ei.shift(s["arg_e"])
+    f_arg = fi.shift(s["arg_f"])
+    power = None
 
-    if kind == "e":
-        def eop(a):
-            return composite_raising(frame, "L", i, a, s["op_e"], gate)
-
-        def fop(a):
-            return composite_lowering(frame, "L", i, a, s["op_f"], gate)
-
-        e_arg = ei.shift(s["arg_e"])
-        f_arg = fi.shift(s["arg_f"])
-        pair = frame.g_tilde(i).shift(s["arg_pair"])
-        power = None
-        head = slot_embed(ei.shift(s["head_arg"]), 2, 1)
-        for a in subsets:
-            left = eop(a)(e_arg)
-            term = series_outer(left, fop(a)(f_arg))
-            power = term if power is None else power + term
-            head = head + series_outer(left, fop(a)(pair))
-        return geometric_unit_sum(-power) * head
-
-    if kind == "f":
-        def eop(a):
-            return composite_raising(frame, "R", i, a, s["op_e"], gate)
-
-        def fop(a):
-            return composite_lowering(frame, "R", i, a, s["op_f"], gate)
-
-        pairing = frame.g(i) if f_head_pairing == "g" else frame.g_tilde(i)
+    if kind in ("e", "f"):
+        # mirror pair: "e" acts from the left and puts the current in the
+        # right slot, "f" acts from the right and fills the left slot
+        side = "L" if kind == "e" else "R"
+        pairing = (frame.g(i) if kind == "f" and f_head_pairing == "g"
+                   else frame.g_tilde(i))
         pair = pairing.shift(s["arg_pair"])
-        e_arg = ei.shift(s["arg_e"])
-        f_arg = fi.shift(s["arg_f"])
-        power = None
-        head = slot_embed(fi.shift(s["head_arg"]), 2, 0)
+        own = (ei if kind == "e" else fi).shift(s["head_arg"])
+        head = slot_embed(own, 2, 1 if kind == "e" else 0)
         for a in subsets:
-            power_term = series_outer(eop(a)(e_arg), fop(a)(f_arg))
-            power = power_term if power is None else power + power_term
-            head = head + series_outer(eop(a)(pair), fop(a)(f_arg))
-        return head * geometric_unit_sum(-power)
-
-    if kind == "h":
-        def eop(a):
-            return composite_raising(frame, "R", i, a, s["op_e"], gate)
-
-        def fop(a, shift):
-            return composite_lowering(frame, "R", i, a, shift, gate)
-
-        pair = frame.g(i).shift(s["arg_pair"])
-        e_arg = ei.shift(s["arg_e"])
-        f_arg = fi.shift(s["arg_f"])
-        power = None
-        head = series_outer(fi.shift(s["head_f"]), ei.shift(s["head_e"]))
-        for a in subsets:
-            term = series_outer(eop(a)(e_arg), fop(a, s["op_f_pow"])(f_arg))
+            eop = composite(frame, "e", side, i, a, s["op_e"], gate)
+            fop = composite(frame, "f", side, i, a, s["op_f"], gate)
+            left, right = eop(e_arg), fop(f_arg)
+            term = series_outer(left, right)
             power = term if power is None else power + term
-            head = head + series_outer(eop(a)(pair), fop(a, s["op_f_head"])(pair))
-        base = head * geometric_unit_sum(-power)
-        sub = (formula_delta(frame, "f", i, gate=gate)
-               * formula_delta(frame, "e", i, gate=gate).shift(s["sub_shift"]))
-        return base - sub
+            if kind == "e":
+                head = head + series_outer(left, fop(pair))
+            else:
+                head = head + series_outer(eop(pair), right)
+        geometric = geometric_unit_sum(-power)
+        return geometric * head if kind == "e" else head * geometric
 
-    raise ValueError("unknown current kind %r" % (kind,))
+    pair = frame.g(i).shift(s["arg_pair"])
+    head = series_outer(fi.shift(s["head_f"]), ei.shift(s["head_e"]))
+    for a in subsets:
+        eop = composite(frame, "e", "R", i, a, s["op_e"], gate)
+        term = series_outer(eop(e_arg), composite(
+            frame, "f", "R", i, a, s["op_f_pow"], gate)(f_arg))
+        power = term if power is None else power + term
+        head = head + series_outer(eop(pair), composite(
+            frame, "f", "R", i, a, s["op_f_head"], gate)(pair))
+    base = head * geometric_unit_sum(-power)
+    sub = (formula_delta(frame, "f", i, gate=gate)
+           * formula_delta(frame, "e", i, gate=gate).shift(s["sub_shift"]))
+    return base - sub
 
 
 def _first_mismatch(lhs, rhs, upto):
@@ -869,31 +783,42 @@ def _diagnose(rep, build, target, upto, slots, extra=None):
     return repaired
 
 
-def coproduct_formula_check(n, order, gate="printed", diagnose=True):
-    """Closed coproduct formulas against the transported coproduct."""
+def _formula_check(n, order, gate, diagnose, family, formula, transport,
+                   slots, extras):
+    """Closed current formulas against a transported structure map.
+
+    One report per current; a mismatch is probed by _diagnose with the
+    formula's spectral slots and the per-kind extra variants.
+    """
     ctx = Context(n, order, SL)
     frame = CurrentFrame(ctx, order)
     reports = []
     for i in range(1, n):
         for kind in ("e", "f", "h"):
-            rep = Report("coproduct-formula-%s%d" % (kind, i),
+            rep = Report("%s-formula-%s%d" % (family, kind, i),
                          n=n, order=order, gate=gate)
-            target = delta_series(frame.current(kind, i))
-            got = formula_delta(frame, kind, i, gate=gate)
+            target = transport(frame.current(kind, i))
+            got = formula(frame, kind, i, gate=gate)
             bad = _first_mismatch(got, target, order)
             repaired = []
             if bad is not None:
                 rep.note("earliest failing tensor degree: %d" % bad)
                 if diagnose:
                     def build(shifts, g, _kind=kind, _i=i):
-                        return formula_delta(frame, _kind, _i,
-                                             shifts=shifts, gate=g)
+                        return formula(frame, _kind, _i, shifts=shifts,
+                                       gate=g)
                     repaired = _diagnose(rep, build, target, order,
-                                         DELTA_SLOTS[kind])
+                                         slots[kind], extras.get(kind))
             _series_match(rep, "%s%d" % (kind, i), got, target, order,
                           documented=bool(repaired))
             reports.append(rep)
     return reports
+
+
+def coproduct_formula_check(n, order, gate="printed", diagnose=True):
+    """Closed coproduct formulas against the transported coproduct."""
+    return _formula_check(n, order, gate, diagnose, "coproduct",
+                          formula_delta, delta_series, DELTA_SLOTS, {})
 
 
 # ---------------------------------------------------------------------------
@@ -916,74 +841,48 @@ def formula_antipode(frame, kind, i, shifts=None, gate="printed"):
     s.update(shifts or {})
     n = frame.ctx.n
     m = n - i
+    # the e formula divides on the right by the g series, the f and h
+    # formulas on the left by the g~ series
+    if kind == "e":
+        side, pairing = "R", frame.g(m)
+    else:
+        side, pairing = "L", frame.g_tilde(m)
+    den = composite(frame, "h", side, m, tuple(range(i + 1, n + 1)),
+                    s["den_op"], gate)(pairing.shift(s["den_arg"])).invert()
     if kind == "e":
         num = hat_raising(frame, m, s["op"], gate)(
             frame.current("e", m).shift(s["arg"]))
-        den = composite_diagonal(frame, "R", m, tuple(range(i + 1, n + 1)),
-                                 s["den_op"], gate)(
-            frame.g(m).shift(s["den_arg"]))
-        return -(num * den.invert())
+        return -(num * den)
     if kind == "f":
-        den = composite_diagonal(frame, "L", m, tuple(range(i + 1, n + 1)),
-                                 s["den_op"], gate)(
-            frame.g_tilde(m).shift(s["den_arg"]))
         pattern = "uniform" if s.get("hat_pattern") else "printed"
         num = hat_lowering(frame, m, s["op"], gate, pattern)(
             frame.current("f", m).shift(s["arg"]))
-        return -(den.invert() * num)
-    if kind == "h":
-        den = composite_diagonal(frame, "L", m, tuple(range(i + 1, n + 1)),
-                                 s["den_op"], gate)(
-            frame.g_tilde(m).shift(s["den_arg"]))
-        num = composite_diagonal(frame, "L", m,
-                                 (i,) + tuple(range(i + 2, n + 1)),
-                                 s["num_op"], gate)(
-            frame.g_tilde(m).shift(s["num_arg"]))
-        half_n = Fraction(n, 2)
-        idx = i if s.get("sub_index") else m
-        se = formula_antipode(frame, "e", idx, gate=gate).shift(s["e_shift"] - half_n)
-        sf = formula_antipode(frame, "f", idx, gate=gate).shift(s["f_shift"] - half_n)
-        return den.invert() * num - se * sf
-    raise ValueError("unknown current kind %r" % (kind,))
+        return -(den * num)
+    num = composite(frame, "h", "L", m, (i,) + tuple(range(i + 2, n + 1)),
+                    s["num_op"], gate)(pairing.shift(s["num_arg"]))
+    half_n = Fraction(n, 2)
+    idx = i if s.get("sub_index") else m
+    se = formula_antipode(frame, "e", idx, gate=gate).shift(s["e_shift"] - half_n)
+    sf = formula_antipode(frame, "f", idx, gate=gate).shift(s["f_shift"] - half_n)
+    return den * num - se * sf
 
 
 def antipode_formula_check(n, order, gate="printed", diagnose=True):
     """Closed antipode formulas against the transported antipode."""
-    ctx = Context(n, order, SL)
-    frame = CurrentFrame(ctx, order)
     half_n = Fraction(n, 2)
-    reports = []
-    for i in range(1, n):
-        for kind in ("e", "f", "h"):
-            rep = Report("antipode-formula-%s%d" % (kind, i),
-                         n=n, order=order, gate=gate)
-            target = antipode_series(frame.current(kind, i)).shift(half_n)
-            got = formula_antipode(frame, kind, i, gate=gate)
-            bad = _first_mismatch(got, target, order)
-            repaired = []
-            if bad is not None:
-                rep.note("earliest failing tensor degree: %d" % bad)
-                if diagnose:
-                    def build(shifts, g, _kind=kind, _i=i):
-                        return formula_antipode(frame, _kind, _i,
-                                                shifts=shifts, gate=g)
-                    extra = None
-                    if kind == "h":
-                        extra = {
-                            "recentered-subtraction":
-                                {"e_shift": 1 + half_n, "f_shift": half_n},
-                            "own-index-recentered-subtraction":
-                                {"sub_index": 1, "e_shift": 1 + half_n,
-                                 "f_shift": half_n},
-                        }
-                    elif kind == "f":
-                        extra = {"uniform-hat-shifts": {"hat_pattern": 1}}
-                    repaired = _diagnose(rep, build, target, order,
-                                         ANTIPODE_SLOTS[kind], extra)
-            _series_match(rep, "%s%d" % (kind, i), got, target, order,
-                          documented=bool(repaired))
-            reports.append(rep)
-    return reports
+    extras = {
+        "h": {
+            "recentered-subtraction":
+                {"e_shift": 1 + half_n, "f_shift": half_n},
+            "own-index-recentered-subtraction":
+                {"sub_index": 1, "e_shift": 1 + half_n, "f_shift": half_n},
+        },
+        "f": {"uniform-hat-shifts": {"hat_pattern": 1}},
+    }
+    return _formula_check(n, order, gate, diagnose, "antipode",
+                          formula_antipode,
+                          lambda s: antipode_series(s).shift(half_n),
+                          ANTIPODE_SLOTS, extras)
 
 
 def counit_formula_check(n, order, mode=SL):
@@ -1157,9 +1056,7 @@ def sl2_mutation_check(order=4):
 
 
 def _bracket_series(frame, kind, j, s):
-    root = (frame.root("e", j, j + 1) if kind == "e"
-            else frame.root("f", j, j + 1))
-    return s.map_coeffs(_bracket_map(root, 1))
+    return s.map_coeffs(_bracket_map(frame.root(kind, j, j + 1), 1))
 
 
 def sl3_closed_delta(frame, kind, i=1, head_e_shift=0):

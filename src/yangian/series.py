@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra import Element, Tensor, ZERO, ONE, unit, zero
+from .algebra import Tensor, ZERO, ONE, unit, zero
 
 __all__ = [
     "Series", "SeriesMatrix", "series_outer", "slot_embed",
@@ -32,13 +32,8 @@ def scalar_of(coeff):
     """The Fraction c with coeff == c * 1, or None if not scalar."""
     if not coeff.terms:
         return ZERO
-    if len(coeff.terms) == 1:
-        key, c = next(iter(coeff.terms.items()))
-        if isinstance(coeff, Element):
-            if key == ():
-                return c
-        elif all(w == () for w in key):
-            return c
+    if len(coeff.terms) == 1 and coeff.degree() == 0:
+        return next(iter(coeff.terms.values()))
     return None
 
 
@@ -58,9 +53,9 @@ class Series:
             for k, c in coeffs.items():
                 if k < 0 or k > order or c.is_zero():
                     continue
-                if c.ctx != ctx:
+                if c.ctx != ctx or c.arity != arity:
                     raise ValueError("context mismatch")
-                deg = c.degree() if arity == 1 else c.total_degree()
+                deg = c.degree()
                 if deg > k:
                     raise ValueError("coefficient of u^-%d has degree %d"
                                      % (k, deg))

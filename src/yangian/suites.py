@@ -151,7 +151,6 @@ def suite_antipode_formulas(n, order, seed):
 
 
 def suite_sl2(n, order, seed):
-    order = order if order is not None else 4
     # one mutation slot first registers at degree 4, so the sensitivity
     # sweep needs at least that much depth to be meaningful
     return (hopf.sl2_closed_check(order)
@@ -159,9 +158,8 @@ def suite_sl2(n, order, seed):
 
 
 def suite_sl3(n, order, seed):
-    closed_order = min(order, 2) if order is not None else 2
-    return (hopf.sl3_closed_check(closed_order)
-            + [hopf.sl3_diagonal_status(max(order or 3, 3))])
+    return (hopf.sl3_closed_check(min(order, 2))
+            + [hopf.sl3_diagonal_status(max(order, 3))])
 
 
 SUITES = {

@@ -181,6 +181,18 @@ def test_tensor_componentwise_product():
         assert lhs == rhs
 
 
+def test_tensor_of_elements_is_slotwise_product_sl():
+    # SL terms are already T_nn-free, so the outer product needs no rewrite
+    ctx = Context(3, 4, SL)
+    rng = random.Random(23)
+    for _ in range(20):
+        a, b = (random_element(rng, ctx, terms=2, max_len=2, max_mode=2)
+                for _ in range(2))
+        one = unit(ctx)
+        rhs = Tensor.of_elements(a, one) * Tensor.of_elements(one, b)
+        assert Tensor.of_elements(a, b) == rhs
+
+
 def test_tensor_truncates_total_degree():
     ctx = Context(2, 2)
     a = generator(ctx, 1, 2, 2)
@@ -204,7 +216,7 @@ def test_triple_tensor_slots():
     a = generator(ctx, 1, 1, 1)
     t = Tensor.of_elements(a, unit(ctx), a)
     assert t.arity == 3
-    assert t.total_degree() == 2
+    assert t.degree() == 2
     assert (t * Tensor.unit(ctx, 3)) == t
 
 

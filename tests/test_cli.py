@@ -180,6 +180,8 @@ def test_verify_seed_changes_random_points_not_status(capsys):
 ALL_JSON_SHA256 = {
     2: "a1789c24919f17fcf8d1aa60f774e25b4f52fbe7ad85feb42a6e8d9eb51edc2b",
     3: "dcfa70f9f80b4cd64e0d68dec96de2854670f833bda3a66493a019aab668269b",
+    # n=4 is the smallest rank where formula checks fail and are diagnosed
+    4: "2e516a548b0bf294dd593ac865d82ddaf06224e3f9b5e97b64ffe9b65c753313",
 }
 
 

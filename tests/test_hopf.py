@@ -100,6 +100,19 @@ def test_counit_on_slot_collapses_to_element():
         assert (hopf.counit_on_slot(t, slot) - x).is_zero()
 
 
+@pytest.mark.parametrize("mode", [GL, SL])
+def test_counit_on_slot_of_tensor_cube_recovers_square(mode):
+    ctx = Context(2, 3, mode)
+    for x in (generator(ctx, 1, 2, 2),
+              generator(ctx, 1, 1, 1) * generator(ctx, 2, 1, 1)):
+        d = hopf.delta_element(x)
+        for s in (0, 1):
+            cube = hopf.delta_on_slot(d, s)
+            assert cube.arity == 3
+            for slot in range(3):
+                assert hopf.counit_on_slot(cube, slot) == d
+
+
 # ---------------------------------------------------------------------------
 # axioms and morphism property
 
@@ -255,10 +268,11 @@ def test_diagonal_first_term_is_antipode_of_pairing_series(n, order):
     half = Fraction(n, 2)
     for i in range(1, n):
         m = n - i
-        den = hopf.composite_diagonal(
-            frame, "L", m, tuple(range(i + 1, n + 1)), 0)(frame.g_tilde(m))
-        num = hopf.composite_diagonal(
-            frame, "L", m, (i,) + tuple(range(i + 2, n + 1)), 0)(
+        den = hopf.composite(
+            frame, "h", "L", m, tuple(range(i + 1, n + 1)), 0)(
+            frame.g_tilde(m))
+        num = hopf.composite(
+            frame, "h", "L", m, (i,) + tuple(range(i + 2, n + 1)), 0)(
             frame.g_tilde(m))
         first = den.invert() * num
         want = hopf.antipode_series(frame.g(i)).shift(half)
