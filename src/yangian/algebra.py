@@ -5,11 +5,15 @@ represented as triples (k, i, j) so that plain tuple comparison gives the
 monomial order used for normal words: (k, i, j) lexicographic ascending.
 Mode 0 is never stored; it is the scalar delta_{ij}.
 
-Elements are Fraction-linear combinations of normal words, truncated by
-total filtration degree (the sum of the modes in a word).  Multiplication
+Elements are linear combinations of normal words, truncated by total
+filtration degree (the sum of the modes in a word).  Multiplication
 normal-orders the exact product first and only then discards words whose
 degree exceeds the context bound, so the result is the image of the exact
 product under the degree projection.
+
+Coefficients are exact rationals: an int while integral, a Fraction only
+once a denominator appears.  The structure constants are integers, and
+2 == Fraction(2) with equal hashes, so the choice changes speed only.
 """
 
 from __future__ import annotations
@@ -20,8 +24,17 @@ from functools import lru_cache
 GL = "GL"
 SL = "SL"
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
+
+
+def _exact(c):
+    """The exact coefficient c: an int when integral, else a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
+    return c
 
 
 class TruncationError(ValueError):
@@ -162,7 +175,7 @@ def normal_order_strategy(word, direction="left"):
 
     An independent rewriting strategy ('left' or 'right' scan for the
     descent to fix) used by the confluence checks against
-    normal_form_word.  Returns {word: Fraction}.
+    normal_form_word.  Returns {word: coefficient}.
     """
     terms = {tuple(word): ONE}
     changed = True
@@ -221,7 +234,7 @@ def _sl_word_nf(n, word):
 # elements
 
 def _reduce_raw(ctx, raw):
-    """Canonical terms for a raw {GL normal word: Fraction} map.
+    """Canonical terms for a raw {GL normal word: coefficient} map.
 
     Applies the SL elimination when required, then drops zero
     coefficients and words over the degree bound (the projection).
@@ -241,7 +254,7 @@ def _reduce_raw(ctx, raw):
 
 
 class LinearCombination:
-    """Fraction-linear combination of keys over a context.
+    """Linear combination of keys with exact coefficients over a context.
 
     Holds the vector-space operations shared by elements (keys are normal
     words) and tensors (keys are tuples of normal words, one per slot).
@@ -294,7 +307,7 @@ class LinearCombination:
         return self.__neg__().__add__(self._unit() * other)
 
     def _scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return self._like({})
         return self._like({k: c * v for k, v in self.terms.items()})
@@ -306,7 +319,7 @@ class LinearCombination:
 
 
 class Element(LinearCombination):
-    """Fraction-linear combination of normal words under a context."""
+    """Exact linear combination of normal words under a context."""
 
     __slots__ = ()
     arity = 1
@@ -386,7 +399,7 @@ def from_words(ctx, raw):
     """Element from a {word: coefficient} map (words need not be normal)."""
     exact = {}
     for word, coeff in raw.items():
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         if not coeff:
             continue
         for w, c in normal_form_word(tuple(word)):

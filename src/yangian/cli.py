@@ -1,12 +1,14 @@
 """Command-line surface: expand algebra objects, verify identity suites.
 
 Exit codes: 0 all requested checks passed (documented deviations count
-as passed and are listed), 1 at least one check failed, 2 usage error.
+as passed and are listed), 1 at least one check failed, 2 usage error,
+3 internal error (an uncaught exception, reported on one stderr line).
 JSON output is byte-deterministic for a fixed configuration.
 """
 
 import argparse
 import json
+import sys
 
 from .algebra import Context, GL, SL
 from .report import Report
@@ -215,7 +217,17 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     _validate_common(parser, args)
+    try:
+        return _run(parser, args)
+    except Exception as exc:
+        # exit 1 means "an identity failed"; a crash must not look like one
+        message = " ".join(str(exc).split())
+        print("yangian: internal error: %s: %s"
+              % (type(exc).__name__, message), file=sys.stderr)
+        return 3
 
+
+def _run(parser, args):
     if args.command == "expand":
         obj, params = _expand_object(parser, args)
         print(_render_expand(args, obj, params))

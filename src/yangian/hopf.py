@@ -246,7 +246,7 @@ def _random_element(rng, ctx, terms, degree_cap):
             k = rng.randint(1, room)
             degree += k
             word.append((k, rng.randint(1, ctx.n), rng.randint(1, ctx.n)))
-        total = total + from_words(ctx, {tuple(word): Fraction(rng.randint(-3, 3))})
+        total = total + from_words(ctx, {tuple(word): rng.randint(-3, 3)})
     return total
 
 

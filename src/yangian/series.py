@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra import Tensor, ZERO, ONE, unit, zero
+from .algebra import Tensor, ZERO, ONE, _exact, unit, zero
 
 __all__ = [
     "Series", "SeriesMatrix", "series_outer", "slot_embed",
@@ -29,7 +29,7 @@ def _coeff_unit(ctx, arity):
 
 
 def scalar_of(coeff):
-    """The Fraction c with coeff == c * 1, or None if not scalar."""
+    """The exact scalar c with coeff == c * 1, or None if not scalar."""
     if not coeff.terms:
         return ZERO
     if len(coeff.terms) == 1 and coeff.degree() == 0:
@@ -96,8 +96,7 @@ class Series:
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            return Series.constant(self.ctx, self.order, Fraction(other),
-                                   self.arity)
+            return Series.constant(self.ctx, self.order, other, self.arity)
         return other
 
     def __add__(self, other):
@@ -126,9 +125,8 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
             return Series(self.ctx, self.order,
-                          {k: v * c for k, v in self.coeffs.items()},
+                          {k: v * other for k, v in self.coeffs.items()},
                           self.arity)
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
@@ -156,7 +154,7 @@ class Series:
         u^{-j} = sum_{t>=0} binom(-j, t) c^t u^{-j-t} once shifted, so the
         new u^{-k} coefficient collects every j <= k.
         """
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return self
         out = {}
@@ -187,7 +185,7 @@ class Series:
         c0 = scalar_of(self.coefficient(0))
         if not c0:
             raise ValueError("leading coefficient must be a nonzero scalar")
-        inv0 = 1 / c0
+        inv0 = _exact(Fraction(1, c0))
         out = {0: _coeff_unit(self.ctx, self.arity) * inv0}
         for k in range(1, self.order + 1):
             acc = None

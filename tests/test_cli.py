@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from yangian.algebra import Context, GL, SL, Tensor, generator, unit
-from yangian.cli import _render_verify, main
+from yangian import cli
+from yangian.cli import EXPAND_TARGETS, _render_verify, main
 from yangian.drinfeld import current
 from yangian.hopf import delta_series
 from yangian.suites import SUITES, default_order, run_suite
@@ -201,6 +202,39 @@ def test_verify_order_one_ends_in_a_report(capsys, suite, n):
     code = main(["verify", suite, "--n", str(n), "--order", "1"])
     assert code in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def exit_code(argv):
+    """main's exit code, whether it returns it or raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as err:
+        return err.code
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("target", EXPAND_TARGETS)
+def test_expand_grid_ends_in_output_or_usage_error(capsys, target, n):
+    minor = ["--rows", "1,2", "--cols", "2,1"] if target == "minor" else []
+    for order in range(1, default_order(n) + 1):
+        for i in range(1, n):
+            for fmt in ("text", "json", "latex"):
+                argv = ["expand", target, "--n", str(n), "--order",
+                        str(order), "--i", str(i), "--format", fmt] + minor
+                assert exit_code(argv) in (0, 1, 2), argv
+                assert "Traceback" not in capsys.readouterr().err
+
+
+def test_internal_error_exits_three_with_one_line(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "run_suite", crash)
+    assert main(["verify", "gauss", "--n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "yangian: internal error: RuntimeError: boom second line\n"
 
 
 # ---------------------------------------------------------------------------
