@@ -225,6 +225,49 @@ def test_expand_grid_ends_in_output_or_usage_error(capsys, target, n):
                 assert "Traceback" not in capsys.readouterr().err
 
 
+def _expand_grid_argvs(target):
+    """The expand grid above, plus both quotient modes at order 2."""
+    minor = ["--rows", "1,2", "--cols", "2,1"] if target == "minor" else []
+    for n in (2, 3):
+        for fmt in ("text", "json", "latex"):
+            for order in range(1, default_order(n) + 1):
+                for i in range(1, n):
+                    yield ["expand", target, "--n", str(n), "--order",
+                           str(order), "--i", str(i), "--format", fmt] + minor
+            for mode in ("gl", "sl"):
+                yield ["expand", target, "--n", str(n), "--order", "2",
+                       "--mode", mode, "--format", fmt] + minor
+
+
+# sha256 over the exit code and stdout of every invocation in
+# `_expand_grid_argvs(target)`.  A change meant to alter what `expand`
+# prints updates these and says why.
+EXPAND_GRID_SHA256 = {
+    "delta-e": "be8af9ceb269ef5671bbc82df7a2865b74422d4389fa2425a2f916aca76d2564",
+    "delta-f": "132123c421b651cc8d4af513956d7aff7a008017506f76ced320698e18755291",
+    "delta-h": "5efbcdea8e521057a4d4aab490011ad0fb3f65d21d812b7a35770b1db1a5813d",
+    "phi-e": "452f0ab3ec4c14634fd71338cd8a2bcb1cbd909c68f9451ea9654f636b9eef5f",
+    "phi-f": "22c87f5075df44e84ba786e2d8a94f00ed7499516812c0eedbf85f11af80ab69",
+    "phi-h": "9fc66a9fb70d84ca83330bf5b31054309812936a6c6d69150d0dd1d43412ca3e",
+    "s-e": "17aefbb1d437100a48db86282b8ddb06317b49d83a06ad44e73c0fa075e802be",
+    "s-f": "2a264a71e3b0c24b94218a5f97e32db4817f326828baa164dd6097bf782ac714",
+    "s-h": "1df053122a2b169e627d136fa44b65921631ccfe9e98928778e4302890b51eb5",
+    "qdet": "32c8fc3e541d006c704b5504685a021c5586f5f6a95c4a2e61453699a393354b",
+    "minor": "d4fcbb8276deef3692b8bae9f397acc1916c7e1806024b211360eaf6b1599cc0",
+    "gauss": "10aac39bb014bee2282e4726872a853c82cab13d75cd73c853fe58ab93bcf6e2",
+}
+
+
+@pytest.mark.parametrize("target", EXPAND_TARGETS)
+def test_expand_grid_output_is_pinned(capsys, target):
+    digest = hashlib.sha256()
+    for argv in _expand_grid_argvs(target):
+        code = exit_code(argv)
+        digest.update(("%s\0%s\0%s\0" % (" ".join(argv), code,
+                                          capsys.readouterr().out)).encode())
+    assert digest.hexdigest() == EXPAND_GRID_SHA256[target]
+
+
 def test_internal_error_exits_three_with_one_line(capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("boom\nsecond line")
