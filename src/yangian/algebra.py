@@ -72,9 +72,6 @@ class Context:
         return "Context(n=%d, max_degree=%d, mode=%s)" % (
             self.n, self.max_degree, self.mode)
 
-    def gl_twin(self, max_degree=None):
-        return Context(self.n, max_degree or self.max_degree, GL)
-
 
 def word_degree(word):
     return sum(sym[0] for sym in word)
@@ -541,10 +538,6 @@ class Tensor(LinearCombination):
                 _expand_slotwise(self.ctx, parts, c1 * c2, out)
         # _expand_slotwise already dropped zero and over-degree keys
         return self._like(out)
-
-    def flip(self):
-        """Reverse the slot order."""
-        return self._like({key[::-1]: c for key, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

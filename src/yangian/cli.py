@@ -11,7 +11,6 @@ import json
 import sys
 
 from .algebra import Context, GL, SL
-from .report import Report
 from . import drinfeld, hopf, render, rtt
 from .suites import SUITES, default_order, run_suite
 
@@ -42,17 +41,15 @@ def _build_parser():
         p.add_argument("--order", type=int, default=None,
                        help="truncation order (default: 4 for n=2, 3 for "
                             "n=3, 2 otherwise)")
-        p.add_argument("--mode", choices=("gl", "sl"), default=None,
-                       help="quotient mode (default: sl for current "
-                            "targets and suites, gl for matrix targets)")
         p.add_argument("--format", choices=("text", "json", "latex"),
                        default="text", dest="fmt")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized sweeps (default 0)")
 
     ex = sub.add_parser("expand", help="print one expanded object")
     ex.add_argument("target", choices=EXPAND_TARGETS)
     common(ex)
+    ex.add_argument("--mode", choices=("gl", "sl"), default=None,
+                    help="quotient mode (default: sl for current targets, "
+                         "gl for matrix targets)")
     ex.add_argument("--i", type=int, default=1,
                     help="current index (1..n-1, default 1)")
     ex.add_argument("--rows", default=None,
@@ -63,8 +60,8 @@ def _build_parser():
     ve = sub.add_parser("verify", help="run a named identity suite")
     ve.add_argument("suite", choices=sorted(SUITES) + ["all"])
     common(ve)
-    ve.add_argument("--demo-failure", action="store_true",
-                    help=argparse.SUPPRESS)
+    ve.add_argument("--seed", type=int, default=0,
+                    help="seed for randomized sweeps (default 0)")
     return parser
 
 
@@ -133,54 +130,38 @@ def _expand_object(parser, args):
     return factors, params
 
 
-def _params_doc(params):
-    return {k: (v if isinstance(v, (int, str)) else str(v))
-            for k, v in params.items()}
+# one formatter per --format, applied to every series `expand` prints
+_SHOW = {"json": render.payload, "text": render.plain,
+         "latex": lambda series: [render.latex(series)]}
 
 
 def _render_expand(args, obj, params):
+    show = _SHOW[args.fmt]
+    params = render.params_payload(params)
+    factors = isinstance(obj, dict)
+    if factors:
+        body = {variant: {name: {key: show(series)
+                                 for key, series in group.items()}
+                          for name, group in groups.items()}
+                for variant, groups in obj.items()}
+    else:
+        body = show(obj)
     if args.fmt == "json":
-        if isinstance(obj, dict):
-            body = {variant: {name: {key: render.payload(series)
-                                     for key, series in group.items()}
-                              for name, group in groups.items()}
-                    for variant, groups in obj.items()}
-            doc = {"target": args.target, "params": _params_doc(params),
-                   "factors": body}
-        else:
-            doc = {"target": args.target, "params": _params_doc(params),
-                   "series": render.payload(obj)}
+        doc = {"target": args.target, "params": params,
+               "factors" if factors else "series": body}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    lines = ["%s %s" % (args.target,
-                        " ".join("%s=%s" % (k, v)
-                                 for k, v in sorted(_params_doc(params).items())))]
-    if isinstance(obj, dict):
-        for variant in sorted(obj):
-            lines.append("[%s]" % variant)
-            for name in ("k", "e", "f"):
-                for key in sorted(obj[variant][name]):
-                    series = obj[variant][name][key]
-                    lines.append("  %s[%s]:" % (name, key))
-                    body = (render.plain(series) if args.fmt == "text"
-                            else [render.latex(series)])
-                    lines.extend("    " + b for b in body)
+    lines = ["%s %s" % (args.target, " ".join(
+        "%s=%s" % kv for kv in sorted(params.items())))]
+    if not factors:
+        lines.extend("  " + b for b in body)
         return "\n".join(lines)
-    body = render.plain(obj) if args.fmt == "text" else [render.latex(obj)]
-    lines.extend("  " + b for b in body)
+    for variant in sorted(body):
+        lines.append("[%s]" % variant)
+        for name in ("k", "e", "f"):
+            for key in sorted(body[variant][name]):
+                lines.append("  %s[%s]:" % (name, key))
+                lines.extend("    " + b for b in body[variant][name][key])
     return "\n".join(lines)
-
-
-def _demo_failure_report():
-    """A deliberately mutated closed form; exercises the failure path."""
-    ctx = Context(2, 4, SL)
-    frame = hopf.CurrentFrame(ctx, 4)
-    target = hopf.delta_series(frame.current("e", 1))
-    mutated = hopf.sl2_closed_delta(frame, "e", {"pow_f": 2})
-    rep = Report("demo-mutated-coproduct", order=4)
-    rep.note("deliberate +1 spectral-shift mutation (--demo-failure)")
-    for k in range(5):
-        rep.check("k=%d" % k, mutated.coefficient(k), target.coefficient(k))
-    return rep
 
 
 def _render_verify(args, reports):
@@ -237,8 +218,6 @@ def _run(parser, args):
         parser.error("latex output applies to expand only")
     reports = run_suite(args.suite, n=args.n, order=args.order,
                         seed=args.seed)
-    if args.demo_failure:
-        reports = reports + [_demo_failure_report()]
     print(_render_verify(args, reports))
     return 1 if any(r.status == "fail" for r in reports) else 0
 

@@ -32,7 +32,7 @@ def cartan_pairing(i, j):
     return 0
 
 
-def _leading_block(ctx, i, order):
+def leading_block(ctx, i, order):
     rows = tuple(range(1, i + 1))
     return quantum_minor(ctx, rows, rows, order)
 
@@ -62,9 +62,9 @@ def current(ctx, kind, i, order):
         raise ValueError("simple root index out of range")
     recenter = Fraction(2 - i, 2)
     if kind == "e":
-        raw = _leading_block(ctx, i, order).invert() * _raised_block(ctx, i, order)
+        raw = leading_block(ctx, i, order).invert() * _raised_block(ctx, i, order)
     elif kind == "f":
-        raw = _lowered_block(ctx, i, order) * _leading_block(ctx, i, order).invert()
+        raw = _lowered_block(ctx, i, order) * leading_block(ctx, i, order).invert()
     else:
         return h_current(ctx, i, order, variant=1)
     return raw.shift(recenter)
@@ -86,10 +86,10 @@ def h_current(ctx, i, order, variant=1):
     if not 1 <= i <= ctx.n - 1:
         raise ValueError("simple root index out of range")
     recenter = Fraction(2 - i, 2)
-    lead = _leading_block(ctx, i, order)
+    lead = leading_block(ctx, i, order)
     if variant == 1:
-        prev = _leading_block(ctx, i - 1, order)
-        nxt = _leading_block(ctx, i + 1, order)
+        prev = leading_block(ctx, i - 1, order)
+        nxt = leading_block(ctx, i + 1, order)
         raw = lead.invert() * prev * nxt.shift(-1) * lead.shift(-1).invert()
         return raw.shift(recenter)
     if variant == 2:

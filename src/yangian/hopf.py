@@ -28,7 +28,7 @@ from .algebra import (
     unit,
     zero,
 )
-from .drinfeld import current, root_element
+from .drinfeld import current, leading_block, root_element
 from .report import Report
 from .rtt import quantum_minor, reflected_minor, t_matrix, t_star_matrix
 from .series import Series, geometric_unit_sum, series_outer, slot_embed
@@ -547,11 +547,6 @@ def hat_lowering(frame, m, shift, gate="printed", pattern="printed"):
 # minor-ratio identities behind the current formulas
 
 
-def _leading(ctx, i, order):
-    rows = tuple(range(1, i + 1))
-    return quantum_minor(ctx, rows, rows, order)
-
-
 def _series_match(rep, label, lhs, rhs, upto, documented=False):
     for k in range(upto + 1):
         if documented:
@@ -584,7 +579,7 @@ def ratio_identities_check(n, order, gate="printed"):
         side = "L" if hand == "left" else "R"
         rep = Report("ratio-" + fam, n=n, order=order, gate=gate)
         for i in range(1, n):
-            inv = _leading(ctx, i, order).invert()
+            inv = leading_block(ctx, i, order).invert()
             low = Fraction(i - 2, 2)
             high = Fraction(i, 2)
             # raising from the left and lowering from the right take the
@@ -615,7 +610,7 @@ def diagonal_ratio_check(n, order, gate="printed"):
     for i in range(1, n):
         m = n - i
         c = Fraction(m - 2, 2)
-        inv = _leading(ctx, m, order).invert()
+        inv = leading_block(ctx, m, order).invert()
         for j in range(1, i + 2):
             ks = (j,) + tuple(range(i + 2, n + 1))
             block = quantum_minor(ctx, ks, ks, order)
@@ -647,7 +642,7 @@ def hat_ratio_check(n, order, gate="printed", diagnose=True):
     for i in range(1, n):
         m = n - i
         c = Fraction(m - 2, 2)
-        inv = _leading(ctx, m, order).invert()
+        inv = leading_block(ctx, m, order).invert()
         tail = tuple(range(i + 2, n + 1))
         up = quantum_minor(ctx, (i,) + tail, (i + 1,) + tail, order)
         down = quantum_minor(ctx, (i + 1,) + tail, (i,) + tail, order)

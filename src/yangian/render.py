@@ -1,172 +1,96 @@
-"""Serialization payloads and LaTeX rendering for algebra objects."""
+"""JSON payloads; text and LaTeX through one term formatter."""
 
-from fractions import Fraction
+from collections import namedtuple
 
-from .algebra import Element, Tensor
-from .series import Series, SeriesMatrix, scalar_of
+from .series import Series, scalar_of
 
-_SLOT_NAMES = {2: ("left", "right"), 3: ("left", "middle", "right")}
+_SLOT_NAMES = {1: ("word",), 2: ("left", "right"),
+               3: ("left", "middle", "right")}
 
 
-def frac_str(c):
+def _frac_text(c):
     return "%d/%d" % (c.numerator, c.denominator) if c.denominator != 1 \
         else str(c.numerator)
 
 
-def word_payload(word):
-    return [[i, j, k] for (k, i, j) in word]
-
-
-def element_payload(el):
-    return [{"coeff": frac_str(c), "word": word_payload(w)}
-            for w, c in el.items_sorted()]
-
-
-def tensor_payload(t):
-    names = _SLOT_NAMES[t.arity]
-    out = []
-    for key, c in t.items_sorted():
-        item = {"coeff": frac_str(c)}
-        for name, w in zip(names, key):
-            item[name] = word_payload(w)
-        out.append(item)
-    return out
-
-
-def coeff_payload(c):
-    return element_payload(c) if isinstance(c, Element) else tensor_payload(c)
-
-
-def series_payload(s):
-    out = {"order": s.order, "coeffs": {}}
-    c0 = s.coefficient(0)
-    scalar = scalar_of(c0)
-    if scalar is not None:
-        out["constant"] = frac_str(scalar)
-    else:
-        out["coeffs"]["0"] = coeff_payload(c0)
-    for k in sorted(s.coeffs):
-        if k > 0:
-            out["coeffs"][str(k)] = coeff_payload(s.coeffs[k])
-    return out
-
-
-def matrix_payload(m):
-    return [[series_payload(s) for s in row] for row in m.rows]
-
-
-def payload(obj):
-    if isinstance(obj, Element):
-        return element_payload(obj)
-    if isinstance(obj, Tensor):
-        return tensor_payload(obj)
-    if isinstance(obj, Series):
-        return series_payload(obj)
-    if isinstance(obj, SeriesMatrix):
-        return matrix_payload(obj)
-    if isinstance(obj, Fraction):
-        return frac_str(obj)
-    return obj
-
-
-# ---------------------------------------------------------------------------
-# plain text
-
-def word_plain(word):
-    if not word:
-        return "1"
-    return " ".join("T[%d](%d,%d)" % (k, i, j) for (k, i, j) in word)
-
-
-def _joined_plain(parts):
-    out = ""
-    for coeff, body in parts:
-        term = coeff + body
-        if not out:
-            out = term
-        elif term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out or "0"
-
-
-def _plain_prefix(c, body_is_unit):
-    if body_is_unit:
-        return frac_str(c)
-    if c == 1:
-        return ""
-    if c == -1:
-        return "-"
-    return frac_str(c) + " "
-
-
-def element_plain(el):
-    parts = []
-    for w, c in el.items_sorted():
-        parts.append((_plain_prefix(c, not w), word_plain(w) if w else ""))
-    return _joined_plain(parts)
-
-
-def tensor_plain(t):
-    parts = []
-    for key, c in t.items_sorted():
-        body = " (x) ".join(word_plain(w) for w in key)
-        unit_body = all(not w for w in key)
-        parts.append((_plain_prefix(c, unit_body), "" if unit_body else body))
-    return _joined_plain(parts)
-
-
-def coeff_plain(c):
-    return element_plain(c) if isinstance(c, Element) else tensor_plain(c)
-
-
-def series_plain(s):
-    lines = []
-    for k in sorted(s.coeffs):
-        lines.append("u^%-3s %s" % ("-%d:" % k if k else "0:",
-                                    coeff_plain(s.coeffs[k])))
-    return lines if lines else ["0"]
-
-
-def plain(obj):
-    """Human-readable lines for an algebra object."""
-    if isinstance(obj, Series):
-        return series_plain(obj)
-    if isinstance(obj, Element):
-        return [element_plain(obj)]
-    if isinstance(obj, Tensor):
-        return [tensor_plain(obj)]
-    if isinstance(obj, SeriesMatrix):
-        out = []
-        for a, row in enumerate(obj.rows, 1):
-            for b, s in enumerate(row, 1):
-                out.append("entry (%d,%d):" % (a, b))
-                out.extend("  " + line for line in series_plain(s))
-        return out
-    return [str(obj)]
-
-
-# ---------------------------------------------------------------------------
-# LaTeX
-
-def frac_latex(c):
+def _frac_latex(c):
     if c.denominator == 1:
         return str(c.numerator)
     sign = "-" if c.numerator < 0 else ""
     return r"%s\tfrac{%d}{%d}" % (sign, abs(c.numerator), c.denominator)
 
 
-def word_latex(word):
-    if not word:
-        return "1"
-    return " ".join(r"T^{(%d)}_{%d,%d}" % (k, i, j) for (k, i, j) in word)
+def params_payload(params):
+    """Parameters as JSON values: ints, strings and bools as they are."""
+    return {k: (v if isinstance(v, (int, str)) else str(v))
+            for k, v in params.items()}
 
 
-def _joined(parts):
+def _slotted(coeff):
+    """(slot words, scalar) pairs; an element is the one-slot case."""
+    if coeff.arity == 1:
+        return (((w,), c) for w, c in coeff.items_sorted())
+    return coeff.items_sorted()
+
+
+# ---------------------------------------------------------------------------
+# JSON
+
+def _terms_payload(coeff):
+    names = _SLOT_NAMES[coeff.arity]
+    out = []
+    for slots, c in _slotted(coeff):
+        item = {"coeff": _frac_text(c)}
+        for name, w in zip(names, slots):
+            item[name] = [[i, j, k] for (k, i, j) in w]
+        out.append(item)
+    return out
+
+
+def payload(obj):
+    """JSON value of an element, a tensor or a series."""
+    if not isinstance(obj, Series):
+        return _terms_payload(obj)
+    out = {"order": obj.order, "coeffs": {}}
+    c0 = obj.coefficient(0)
+    scalar = scalar_of(c0)
+    if scalar is not None:
+        out["constant"] = _frac_text(scalar)
+    else:
+        out["coeffs"]["0"] = _terms_payload(c0)
+    for k in sorted(obj.coeffs):
+        if k > 0:
+            out["coeffs"][str(k)] = _terms_payload(obj.coeffs[k])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# text and LaTeX
+
+# spellings of a scalar, a generator T_ij^(k), the tensor sign and the
+# gap between a scalar and the word it multiplies
+Style = namedtuple("Style", "frac symbol tensor gap")
+
+TEXT = Style(_frac_text, "T[%d](%d,%d)", " (x) ", " ")
+LATEX = Style(_frac_latex, r"T^{(%d)}_{%d,%d}", r" \otimes ", r"\, ")
+
+
+def terms(coeff, style):
+    """An element or tensor as a signed sum of terms, e.g. `a - 2 b`."""
     out = ""
-    for coeff_tex, body in parts:
-        term = coeff_tex + body if coeff_tex else body
+    for slots, c in _slotted(coeff):
+        if not any(slots):
+            term = style.frac(c)
+        else:
+            body = style.tensor.join(
+                " ".join(style.symbol % sym for sym in w) or "1"
+                for w in slots)
+            if c == 1:
+                term = body
+            elif c == -1:
+                term = "-" + body
+            else:
+                term = style.frac(c) + style.gap + body
         if not out:
             out = term
         elif term.startswith("-"):
@@ -176,56 +100,22 @@ def _joined(parts):
     return out or "0"
 
 
-def _coeff_prefix(c, body_is_unit):
-    if body_is_unit:
-        return frac_latex(c)
-    if c == 1:
-        return ""
-    if c == -1:
-        return "-"
-    return frac_latex(c) + r"\, "
-
-
-def element_latex(el):
-    parts = []
-    for w, c in el.items_sorted():
-        parts.append((_coeff_prefix(c, not w), word_latex(w) if w else ""))
-    return _joined(parts)
-
-
-def tensor_latex(t):
-    parts = []
-    for key, c in t.items_sorted():
-        body = r" \otimes ".join(word_latex(w) for w in key)
-        unit_body = all(not w for w in key)
-        parts.append((_coeff_prefix(c, unit_body), "" if unit_body else body))
-    return _joined(parts)
-
-
-def coeff_latex(c):
-    return element_latex(c) if isinstance(c, Element) else tensor_latex(c)
-
-
-def series_latex(s):
-    bits = []
-    for k in sorted(s.coeffs):
-        body = coeff_latex(s.coeffs[k])
-        if k == 0:
-            bits.append(body)
-        else:
-            bits.append(r"\left(%s\right) u^{-%d}" % (body, k))
-    return " + ".join(bits) if bits else "0"
+def plain(obj):
+    """Text lines: one per power u^-k of a series."""
+    if not isinstance(obj, Series):
+        return [terms(obj, TEXT)]
+    lines = ["u^%-3s %s" % ("-%d:" % k if k else "0:",
+                            terms(obj.coeffs[k], TEXT))
+             for k in sorted(obj.coeffs)]
+    return lines or ["0"]
 
 
 def latex(obj):
-    if isinstance(obj, Element):
-        return element_latex(obj)
-    if isinstance(obj, Tensor):
-        return tensor_latex(obj)
-    if isinstance(obj, Series):
-        return series_latex(obj)
-    if isinstance(obj, SeriesMatrix):
-        rows = r" \\ ".join(" & ".join(series_latex(s) for s in row)
-                            for row in obj.rows)
-        return r"\begin{pmatrix} %s \end{pmatrix}" % rows
-    return str(obj)
+    """One LaTeX line: a series as a sum of bracketed u^{-k} terms."""
+    if not isinstance(obj, Series):
+        return terms(obj, LATEX)
+    bits = []
+    for k in sorted(obj.coeffs):
+        body = terms(obj.coeffs[k], LATEX)
+        bits.append(body if k == 0 else r"\left(%s\right) u^{-%d}" % (body, k))
+    return " + ".join(bits) or "0"

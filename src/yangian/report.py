@@ -59,8 +59,7 @@ class Report:
     def as_dict(self):
         out = {
             "identity": self.identity,
-            "params": {k: str(v) if not isinstance(v, (int, str, bool))
-                       else v for k, v in sorted(self.params.items())},
+            "params": render.params_payload(self.params),
             "status": self.status,
             "cases": self.cases,
             "residuals": {label: render.payload(res) if res is not None

@@ -80,13 +80,6 @@ class Series:
         new = {k: fn(c) for k, c in self.coeffs.items()}
         return Series(self.ctx, self.order, new, arity or self.arity)
 
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a series")
-        return Series(self.ctx, order,
-                      {k: c for k, c in self.coeffs.items() if k <= order},
-                      self.arity)
-
     def __eq__(self, other):
         return (isinstance(other, Series) and self.ctx == other.ctx
                 and self.order == other.order and self.arity == other.arity

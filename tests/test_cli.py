@@ -8,11 +8,12 @@ import sys
 
 import pytest
 
-from yangian.algebra import Context, GL, SL, Tensor, generator, unit
+from yangian.algebra import Context, GL, SL, Tensor, generator, unit, zero
 from yangian import cli
 from yangian.cli import EXPAND_TARGETS, _render_verify, main
 from yangian.drinfeld import current
 from yangian.hopf import delta_series
+from yangian.report import Report
 from yangian.suites import SUITES, default_order, run_suite
 from yangian import render
 
@@ -37,8 +38,7 @@ def test_expand_qdet_linear_coefficient(capsys):
                          "--order", "1")
     assert code == 0
     ctx = Context(2, 1, GL)
-    want = render.element_payload(generator(ctx, 1, 1, 1)
-                                  + generator(ctx, 2, 2, 1))
+    want = render.payload(generator(ctx, 1, 1, 1) + generator(ctx, 2, 2, 1))
     assert doc["series"]["coeffs"]["1"] == want
     assert doc["series"]["constant"] == "1"
 
@@ -57,7 +57,7 @@ def test_expand_delta_e_matches_pullback_terms(capsys):
     assert code == 0
     ctx = Context(2, 2, SL)
     cur = current(ctx, "e", 1, 2)
-    assert doc["series"] == render.series_payload(delta_series(cur))
+    assert doc["series"] == render.payload(delta_series(cur))
     # the second coefficient carries exactly the three expected tensors
     e0 = cur.coefficient(1)
     e1 = cur.coefficient(2)
@@ -65,7 +65,7 @@ def test_expand_delta_e_matches_pullback_terms(capsys):
     want = (Tensor.of_elements(e1, unit(ctx))
             + Tensor.of_elements(unit(ctx), e1)
             + Tensor.of_elements(e0, h0))
-    assert doc["series"]["coeffs"]["2"] == render.tensor_payload(want)
+    assert doc["series"]["coeffs"]["2"] == render.payload(want)
 
 
 def test_expand_phi_h_sl_reduction(capsys):
@@ -81,7 +81,7 @@ def test_expand_antipode_current(capsys):
     assert code == 0
     ctx = Context(2, 2, SL)
     neg = current(ctx, "e", 1, 2).coefficient(1) * -1
-    assert doc["series"]["coeffs"]["1"] == render.element_payload(neg)
+    assert doc["series"]["coeffs"]["1"] == render.payload(neg)
 
 
 def test_expand_gauss_factors(capsys):
@@ -151,14 +151,21 @@ def test_verify_gauss_and_drinfeld(capsys):
         assert doc["status"] == "pass"
 
 
-def test_verify_exit_one_on_failure(capsys):
-    code, doc = run_json(capsys, "verify", "sl2", "--demo-failure")
+def test_verify_exit_one_on_failure(capsys, monkeypatch):
+    def with_failure(suite, **kwargs):
+        ctx = Context(2, 1, GL)
+        bad = Report("mutated-identity", n=2)
+        bad.check("k=1", generator(ctx, 1, 2, 1), zero(ctx))
+        return run_suite(suite, **kwargs) + [bad]
+
+    monkeypatch.setattr(cli, "run_suite", with_failure)
+    code, doc = run_json(capsys, "verify", "sl2")
     assert code == 1
     assert doc["status"] == "fail"
-    bad = [r for r in doc["reports"]
-           if r["identity"] == "demo-mutated-coproduct"]
+    bad = [r for r in doc["reports"] if r["identity"] == "mutated-identity"]
     assert bad and bad[0]["status"] == "fail"
-    assert bad[0]["residuals"]
+    assert bad[0]["residuals"] == {
+        "k=1": [{"coeff": "1", "word": [[1, 2, 1]]}]}
 
 
 def test_verify_json_is_byte_deterministic(capsys):
@@ -199,9 +206,12 @@ def test_verify_all_json_is_pinned(n):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("suite", sorted(SUITES) + ["all"])
 def test_verify_order_one_ends_in_a_report(capsys, suite, n):
-    code = main(["verify", suite, "--n", str(n), "--order", "1"])
-    assert code in (0, 1)
-    assert "Traceback" not in capsys.readouterr().err
+    # every order up to the default; `all` repeats the suites, so only 1
+    top = 1 if suite == "all" else default_order(n)
+    for order in range(1, top + 1):
+        code = main(["verify", suite, "--n", str(n), "--order", str(order)])
+        assert code in (0, 1), (suite, n, order)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def exit_code(argv):
@@ -296,6 +306,8 @@ def test_internal_error_exits_three_with_one_line(capsys, monkeypatch):
     ["expand", "nonsense"],
     ["verify", "nonsense"],
     ["verify", "sl2", "--format", "latex"],
+    ["verify", "gauss", "--mode", "gl"],
+    ["expand", "qdet", "--seed", "1"],
 ])
 def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as err:

@@ -100,9 +100,6 @@ def test_product_truncates_to_min_order():
     s = Series(ctx, 4, {1: generator(ctx, 1, 2, 1)})
     t = Series(ctx, 3, {1: generator(ctx, 2, 1, 1)})
     assert (s * t).order == 3
-    assert s.truncate(2).order == 2
-    with pytest.raises(ValueError):
-        s.truncate(5)
 
 
 def test_coefficient_degree_invariant_enforced():
