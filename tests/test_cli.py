@@ -203,6 +203,28 @@ def test_verify_all_json_is_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == ALL_JSON_SHA256[n]
 
 
+# sha256 of `verify SUITE --n N --format json` at seed 0, at the ranks
+# where the R-matrix and minor kernels cost the most.  A change meant to
+# alter that output updates these and says why.
+SUITE_JSON_SHA256 = {
+    ("r-matrix", 5):
+        "782bf32a452a45872e58e7e08c8db7040174f8cf25d50d86475bbf71a742854b",
+    ("r-matrix", 6):
+        "f7870842306daf7d8f47aa4e22d1e01c17cc8119fcb45d58c9b80e900642e2a6",
+    ("minors", 5):
+        "b1b8439adecffce29a7cd42dd61391c2b827e9f8fcb9a1475381a522b8f7c431",
+}
+
+
+@pytest.mark.parametrize("suite, n", sorted(SUITE_JSON_SHA256))
+def test_verify_suite_json_is_pinned(capsys, suite, n):
+    code, out = run_cli(capsys, "verify", suite, "--n", str(n),
+                        "--seed", "0", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SUITE_JSON_SHA256[(suite, n)]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("suite", sorted(SUITES) + ["all"])
 def test_verify_order_one_ends_in_a_report(capsys, suite, n):
