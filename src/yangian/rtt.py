@@ -1,10 +1,19 @@
 """Generating matrix of the truncated Yangian and its quantum minors.
 
 The rational R-matrix checks run over exact rational spectral points.
+R = I + P/u has at most two nonzeros per row, and its lifts to the
+tensor cube keep that, so `embed_pair` writes only the nonzeros and
+`mat_mul` runs each nonzero of x over the listed nonzeros of a row of
+y; both still take and return dense lists of rows, and the checks
+compare full exact matrices.
+
 Everything else works with the matrix T(u) of generator series: quantum
 determinant, quantum minors with their expansions and commutation
 relations, Gauss decompositions in both triangular orders, and the
-reflected matrix (T(-u))^{-1} whose minors mirror ordinary ones.
+reflected matrix (T(-u))^{-1} whose minors mirror ordinary ones.  The
+commutation of an entry with a minor is checked from the minor and its
+row- and column-replaced minors, which a sweep over every entry looks
+up once per index set.
 """
 
 from fractions import Fraction
@@ -53,15 +62,20 @@ def transposed_rmatrix(n, u):
 
 
 def mat_mul(x, y):
+    """Product of two dense square matrices (lists of rows).
+
+    The R-matrix lifts have a few nonzeros per row, so the nonzeros of
+    each row of y are listed once and every nonzero of x runs over that
+    list only.  Products are summed in the same order as the dense loop.
+    """
     size = len(x)
+    y_rows = [[(j, yv) for j, yv in enumerate(row) if yv] for row in y]
     out = [[ZERO] * size for _ in range(size)]
     for i in range(size):
         row = out[i]
         for k, xv in enumerate(x[i]):
-            if not xv:
-                continue
-            for j, yv in enumerate(y[k]):
-                if yv:
+            if xv:
+                for j, yv in y_rows[k]:
                     row[j] += xv * yv
     return out
 
@@ -72,19 +86,25 @@ def mat_identity(size, scale=ONE):
 
 
 def embed_pair(n, r, slot_a, slot_b):
-    """Lift an n^2 x n^2 matrix to the tensor cube acting on two slots."""
+    """Lift an n^2 x n^2 matrix to the tensor cube acting on two slots.
+
+    Entry (row, col) of the lift is zero unless row and col agree on the
+    third slot, so each nonzero r[p][q] is written once per value of
+    that slot, at flat offsets computed from the slot weights; the
+    other entries keep the zero they start with.
+    """
     size = n ** 3
+    weight = (n * n, n, 1)
+    wa, wb = weight[slot_a], weight[slot_b]
+    (wc,) = [weight[s] for s in range(3) if s not in (slot_a, slot_b)]
+    offset = [a * wa + b * wb for a in range(n) for b in range(n)]
     out = [[ZERO] * size for _ in range(size)]
-    for row in range(size):
-        ri = (row // (n * n), (row // n) % n, row % n)
-        for col in range(size):
-            ci = (col // (n * n), (col // n) % n, col % n)
-            ok = all(ri[s] == ci[s] for s in range(3)
-                     if s not in (slot_a, slot_b))
-            if not ok:
-                continue
-            out[row][col] = r[ri[slot_a] * n + ri[slot_b]][
-                ci[slot_a] * n + ci[slot_b]]
+    for p, r_row in enumerate(r):
+        entries = [(offset[q], v) for q, v in enumerate(r_row) if v]
+        for c in range(0, n * wc, wc):
+            row = out[offset[p] + c]
+            for col, v in entries:
+                row[col + c] = v
     return out
 
 
@@ -259,6 +279,18 @@ def minor_expand_last_row(ctx, rows, cols, order):
     return total
 
 
+def column_replaced_minors(ctx, rows, cols, j, order):
+    """t(rows; cols with b_k -> j)(u) for k = 1..m."""
+    return [quantum_minor(ctx, rows, cols[:k] + (j,) + cols[k + 1:], order)
+            for k in range(len(cols))]
+
+
+def row_replaced_minors(ctx, rows, cols, i, order):
+    """t(rows with a_k -> i; cols)(u) for k = 1..m."""
+    return [quantum_minor(ctx, rows[:k] + (i,) + rows[k + 1:], cols, order)
+            for k in range(len(rows))]
+
+
 def minor_commutation_check(ctx, i, j, rows, cols, order):
     """Bivariate commutation of an entry with a minor:
 
@@ -266,35 +298,52 @@ def minor_commutation_check(ctx, i, j, rows, cols, order):
         = sum_k ( t(rows; cols with b_k -> j)(v) T_{i,b_k}(u)
                  - T_{a_k,j}(u) t(rows with a_k -> i; cols)(v) ).
 
-    Checked coefficientwise in both variables.
+    Checked coefficientwise in both variables by minor_commutation_case.
+    """
+    rows, cols = tuple(rows), tuple(cols)
+    return minor_commutation_case(
+        ctx, i, j, rows, cols, order, quantum_minor(ctx, rows, cols, order),
+        column_replaced_minors(ctx, rows, cols, j, order),
+        row_replaced_minors(ctx, rows, cols, i, order))
+
+
+def minor_commutation_case(ctx, i, j, rows, cols, order, minor, col_repl,
+                           row_repl):
+    """The commutation relation of minor_commutation_check, from the minor
+    and its column- and row-replaced minors (in the order of cols and
+    rows); a sweep looks each of them up once and shares it.
+
+    The u^-(a+1) v^-b coefficient of the left side is
+    [T_ij^(a+1), c_b] - [T_ij^(a), c_(b+1)], with c_b the coefficient of
+    the minor, so each bracket serves two cases and is formed once.
+    T^(0) is the scalar delta, so its products select a coefficient.
     """
     rep = Report("minor-commutation", n=ctx.n, mode=ctx.mode, i=i, j=j,
                  rows=rows, cols=cols, order=order)
-    rows, cols = tuple(rows), tuple(cols)
-    minor = quantum_minor(ctx, rows, cols, order)
-    m = len(rows)
-    col_repl = [quantum_minor(ctx, rows, cols[:k] + (j,) + cols[k + 1:],
-                              order) for k in range(m)]
-    row_repl = [quantum_minor(ctx, rows[:k] + (i,) + rows[k + 1:], cols,
-                              order) for k in range(m)]
-
-    def t_mode(a, b, r):
-        if r == 0:
-            return unit(ctx) if a == b else zero(ctx)
-        return generator(ctx, a, b, r)
-
+    c = [minor.coefficient(b) for b in range(order + 1)]
+    nil = zero(ctx)
+    bracket = {}
+    for r in range(1, order + 1):
+        x = generator(ctx, i, j, r)
+        for b in range(order + 1 - r):
+            bracket[r, b] = x * c[b] - c[b] * x
     for a in range(order):
         for b in range(order - a):
-            x1 = t_mode(i, j, a + 1)
-            lhs = x1 * minor.coefficient(b) - minor.coefficient(b) * x1
+            lhs = bracket[a + 1, b]
             if a >= 1:
-                x0 = t_mode(i, j, a)
-                lhs = lhs - (x0 * minor.coefficient(b + 1)
-                             - minor.coefficient(b + 1) * x0)
-            rhs = zero(ctx)
-            for k in range(m):
-                rhs = rhs + col_repl[k].coefficient(b) * t_mode(i, cols[k], a)
-                rhs = rhs - t_mode(rows[k], j, a) * row_repl[k].coefficient(b)
+                lhs = lhs - bracket[a, b + 1]
+            rhs = nil
+            for k in range(len(rows)):
+                if a == 0:
+                    if i == cols[k]:
+                        rhs = rhs + col_repl[k].coefficient(b)
+                    if rows[k] == j:
+                        rhs = rhs - row_repl[k].coefficient(b)
+                else:
+                    rhs = (rhs + col_repl[k].coefficient(b)
+                           * generator(ctx, i, cols[k], a))
+                    rhs = rhs - (generator(ctx, rows[k], j, a)
+                                 * row_repl[k].coefficient(b))
             rep.check("u^-%d v^-%d" % (a, b), lhs, rhs)
     return rep
 

@@ -76,11 +76,18 @@ def suite_minors(n, order, seed):
     for rows, cols in _minor_index_sets(n, 3):
         label = "r=%s,c=%s" % (",".join(map(str, rows)),
                                ",".join(map(str, cols)))
+        # each minor series once per index set, shared by the n^2 entries
+        minor = rtt.quantum_minor(ctx, rows, cols, order)
+        col_repl = {j: rtt.column_replaced_minors(ctx, rows, cols, j, order)
+                    for j in range(1, n + 1)}
+        row_repl = {i: rtt.row_replaced_minors(ctx, rows, cols, i, order)
+                    for i in range(1, n + 1)}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 _absorb(comm,
-                        rtt.minor_commutation_check(ctx, i, j, rows, cols,
-                                                    order),
+                        rtt.minor_commutation_case(ctx, i, j, rows, cols,
+                                                   order, minor, col_repl[j],
+                                                   row_repl[i]),
                         "T%d%d %s" % (i, j, label))
         _absorb(cent, rtt.minor_centrality_check(ctx, rows, cols, order),
                 label)

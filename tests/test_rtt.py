@@ -38,6 +38,69 @@ def test_unitarity_random_and_degenerate(n):
     assert rtt.unitarity_check(n, 1).passed
 
 
+def embed_pair_by_index_comparison(n, r, slot_a, slot_b):
+    """Reference lift: every (row, col) of the cube, kept where the two
+    agree on the third slot."""
+    size = n ** 3
+    out = [[0] * size for _ in range(size)]
+    for row in range(size):
+        ri = (row // (n * n), (row // n) % n, row % n)
+        for col in range(size):
+            ci = (col // (n * n), (col // n) % n, col % n)
+            ok = all(ri[s] == ci[s] for s in range(3)
+                     if s not in (slot_a, slot_b))
+            if not ok:
+                continue
+            out[row][col] = r[ri[slot_a] * n + ri[slot_b]][
+                ci[slot_a] * n + ci[slot_b]]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("slots", [(0, 1), (0, 2), (1, 2)])
+def test_embed_pair_matches_index_comparison(n, slots):
+    # a dense matrix with distinct entries catches any misplaced index;
+    # the R-matrix is the sparse input the checks feed it
+    size = n * n
+    dense = [[Fraction(p * size + q + 1, 7) for q in range(size)]
+             for p in range(size)]
+    for r in (dense, rtt.rmatrix(n, Fraction(-5, 3))):
+        assert (rtt.embed_pair(n, r, *slots)
+                == embed_pair_by_index_comparison(n, r, *slots))
+
+
+def test_mat_mul_matches_triple_loop():
+    x = [[Fraction(1, 2), 0, -3, 0, 0],
+         [0, 0, 0, 0, 0],
+         [2, Fraction(-7, 3), 0, 0, 1],
+         [0, 0, 0, 0, Fraction(5, 4)],
+         [1, 1, 1, 1, 1]]
+    y = [[0, 4, 0, Fraction(1, 3), 0],
+         [0, Fraction(-2, 5), 0, 0, 0],
+         [0, 0, 0, 0, 0],
+         [0, 1, 0, -1, 0],
+         [0, Fraction(3, 2), 0, 6, 0]]
+    size = len(x)
+    for a, b in ((x, y), (y, x), (x, x), (y, y)):
+        want = [[sum(a[i][k] * b[k][j] for k in range(size))
+                 for j in range(size)] for i in range(size)]
+        assert rtt.mat_mul(a, b) == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_yang_baxter_sides_differ_at_a_wrong_argument(n):
+    # the check compares full matrices, so a wrong R13 must show
+    for u, v in [(Fraction(1, 2), Fraction(-3)), (Fraction(7, 3), 2),
+                 (5, Fraction(2, 5))]:
+        r12 = rtt.embed_pair(n, rtt.rmatrix(n, u), 0, 1)
+        r23 = rtt.embed_pair(n, rtt.rmatrix(n, v), 1, 2)
+        for arg, equal in ((u + v, True), (u - v, False)):
+            r13 = rtt.embed_pair(n, rtt.rmatrix(n, arg), 0, 2)
+            lhs = rtt.mat_mul(rtt.mat_mul(r12, r13), r23)
+            rhs = rtt.mat_mul(rtt.mat_mul(r23, r13), r12)
+            assert (lhs == rhs) is equal, (u, v, arg)
+
+
 def test_qdet_n2_matches_handmade():
     ctx = Context(2, 4)
     t11 = rtt.t_entry(ctx, 1, 1, 4)
@@ -135,6 +198,34 @@ def test_minor_commutation_cases():
     for (i, j) in [(1, 1), (1, 3), (2, 1), (3, 2)]:
         rep = rtt.minor_commutation_check(ctx, i, j, (1, 2), (1, 3), 3)
         assert rep.passed, rep.residuals[:1]
+
+
+def test_minor_commutation_case_records_a_wrong_replaced_minor():
+    # one replaced minor taken at a wrong index must leave residuals,
+    # on either side and in every slot
+    ctx = Context(3, 3)
+    rows, cols = (1, 2), (1, 3)
+    minor = rtt.quantum_minor(ctx, rows, cols, 3)
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            col_repl = rtt.column_replaced_minors(ctx, rows, cols, j, 3)
+            row_repl = rtt.row_replaced_minors(ctx, rows, cols, i, 3)
+            assert rtt.minor_commutation_case(ctx, i, j, rows, cols, 3,
+                                              minor, col_repl,
+                                              row_repl).passed
+            wrong_col = rtt.column_replaced_minors(ctx, rows, cols,
+                                                   j % 3 + 1, 3)
+            wrong_row = rtt.row_replaced_minors(ctx, rows, cols,
+                                                i % 3 + 1, 3)
+            for k in range(2):
+                bad = col_repl[:k] + [wrong_col[k]] + col_repl[k + 1:]
+                rep = rtt.minor_commutation_case(ctx, i, j, rows, cols, 3,
+                                                 minor, bad, row_repl)
+                assert rep.residuals, ("col", i, j, k)
+                bad = row_repl[:k] + [wrong_row[k]] + row_repl[k + 1:]
+                rep = rtt.minor_commutation_case(ctx, i, j, rows, cols, 3,
+                                                 minor, col_repl, bad)
+                assert rep.residuals, ("row", i, j, k)
 
 
 def test_minor_centrality_inside_own_indices():

@@ -9,6 +9,7 @@ only; nothing is wrapped.
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,3 +54,19 @@ def test_every_cache_has_cache_info():
 def test_minor_cache_exists():
     rtt = importlib.import_module("yangian.rtt")
     assert isinstance(rtt._MINOR_CACHE, dict)
+
+
+def test_products_observer_counts_nonzero_scalar_products():
+    # `rtt.mat_mul.products` reads the dense rows `mat_mul` is given;
+    # if the R-matrix lifts stopped being dense rows this would fail
+    # instead of the metric silently reading garbage
+    tracer = _tracer()
+    rtt = importlib.import_module("yangian.rtt")
+    for n in (2, 3):
+        x = rtt.embed_pair(n, rtt.rmatrix(n, Fraction(3, 2)), 0, 1)
+        y = rtt.embed_pair(n, rtt.rmatrix(n, Fraction(-1, 4)), 1, 2)
+        size = n ** 3
+        want = sum(1 for i in range(size) for k in range(size)
+                   for j in range(size) if x[i][k] and y[k][j])
+        assert want > 0
+        assert tracer._products((x, y), rtt.mat_mul(x, y)) == want
