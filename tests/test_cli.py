@@ -225,6 +225,28 @@ def test_verify_suite_json_is_pinned(capsys, suite, n):
     assert digest == SUITE_JSON_SHA256[(suite, n)]
 
 
+# sha256 of `verify hopf-axioms --n 2 --order 7 --format json` at CLI
+# seeds 0..3: long words and big tensor squares and cubes, the command
+# the hopf-deep-n2o7 benchmark workload runs.  A change meant to alter
+# that output updates these and says why.
+HOPF_DEEP_JSON_SHA256 = {
+    0: "600e7f3552268be00b93b6fe967ecac93c84aaf7eaf712a61903587ff3d32f9f",
+    1: "1c2f21c8495886ce1bb05ca879693f1e3a6e0d8a40667a8e62235b3a3c3279bd",
+    2: "5fb264aada866a08a708451d6446153998a081405995f96685fb946aee43584f",
+    3: "163a557006a0fb6b2a846915003f7443cec6ebce82729e3ec2175e1c8f1c9376",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HOPF_DEEP_JSON_SHA256))
+def test_verify_hopf_axioms_order_seven_json_is_pinned(capsys, seed):
+    code, out = run_cli(capsys, "verify", "hopf-axioms", "--n", "2",
+                        "--order", "7", "--seed", str(seed),
+                        "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == HOPF_DEEP_JSON_SHA256[seed]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("suite", sorted(SUITES) + ["all"])
 def test_verify_order_one_ends_in_a_report(capsys, suite, n):
