@@ -73,12 +73,30 @@ def _delta_word(ctx, word):
     return _delta_word(ctx, word[:-1]) * _delta_symbol(ctx, word[-1])
 
 
-def delta_element(x):
-    """Coproduct of an element, as a tensor square."""
-    total = Tensor.zero(x.ctx, 2)
+def _linear_extension(x, image):
+    """Terms of sum_w c_w image(w) over the terms c_w w of x.
+
+    Each image is already reduced and cut, and so is any sum of them:
+    the terms add straight into one dict, dropping the keys that cancel.
+    """
+    out = {}
     for w, c in x.terms.items():
-        total = total + _delta_word(x.ctx, w) * c
-    return total
+        for key, v in image(x.ctx, w).terms.items():
+            s = out.get(key, ZERO) + c * v
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+def delta_element(x):
+    """Coproduct of an element, as a tensor square.
+
+    The linear extension of the memoised word coproducts, summed into one
+    terms dict: no intermediate tensor is built or copied.
+    """
+    return Tensor._trusted(x.ctx, 2, _linear_extension(x, _delta_word))
 
 
 @lru_cache(maxsize=None)
@@ -96,11 +114,12 @@ def _antipode_word(ctx, word):
 
 
 def antipode_element(x):
-    """Antipode of an element (an anti-morphism on products)."""
-    total = zero(x.ctx)
-    for w, c in x.terms.items():
-        total = total + _antipode_word(x.ctx, w) * c
-    return total
+    """Antipode of an element (an anti-morphism on products).
+
+    Like delta_element, the memoised word images are summed into one
+    terms dict.
+    """
+    return Element._trusted(x.ctx, _linear_extension(x, _antipode_word))
 
 
 def counit_element(x):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra import Tensor, ZERO, ONE, _exact, unit, zero
+from .algebra import Element, Tensor, ZERO, ONE, _exact, unit, zero
 
 __all__ = [
     "Series", "SeriesMatrix", "series_outer", "slot_embed",
@@ -26,6 +26,17 @@ def _coeff_zero(ctx, arity):
 
 def _coeff_unit(ctx, arity):
     return unit(ctx) if arity == 1 else Tensor.unit(ctx, arity)
+
+
+def _coeff_of_products(ctx, arity, raw):
+    """The coefficient of a raw sum that `_mul_into` calls added into.
+
+    Element products add uncut GL normal words, reduced here once; tensor
+    products add keys already reduced and cut.
+    """
+    if arity == 1:
+        return Element(ctx, raw)
+    return Tensor._trusted(ctx, arity, raw)
 
 
 def scalar_of(coeff):
@@ -67,7 +78,8 @@ class Series:
         return cls(ctx, order, {0: _coeff_unit(ctx, arity) * value}, arity)
 
     def coefficient(self, k):
-        return self.coeffs.get(k, _coeff_zero(self.ctx, self.arity))
+        c = self.coeffs.get(k)
+        return _coeff_zero(self.ctx, self.arity) if c is None else c
 
     def is_zero(self):
         return not self.coeffs
@@ -117,6 +129,12 @@ class Series:
         return self.__neg__().__add__(self._coerce(other))
 
     def __mul__(self, other):
+        """Cauchy product, truncated at the smaller order.
+
+        Every product a_p b_q with p + q = k adds into one raw dict for
+        u^-k, and that coefficient is reduced once from the whole sum:
+        no intermediate coefficient is built, reduced or copied.
+        """
         if isinstance(other, (int, Fraction)):
             return Series(self.ctx, self.order,
                           {k: v * other for k, v in self.coeffs.items()},
@@ -124,7 +142,7 @@ class Series:
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
         order = min(self.order, other.order)
-        out = {}
+        sums = {}
         for p, a in self.coeffs.items():
             if p > order:
                 continue
@@ -132,8 +150,12 @@ class Series:
                 k = p + q
                 if k > order:
                     continue
-                v = a * b
-                out[k] = out[k] + v if k in out else v
+                raw = sums.get(k)
+                if raw is None:
+                    raw = sums[k] = {}
+                a._mul_into(b, raw)
+        out = {k: _coeff_of_products(self.ctx, self.arity, raw)
+               for k, raw in sums.items()}
         return Series(self.ctx, order, out, self.arity)
 
     def __rmul__(self, other):
