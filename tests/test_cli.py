@@ -225,6 +225,28 @@ def test_verify_suite_json_is_pinned(capsys, suite, n):
     assert digest == SUITE_JSON_SHA256[(suite, n)]
 
 
+# (exit code, sha256) of `verify SUITE --n 5 --seed 0 --format json` for
+# the suites built on brackets and coefficient differences.  At n=5 the
+# antipode formulas f3 and h3 fail, so that suite exits 1.  A change
+# meant to alter that output updates these and says why.
+BRACKET_SUITE_JSON_SHA256 = {
+    "antipode-formulas": (1,
+        "2607f96024b7bc1a3255d1a543333020ca33cbfa2213832a0877725b81e043b5"),
+    "drinfeld": (0,
+        "fbfbdb7ea5dcc68079184f382764c6c897814748600ace718cf2042c298378da"),
+    "coproduct-formulas": (0,
+        "070959667f076dbf3c012e08a95b90309152e65a9658320a19e691270dd662bd"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(BRACKET_SUITE_JSON_SHA256))
+def test_verify_bracket_suite_json_is_pinned(capsys, suite):
+    code, out = run_cli(capsys, "verify", suite, "--n", "5",
+                        "--seed", "0", "--format", "json")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == BRACKET_SUITE_JSON_SHA256[suite]
+
+
 # sha256 of `verify hopf-axioms --n 2 --order 7 --format json` at CLI
 # seeds 0..3: long words and big tensor squares and cubes, the command
 # the hopf-deep-n2o7 benchmark workload runs.  A change meant to alter
