@@ -12,12 +12,13 @@ degree exceeds the context bound, so the result is the image of the exact
 product under the degree projection.
 
 Products accumulate, then reduce once: `_mul_into` adds every term of a
-product into one raw dict, so a sum of products (a series coefficient)
-is SL-eliminated and cut once, not once per product.  Tensor products
-look each slot product up in a graded table of (word, coefficient,
-degree) triples and drop a partial key as soon as its slot degrees pass
-the bound; slot degrees are nonnegative, so that is the same cut, made
-earlier.
+product into one raw dict, so a sum of products (a series coefficient,
+or a bracket [a, b], which adds a b and -b a) is SL-eliminated and cut
+once, not once per product.  Sums and differences work in one copied
+terms dict.  Tensor products look each slot product up in a graded
+table of (word, coefficient, degree) triples and drop a partial key as
+soon as its slot degrees pass the bound; slot degrees are nonnegative,
+so that is the same cut, made earlier.
 
 Coefficients are exact rationals: an int while integral, a Fraction only
 once a denominator appears.  The structure constants are integers, and
@@ -34,6 +35,11 @@ SL = "SL"
 
 ZERO = 0
 ONE = 1
+
+# Exact scalar operand types, tested by the operand's own type first:
+# isinstance against Fraction goes through ABCMeta on every element or
+# tensor operand, which is the common case.
+_SCALARS = frozenset((int, bool, Fraction))
 
 
 def _exact(c):
@@ -290,7 +296,7 @@ class LinearCombination:
         return sorted(self.terms.items())
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _SCALARS:
             other = self._unit() * other
         return (isinstance(other, type(self)) and self.ctx == other.ctx
                 and self.arity == other.arity and self.terms == other.terms)
@@ -298,7 +304,7 @@ class LinearCombination:
     __hash__ = None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _SCALARS:
             other = self._unit() * other
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
@@ -318,12 +324,21 @@ class LinearCombination:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _SCALARS:
             other = self._unit() * other
-        return self.__add__(other.__neg__())
+        if self.ctx != other.ctx or self.arity != other.arity:
+            raise ValueError("context mismatch")
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            v = out.get(k, ZERO) - c
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
+        return self._like(out)
 
     def __rsub__(self, other):
-        return self.__neg__().__add__(self._unit() * other)
+        return (self._unit() * other).__sub__(self)
 
     def _scale(self, c):
         c = _exact(c)
@@ -332,8 +347,8 @@ class LinearCombination:
         return self._like({k: c * v for k, v in self.terms.items()})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
+        if type(other) in _SCALARS:
+            return self._scale(other)
         return NotImplemented
 
 
@@ -371,16 +386,18 @@ class Element(LinearCombination):
         """Coefficient of the empty word."""
         return self.terms.get((), ZERO)
 
-    def _mul_into(self, other, raw):
-        """Add the GL normal form of self * other into raw, uncut."""
+    def _mul_into(self, other, raw, sign=1):
+        """Add sign * (the GL normal form of self * other) into raw, uncut."""
         for w1, c1 in self.terms.items():
+            if sign < 0:
+                c1 = -c1
             for w2, c2 in other.terms.items():
                 c = c1 * c2
                 for w, k in normal_form_word(w1 + w2):
                     raw[w] = raw.get(w, ZERO) + c * k
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _SCALARS:
             return self._scale(other)
         if self.ctx != other.ctx:
             raise ValueError("context mismatch")
@@ -457,8 +474,29 @@ def mode_commutator(ctx, i, j, r, k, l, s):
     return from_words(ctx, dict(commutator_words(i, j, r, k, l, s)))
 
 
+def _from_products(ctx, arity, raw):
+    """The element or tensor of a raw sum that `_mul_into` calls added into.
+
+    Element products add uncut GL normal words, reduced here once; tensor
+    products add keys already reduced and cut, with no zero stored.
+    """
+    if arity == 1:
+        return Element(ctx, raw)
+    return Tensor._trusted(ctx, arity, raw)
+
+
 def commutator(a, b):
-    return a * b - b * a
+    """[a, b] = a b - b a, both products added into one raw dict.
+
+    The SL elimination and the degree cut run once on the sum, not once
+    per product; both are linear, so the result is the same.
+    """
+    if a.ctx != b.ctx or a.arity != b.arity:
+        raise ValueError("context mismatch")
+    raw = {}
+    a._mul_into(b, raw)
+    b._mul_into(a, raw, -1)
+    return _from_products(a.ctx, a.arity, raw)
 
 
 def sl_reduce(el, ctx=None):
@@ -559,11 +597,13 @@ class Tensor(LinearCombination):
         """Total degree: the largest sum of slot degrees over the keys."""
         return max((_key_degree(key) for key in self.terms), default=0)
 
-    def _mul_into(self, other, out):
-        """Add the slotwise product self * other into out, cut."""
+    def _mul_into(self, other, out, sign=1):
+        """Add sign times the slotwise product self * other into out, cut."""
         n, mode, bound = self.ctx.n, self.ctx.mode, self.ctx.max_degree
         table = _SLOT_TABLES.setdefault((n, mode), {})
         for k1, c1 in self.terms.items():
+            if sign < 0:
+                c1 = -c1
             for k2, c2 in other.terms.items():
                 slots = []
                 for pair in zip(k1, k2):
@@ -591,7 +631,7 @@ class Tensor(LinearCombination):
                             del out[key]
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _SCALARS:
             return self._scale(other)
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")

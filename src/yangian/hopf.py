@@ -145,7 +145,9 @@ def _map_slot(t, slot, image, arity):
     """Replace one slot of every key by the slot tuples of image(word).
 
     image maps the slot's word to (slot_tuple, coefficient) pairs; the
-    result has the given arity, and arity 1 gives an element.
+    result has the given arity, and arity 1 gives an element.  The
+    coproduct, antipode and counit of a word never raise its degree, so
+    no key of the result passes the bound and the tensor is trusted.
     """
     out = {}
     for key, c in t.terms.items():
@@ -159,7 +161,7 @@ def _map_slot(t, slot, image, arity):
                 del out[new]
     if arity == 1:
         return Element._trusted(t.ctx, {k[0]: c for k, c in out.items()})
-    return Tensor(t.ctx, arity, out)
+    return Tensor._trusted(t.ctx, arity, out)
 
 
 def delta_on_slot(t, slot):

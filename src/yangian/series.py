@@ -5,6 +5,22 @@ beyond u^-d is unknown.  Coefficients are elements, tensor squares, or
 tensor cubes over a shared context; the coefficient of u^-k always has
 filtration degree at most k, which keeps every series operation exact
 under the context degree bound.
+
+The public constructor `Series(...)` checks that invariant for every
+coefficient, and so does `map_coeffs`, which applies an arbitrary
+function.  The arithmetic builds its results through `Series._trusted`,
+which only drops zero coefficients, because there the invariant holds
+by construction:
+
+- `+`, `-` and unary `-` combine coefficients of the same power, and a
+  sum or difference never has a larger degree than its terms;
+- a scalar multiple and `negate_variable` scale each coefficient;
+- the Cauchy product puts a_p b_q at u^-(p+q), and a product's degree
+  is at most the sum of its factors' degrees (deg <= p + q);
+- `shift` moves a_j, scaled, to u^-(j+t) with t >= 0, a higher power;
+- `invert` builds u^-k from products a_j b_{k-j}, with b the inverse
+  coefficients already built (deg <= j + (k - j));
+- `series_outer` puts a_p (x) b_q at u^-(p+q), of degree at most p + q.
 """
 
 from __future__ import annotations
@@ -12,7 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra import Element, Tensor, ZERO, ONE, _exact, unit, zero
+from .algebra import (
+    Tensor, ZERO, ONE, _SCALARS, _exact, _from_products, unit, zero,
+)
 
 __all__ = [
     "Series", "SeriesMatrix", "series_outer", "slot_embed",
@@ -26,17 +44,6 @@ def _coeff_zero(ctx, arity):
 
 def _coeff_unit(ctx, arity):
     return unit(ctx) if arity == 1 else Tensor.unit(ctx, arity)
-
-
-def _coeff_of_products(ctx, arity, raw):
-    """The coefficient of a raw sum that `_mul_into` calls added into.
-
-    Element products add uncut GL normal words, reduced here once; tensor
-    products add keys already reduced and cut.
-    """
-    if arity == 1:
-        return Element(ctx, raw)
-    return Tensor._trusted(ctx, arity, raw)
 
 
 def scalar_of(coeff):
@@ -74,6 +81,20 @@ class Series:
         self.coeffs = out
 
     @classmethod
+    def _trusted(cls, ctx, order, coeffs, arity):
+        """A series whose coefficients already keep the invariant.
+
+        Only zero coefficients are dropped; the order, the keys, the
+        contexts and the degrees are the caller's to guarantee.
+        """
+        s = object.__new__(cls)
+        s.ctx = ctx
+        s.order = order
+        s.arity = arity
+        s.coeffs = {k: c for k, c in coeffs.items() if c.terms}
+        return s
+
+    @classmethod
     def constant(cls, ctx, order, value=ONE, arity=1):
         return cls(ctx, order, {0: _coeff_unit(ctx, arity) * value}, arity)
 
@@ -100,7 +121,7 @@ class Series:
     __hash__ = None
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _SCALARS:
             return Series.constant(self.ctx, self.order, other, self.arity)
         return other
 
@@ -113,20 +134,29 @@ class Series:
         for k, c in other.coeffs.items():
             if k <= order:
                 out[k] = out[k] + c if k in out else c
-        return Series(self.ctx, order, out, self.arity)
+        return Series._trusted(self.ctx, order, out, self.arity)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Series(self.ctx, self.order,
-                      {k: -c for k, c in self.coeffs.items()}, self.arity)
+        return Series._trusted(self.ctx, self.order,
+                               {k: -c for k, c in self.coeffs.items()},
+                               self.arity)
 
     def __sub__(self, other):
-        return self.__add__(self._coerce(other).__neg__())
+        other = self._coerce(other)
+        if self.ctx != other.ctx or self.arity != other.arity:
+            raise ValueError("context mismatch")
+        order = min(self.order, other.order)
+        out = {k: c for k, c in self.coeffs.items() if k <= order}
+        for k, c in other.coeffs.items():
+            if k <= order:
+                out[k] = out[k] - c if k in out else -c
+        return Series._trusted(self.ctx, order, out, self.arity)
 
     def __rsub__(self, other):
-        return self.__neg__().__add__(self._coerce(other))
+        return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         """Cauchy product, truncated at the smaller order.
@@ -135,10 +165,10 @@ class Series:
         u^-k, and that coefficient is reduced once from the whole sum:
         no intermediate coefficient is built, reduced or copied.
         """
-        if isinstance(other, (int, Fraction)):
-            return Series(self.ctx, self.order,
-                          {k: v * other for k, v in self.coeffs.items()},
-                          self.arity)
+        if type(other) in _SCALARS:
+            return Series._trusted(
+                self.ctx, self.order,
+                {k: v * other for k, v in self.coeffs.items()}, self.arity)
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
         order = min(self.order, other.order)
@@ -154,12 +184,12 @@ class Series:
                 if raw is None:
                     raw = sums[k] = {}
                 a._mul_into(b, raw)
-        out = {k: _coeff_of_products(self.ctx, self.arity, raw)
+        out = {k: _from_products(self.ctx, self.arity, raw)
                for k, raw in sums.items()}
-        return Series(self.ctx, order, out, self.arity)
+        return Series._trusted(self.ctx, order, out, self.arity)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _SCALARS:
             return self.__mul__(other)
         return NotImplemented
 
@@ -186,14 +216,14 @@ class Series:
                 k = j + t
                 v = a * w
                 out[k] = out[k] + v if k in out else v
-        return Series(self.ctx, self.order, out, self.arity)
+        return Series._trusted(self.ctx, self.order, out, self.arity)
 
     def negate_variable(self):
         """The series at argument -u."""
-        sign = lambda k: -1 if k % 2 else 1
-        return Series(self.ctx, self.order,
-                      {k: c * sign(k) for k, c in self.coeffs.items()},
-                      self.arity)
+        return Series._trusted(
+            self.ctx, self.order,
+            {k: -c if k % 2 else c for k, c in self.coeffs.items()},
+            self.arity)
 
     def invert(self):
         """Two-sided multiplicative inverse; needs a scalar leading term."""
@@ -213,7 +243,7 @@ class Series:
                 acc = v if acc is None else acc + v
             if acc is not None and not acc.is_zero():
                 out[k] = acc * (-inv0)
-        return Series(self.ctx, self.order, out, self.arity)
+        return Series._trusted(self.ctx, self.order, out, self.arity)
 
     def __repr__(self):
         bits = ["u^-%d: %r" % (k, c) for k, c in sorted(self.coeffs.items())]
@@ -235,7 +265,7 @@ def series_outer(a, b):
                 continue
             v = Tensor.of_elements(x, y)
             out[k] = out[k] + v if k in out else v
-    return Series(a.ctx, order, out, 2)
+    return Series._trusted(a.ctx, order, out, 2)
 
 
 def slot_embed(s, arity, slot):

@@ -7,6 +7,7 @@ import pytest
 
 from yangian.algebra import (
     Context,
+    Element,
     GL,
     SL,
     Tensor,
@@ -111,6 +112,37 @@ def test_counit_on_slot_of_tensor_cube_recovers_square(mode):
             assert cube.arity == 3
             for slot in range(3):
                 assert hopf.counit_on_slot(cube, slot) == d
+
+
+def _rebuilt(x):
+    """x rebuilt from its own terms by the checked constructors."""
+    if x.arity == 1:
+        return Element(x.ctx, dict(x.terms))
+    return Tensor(x.ctx, x.arity, dict(x.terms))
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_slot_maps_keep_the_degree_bound(n, mode):
+    # the slot maps build their results unchecked: the coproduct,
+    # antipode and counit of a word never raise its degree
+    ctx = Context(n, 3, mode)
+    outputs = 0
+    for _, x in hopf._axiom_targets(ctx, 3):
+        square = hopf.delta_element(x)
+        cube = hopf.delta_on_slot(square, 0)
+        results = [cube, hopf.delta_on_slot(square, 1)]
+        for t in (square, cube):
+            for slot in range(t.arity):
+                results.append(hopf.antipode_on_slot(t, slot))
+                results.append(hopf.counit_on_slot(t, slot))
+        for got in results:
+            rebuilt = _rebuilt(got)
+            assert rebuilt.terms == got.terms
+            assert rebuilt.arity == got.arity
+            assert 0 not in got.terms.values()
+            outputs += bool(got.terms)
+    assert outputs > 0
 
 
 # ---------------------------------------------------------------------------

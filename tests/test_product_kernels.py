@@ -1,19 +1,21 @@
 """Product kernels against the straightforward bodies they replaced.
 
 Tensor products look slot products up in a graded table and cut partial
-keys early; series products and the Hopf maps on elements accumulate
-into one terms dict and reduce once.  Each test keeps the plain body
-(one reduced product or one copied sum per step) as its reference.
+keys early; series products, brackets and the Hopf maps on elements
+accumulate into one terms dict and reduce once; differences subtract in
+one copied dict.  Each test keeps the plain body (one reduced product,
+one negated copy or one copied sum per step) as its reference.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from yangian.algebra import (
-    Context, Element, GL, SL, Tensor, from_words, generator,
-    normal_form_word, word_degree, _sl_word_nf,
+    Context, Element, GL, SL, Tensor, commutator, from_words, generator,
+    normal_form_word, unit, word_degree, _sl_word_nf,
 )
 from yangian import hopf
 from yangian.rtt import t_entry
@@ -90,6 +92,24 @@ def linear_extension_reference(x, image, total):
     for w, c in x.terms.items():
         total = total + image(x.ctx, w) * c
     return total
+
+
+def difference_reference(a, b):
+    """a + (-b): a negated copy, then a copied sum."""
+    return a + (-b)
+
+
+def commutator_reference(a, b):
+    """a * b - b * a: two reduced products, then the plain difference."""
+    return difference_reference(a * b, b * a)
+
+
+def _raw_bracket(a, b):
+    """The unreduced sum the fused bracket reduces once."""
+    raw = {}
+    a._mul_into(b, raw)
+    b._mul_into(a, raw, -1)
+    return raw
 
 
 def _random_tensor(rng, ctx, arity):
@@ -266,3 +286,130 @@ def test_sl_generator_products_eliminate_before_the_cut():
             differing += x * y != _cut_then_eliminate(x, y)
     # the sweep tells the two orders apart
     assert differing > 0
+
+
+# ---------------------------------------------------------------------------
+# fused brackets and in-place differences
+
+
+MODES = [(n, mode) for n in (2, 3) for mode in (GL, SL)]
+
+
+def _no_zero_stored(x):
+    return 0 not in x.terms.values()
+
+
+@pytest.mark.parametrize("n, mode", MODES)
+def test_bracket_matches_two_products_and_a_difference(n, mode):
+    rng = random.Random(300 + 10 * n + (mode == SL))
+    ctx = Context(n, 4, mode)
+    for _ in range(20):
+        a = random_element(rng, ctx, terms=3, max_len=2, max_mode=2)
+        b = random_element(rng, ctx, terms=3, max_len=2, max_mode=2)
+        got = commutator(a, b)
+        assert got == commutator_reference(a, b)
+        assert _no_zero_stored(got)
+    for arity in (2, 3):
+        for _ in range(4):
+            a = _random_tensor(rng, ctx, arity)
+            b = _random_tensor(rng, ctx, arity)
+            got = commutator(a, b)
+            assert got == commutator_reference(a, b)
+            assert _no_zero_stored(got)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bracket_eliminates_t_nn_once_on_the_sum(n):
+    ctx = Context(n, 3, SL)
+    a, b = generator(ctx, n, 1, 1), generator(ctx, 1, n, 2)
+    raw = _raw_bracket(a, b)
+    # the raw sum holds a T_nn word, so the SL elimination has work to do
+    assert any(c and any(sym[1] == sym[2] == n for sym in w)
+               for w, c in raw.items())
+    got = commutator(a, b)
+    assert not got.is_zero()
+    assert got == commutator_reference(a, b)
+    assert not any(sym[1] == sym[2] == n for w in got.terms for sym in w)
+
+
+@pytest.mark.parametrize("n, mode", MODES)
+def test_bracket_that_cancels_is_zero_with_no_terms(n, mode):
+    ctx = Context(n, 3, mode)
+    x = generator(ctx, 1, 2, 1) + generator(ctx, 2, 1, 2) * 3
+    y = x * Fraction(1, 2) + 5
+    for a, b in ((x, x), (x, y), (unit(ctx) * 7, x)):
+        assert commutator(a, b).terms == {}
+        assert commutator_reference(a, b).is_zero()
+
+
+@pytest.mark.parametrize("n, mode", MODES)
+def test_bracket_whose_products_pass_the_bound(n, mode):
+    ctx = Context(n, 3, mode)
+    a, b = generator(ctx, 1, 2, 2), generator(ctx, 2, 1, 2)
+    # each product has words of degree 4 over the bound; the bracket
+    # lowers the degree to 3 and keeps those terms
+    assert any(word_degree(w) > 3 for w in _raw_bracket(a, b))
+    got = commutator(a, b)
+    assert not got.is_zero()
+    assert got == commutator_reference(a, b)
+    assert got.degree() <= 3
+
+
+@pytest.mark.parametrize("n, mode", MODES)
+def test_differences_match_negated_sums(n, mode):
+    rng = random.Random(400 + 10 * n + (mode == SL))
+    ctx = Context(n, 4, mode)
+    for _ in range(20):
+        x = random_element(rng, ctx)
+        y = random_element(rng, ctx)
+        for a, b in ((x, y), (x, x), (x + y, y), (x, x + y)):
+            got = a - b
+            assert got == difference_reference(a, b)
+            assert _no_zero_stored(got)
+        assert (x - x).terms == {}
+    for arity in (2, 3):
+        for _ in range(4):
+            t = _random_tensor(rng, ctx, arity)
+            v = _random_tensor(rng, ctx, arity)
+            assert (t - v) == difference_reference(t, v)
+            assert _no_zero_stored(t - v)
+            assert ((t + v) - v) == t
+            assert _no_zero_stored((t + v) - v)
+            assert (t - t).terms == {}
+
+
+@pytest.mark.parametrize("n, mode", MODES)
+def test_scalar_operands(n, mode):
+    ctx = Context(n, 3, mode)
+    x = generator(ctx, 1, 2, 1) * 2 + generator(ctx, 2, 2, 2) + 3
+    t = Tensor.of_elements(x, generator(ctx, 2, 1, 1))
+    for c in (2, Fraction(3, 2), True):
+        for el in (x, t):
+            one = el._unit()
+            assert el - c == difference_reference(el, one * c)
+            assert c - el == difference_reference(one * c, el)
+            assert el + c == one * c + el
+            assert el * c == c * el == el._scale(Fraction(c))
+            assert _no_zero_stored(el - c) and _no_zero_stored(c - el)
+    assert 2 - x == difference_reference(unit(ctx) * 2, x)
+    assert (x - 3 - x * 2 + x + 3).terms == {}
+    assert unit(ctx) * 2 == 2 and x * True == x and x != True
+
+
+def test_context_mismatch_raises():
+    x = generator(Context(2, 3, GL), 1, 2, 1)
+    y = generator(Context(2, 3, SL), 1, 2, 1)
+    z = generator(Context(3, 3, GL), 1, 2, 1)
+    for other in (y, z):
+        with pytest.raises(ValueError):
+            x - other
+        with pytest.raises(ValueError):
+            commutator(x, other)
+    t2 = Tensor.of_elements(x, x)
+    t3 = Tensor.of_elements(x, x, x)
+    with pytest.raises(ValueError):
+        t2 - t3
+    with pytest.raises(ValueError):
+        commutator(t2, t3)
+    with pytest.raises(ValueError):
+        commutator(x, t2)

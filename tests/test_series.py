@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from yangian.algebra import Context, GL, generator, unit, zero
+from yangian.algebra import (
+    Context, Element, GL, SL, generator, unit, word_degree, zero,
+)
 from yangian.series import (
     Series, SeriesMatrix, geometric_unit_sum, series_outer, slot_embed,
 )
@@ -107,6 +109,62 @@ def test_coefficient_degree_invariant_enforced():
     g2 = generator(ctx, 1, 1, 2)
     with pytest.raises(ValueError):
         Series(ctx, 4, {1: g2})
+    # map_coeffs applies an arbitrary function, so it keeps the check
+    s = gen_series(ctx, 1, 2, 4)
+    with pytest.raises(ValueError):
+        s.map_coeffs(lambda c: c * g2)
+    with pytest.raises(ValueError):
+        s.map_coeffs(lambda c: c + g2)
+
+
+def _rand_graded_series(rng, ctx, order, arity=1):
+    """A series whose u^-k coefficient is a random element of degree <= k."""
+    coeffs = {0: unit(ctx) * rng.choice([1, 2, Fraction(-1, 2)])}
+    for k in range(1, order + 1):
+        el = random_element(rng, ctx, terms=3, max_len=2, max_mode=k,
+                            allow_const=False)
+        coeffs[k] = Element(ctx, {w: c for w, c in el.terms.items()
+                                  if word_degree(w) <= k})
+    s = Series(ctx, order, coeffs)
+    if arity == 2:
+        s = series_outer(s, gen_series(ctx, 1, 1, order))
+    return s
+
+
+def _arithmetic_results(rng, ctx):
+    a = _rand_graded_series(rng, ctx, 3)
+    b = _rand_graded_series(rng, ctx, 3)
+    short = _rand_graded_series(rng, ctx, 2)
+    x = _rand_graded_series(rng, ctx, 3, arity=2)
+    y = _rand_graded_series(rng, ctx, 3, arity=2)
+    yield from (a + b, a + short, a - b, short - a, a - a, a + (-a),
+                -a, a + 2, 2 - a, a - True, a * b, b * a, a * short,
+                a * Fraction(3, 2), 3 * a, a * 0, a.shift(1), a.shift(-2),
+                a.shift(Fraction(1, 2)), a.shift(Fraction(-3, 2)),
+                a.negate_variable(), a.invert(), series_outer(a, b),
+                series_outer(a, short))
+    yield from (x + y, x - y, x - x, -x, x * y, x * Fraction(-1, 3),
+                x.shift(Fraction(1, 2)), x.negate_variable(), x.invert(),
+                (x * y).shift(-1))
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_series_arithmetic_keeps_the_coefficient_invariant(n, mode):
+    # the arithmetic builds its results unchecked; the public
+    # constructor must accept each one as it stands
+    rng = random.Random(500 + 10 * n + (mode == SL))
+    ctx = Context(n, 3, mode)
+    empty = 0
+    for _ in range(4):
+        for r in _arithmetic_results(rng, ctx):
+            checked = Series(ctx, r.order, r.coeffs, r.arity)
+            assert checked.coeffs == r.coeffs
+            assert list(checked.coeffs) == list(r.coeffs)
+            assert not any(c.is_zero() for c in r.coeffs.values())
+            empty += r.is_zero()
+    # cancelled results were among them, with nothing stored
+    assert empty > 0
 
 
 def test_geometric_unit_sum():
