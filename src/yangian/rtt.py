@@ -19,7 +19,9 @@ up once per index set.
 from fractions import Fraction
 from itertools import permutations
 
-from .algebra import Context, Element, GL, SL, ZERO, ONE, generator, unit, zero
+from .algebra import (
+    Context, Element, GL, SL, ZERO, ONE, commutator, generator, unit, zero,
+)
 from .series import Series, SeriesMatrix
 from .report import Report
 
@@ -326,7 +328,7 @@ def minor_commutation_case(ctx, i, j, rows, cols, order, minor, col_repl,
     for r in range(1, order + 1):
         x = generator(ctx, i, j, r)
         for b in range(order + 1 - r):
-            bracket[r, b] = x * c[b] - c[b] * x
+            bracket[r, b] = commutator(x, c[b])
     for a in range(order):
         for b in range(order - a):
             lhs = bracket[a + 1, b]
@@ -414,7 +416,7 @@ def embedding_relations_check(ctx, p, order):
                     for r in range(1, order + 1):
                         for s in range(1, order - r + 1):
                             a, b = coeff(i, j, r), coeff(k, l, s)
-                            lhs = a * b - b * a
+                            lhs = commutator(a, b)
                             rhs = zero(ctx)
                             for pp in range(1, min(r, s) + 1):
                                 rhs = rhs + (coeff(k, j, r + s - pp)
