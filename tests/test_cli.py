@@ -247,6 +247,24 @@ def test_verify_bracket_suite_json_is_pinned(capsys, suite):
     assert (code, digest) == BRACKET_SUITE_JSON_SHA256[suite]
 
 
+# (exit code, sha256) of `verify antipode-formulas --n N --seed 0 --format
+# json` at the ranks where the most antipode formulas miss and are
+# diagnosed by shift probes (n=4: e2, f2, h2; n=6: e, f, h at 2, 3, 4).
+# A change meant to alter that output updates these and says why.
+DIAGNOSED_ANTIPODE_JSON_SHA256 = {
+    4: (1, "827bd6466ba21ed69d8135b25b2fbbfb8b428a16d0efb651d3a11e3dc877d42c"),
+    6: (1, "1d87fdafad5cb76563555ebf2163eef1bc55c50eeb8d1b5223d33f40c2419814"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(DIAGNOSED_ANTIPODE_JSON_SHA256))
+def test_verify_diagnosed_antipode_json_is_pinned(capsys, n):
+    code, out = run_cli(capsys, "verify", "antipode-formulas", "--n", str(n),
+                        "--seed", "0", "--format", "json")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == DIAGNOSED_ANTIPODE_JSON_SHA256[n]
+
+
 # sha256 of `verify hopf-axioms --n 2 --order 7 --format json` at CLI
 # seeds 0..3: long words and big tensor squares and cubes, the command
 # the hopf-deep-n2o7 benchmark workload runs.  A change meant to alter
