@@ -258,22 +258,30 @@ def _sl_word_nf(n, word):
 # ---------------------------------------------------------------------------
 # elements
 
+def _mentions_tnn(raw, n):
+    """Whether some word of raw holds a T_nn symbol."""
+    for w in raw:
+        for _, i, j in w:
+            if i == n and j == n:
+                return True
+    return False
+
+
 def _reduce_raw(ctx, raw):
     """Canonical terms for a raw {GL normal word: coefficient} map.
 
     Applies the SL elimination when required, then drops zero
     coefficients and words over the degree bound (the projection).
     """
-    if ctx.mode == SL:
+    if ctx.mode == SL and _mentions_tnn(raw, ctx.n):
         n = ctx.n
-        if any(sym[1] == n and sym[2] == n for w in raw for sym in w):
-            redone = {}
-            for word, coeff in raw.items():
-                if coeff == 0:
-                    continue
-                for w, c in _sl_word_nf(n, word):
-                    redone[w] = redone.get(w, ZERO) + coeff * c
-            raw = redone
+        redone = {}
+        for word, coeff in raw.items():
+            if coeff == 0:
+                continue
+            for w, c in _sl_word_nf(n, word):
+                redone[w] = redone.get(w, ZERO) + coeff * c
+        raw = redone
     return {w: c for w, c in raw.items()
             if c and word_degree(w) <= ctx.max_degree}
 

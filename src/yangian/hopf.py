@@ -398,12 +398,32 @@ def minor_antipode_sign_check(n, order, mode=GL):
 
 
 class CurrentFrame:
-    """Shared cache of currents and pairing series over one context."""
+    """The operator pieces of the current formulas over one context.
+
+    A frame memoises, each under a key that names every input it reads:
+    the pairing series g and g~, the spectral corrections of the root
+    actions, the denominator and numerators of the antipode formulas, and
+    the whole antipode and coproduct formulas.  A diagnosis that moves one
+    spectral slot therefore rebuilds only the pieces reading that slot.
+
+    A frame lives for one check function and is dropped with it; nothing
+    it holds outlives the check.  Sharing the stored results is safe
+    because no Series, Element or Tensor is changed after it is built.
+    Keys compare shifts by ==, and equal shifts give equal series.
+    """
 
     def __init__(self, ctx, order):
         self.ctx = ctx
         self.order = order
-        self._pairings = {}
+        self._memo = {}
+
+    def memo(self, key, build):
+        """The value stored under key, built by build() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     def current(self, kind, i):
         return current(self.ctx, kind, i, self.order)
@@ -413,21 +433,15 @@ class CurrentFrame:
 
     def g(self, i):
         """Diagonal plus lowering*shifted-raising combination."""
-        key = ("g", i)
-        if key not in self._pairings:
-            self._pairings[key] = (self.current("h", i)
-                                   + self.current("f", i)
-                                   * self.current("e", i).shift(1))
-        return self._pairings[key]
+        return self.memo(("g", i), lambda: (
+            self.current("h", i)
+            + self.current("f", i) * self.current("e", i).shift(1)))
 
     def g_tilde(self, i):
         """Diagonal plus shifted-lowering*raising combination."""
-        key = ("gt", i)
-        if key not in self._pairings:
-            self._pairings[key] = (self.current("h", i)
-                                   + self.current("f", i).shift(1)
-                                   * self.current("e", i))
-        return self._pairings[key]
+        return self.memo(("gt", i), lambda: (
+            self.current("h", i)
+            + self.current("f", i).shift(1) * self.current("e", i)))
 
     def constant_one(self, model):
         return Series.constant(self.ctx, model.order, arity=model.arity)
@@ -448,6 +462,19 @@ def _bracket_map(root, sign):
     return act
 
 
+def _root_correction(frame, kind, alpha, low, high, shift):
+    """The shifted current at alpha, carried to the root (low, high)."""
+    sign = 1 if kind == "e" else -1
+    corr = frame.current(kind, alpha).shift(shift)
+    if alpha + 1 != high:
+        corr = corr.map_coeffs(
+            _bracket_map(frame.root(kind, alpha + 1, high), sign))
+    if low != alpha:
+        corr = corr.map_coeffs(
+            _bracket_map(frame.root(kind, low, alpha), -sign))
+    return corr
+
+
 def elementary_root(frame, kind, side, alpha, low, high, shift,
                     gate="printed"):
     """Adjoint action of the root vector (low, high), with spectral correction.
@@ -456,7 +483,8 @@ def elementary_root(frame, kind, side, alpha, low, high, shift,
     raising one with every bracket sign reversed.  side "L" multiplies
     the correction current from the left of the argument, side "R" from
     the right.  The correction switches on for low <= alpha < high
-    ("printed") or low <= alpha < high-1 ("narrow").
+    ("printed") or low <= alpha < high-1 ("narrow"); the correction itself
+    depends on neither side nor gate, and the frame builds it once.
     """
     if low > high:
         raise ValueError("root operator needs low <= high")
@@ -464,13 +492,9 @@ def elementary_root(frame, kind, side, alpha, low, high, shift,
     root = None if low == high else frame.root(kind, low, high)
     corr = None
     if _gate_fires(alpha, low, high, gate):
-        corr = frame.current(kind, alpha).shift(shift)
-        if alpha + 1 != high:
-            corr = corr.map_coeffs(
-                _bracket_map(frame.root(kind, alpha + 1, high), sign))
-        if low != alpha:
-            corr = corr.map_coeffs(
-                _bracket_map(frame.root(kind, low, alpha), -sign))
+        corr = frame.memo(("corr", kind, alpha, low, high, shift),
+                          lambda: _root_correction(frame, kind, alpha, low,
+                                                   high, shift))
 
     def act(x):
         out = x if root is None else x.map_coeffs(_bracket_map(root, sign))
@@ -720,12 +744,20 @@ def formula_delta(frame, kind, i, shifts=None, gate="printed",
     The shifts mapping perturbs individual spectral parameters around
     their written defaults, which the diagnosis helpers use to locate
     misprints.  f_head_pairing selects which pairing series feeds the
-    head of the lowering-current formula.
+    head of the lowering-current formula.  The frame keeps each result,
+    so the diagonal formula and repeated probes look the raising and
+    lowering ones up.
     """
     if kind not in DELTA_SLOTS:
         raise ValueError("unknown current kind %r" % (kind,))
     s = dict(DELTA_SLOTS[kind])
     s.update(shifts or {})
+    return frame.memo(
+        ("delta", kind, i, tuple(sorted(s.items())), gate, f_head_pairing),
+        lambda: _build_delta(frame, kind, i, s, gate, f_head_pairing))
+
+
+def _build_delta(frame, kind, i, s, gate, f_head_pairing):
     n = frame.ctx.n
     subsets = _proper_subsets(n, i)
     ei = frame.current("e", i)
@@ -849,12 +881,29 @@ ANTIPODE_SLOTS = {
 }
 
 
+def _hat_numerator(frame, kind, m, op, arg, gate, pattern):
+    """The hat composite at m applied to the shifted current of kind."""
+    hat = (hat_raising(frame, m, op, gate) if kind == "e"
+           else hat_lowering(frame, m, op, gate, pattern))
+    return hat(frame.current(kind, m).shift(arg))
+
+
 def formula_antipode(frame, kind, i, shifts=None, gate="printed"):
-    """Antipode of a current, centered at u + n/2, from the hat formulas."""
+    """Antipode of a current, centered at u + n/2, from the hat formulas.
+
+    The frame keeps the result, and inside it the denominator and each
+    numerator under the slots they read, so a probe that moves one slot
+    rebuilds only the piece reading it.
+    """
     if kind not in ANTIPODE_SLOTS:
         raise ValueError("unknown current kind %r" % (kind,))
     s = dict(ANTIPODE_SLOTS[kind])
     s.update(shifts or {})
+    return frame.memo(("antipode", kind, i, tuple(sorted(s.items())), gate),
+                      lambda: _build_antipode(frame, kind, i, s, gate))
+
+
+def _build_antipode(frame, kind, i, s, gate):
     n = frame.ctx.n
     m = n - i
     # the e formula divides on the right by the g series, the f and h
@@ -863,19 +912,22 @@ def formula_antipode(frame, kind, i, shifts=None, gate="printed"):
         side, pairing = "R", frame.g(m)
     else:
         side, pairing = "L", frame.g_tilde(m)
-    den = composite(frame, "h", side, m, tuple(range(i + 1, n + 1)),
-                    s["den_op"], gate)(pairing.shift(s["den_arg"])).invert()
-    if kind == "e":
-        num = hat_raising(frame, m, s["op"], gate)(
-            frame.current("e", m).shift(s["arg"]))
-        return -(num * den)
-    if kind == "f":
+    den = frame.memo(
+        ("den", side, i, s["den_op"], s["den_arg"], gate),
+        lambda: composite(frame, "h", side, m, tuple(range(i + 1, n + 1)),
+                          s["den_op"], gate)(
+            pairing.shift(s["den_arg"])).invert())
+    if kind in ("e", "f"):
         pattern = "uniform" if s.get("hat_pattern") else "printed"
-        num = hat_lowering(frame, m, s["op"], gate, pattern)(
-            frame.current("f", m).shift(s["arg"]))
-        return -(den * num)
-    num = composite(frame, "h", "L", m, (i,) + tuple(range(i + 2, n + 1)),
-                    s["num_op"], gate)(pairing.shift(s["num_arg"]))
+        num = frame.memo(("hat", kind, i, s["op"], s["arg"], gate, pattern),
+                         lambda: _hat_numerator(frame, kind, m, s["op"],
+                                                s["arg"], gate, pattern))
+        return -(num * den) if kind == "e" else -(den * num)
+    num = frame.memo(
+        ("h-num", i, s["num_op"], s["num_arg"], gate),
+        lambda: composite(frame, "h", "L", m,
+                          (i,) + tuple(range(i + 2, n + 1)),
+                          s["num_op"], gate)(pairing.shift(s["num_arg"])))
     half_n = Fraction(n, 2)
     idx = i if s.get("sub_index") else m
     se = formula_antipode(frame, "e", idx, gate=gate).shift(s["e_shift"] - half_n)
@@ -883,10 +935,11 @@ def formula_antipode(frame, kind, i, shifts=None, gate="printed"):
     return den * num - se * sf
 
 
-def antipode_formula_check(n, order, gate="printed", diagnose=True):
-    """Closed antipode formulas against the transported antipode."""
+def antipode_extras(n):
+    """Per-kind named variants the antipode diagnosis probes beyond the
+    single-slot shifts: recentered subtractions and the uniform hat."""
     half_n = Fraction(n, 2)
-    extras = {
+    return {
         "h": {
             "recentered-subtraction":
                 {"e_shift": 1 + half_n, "f_shift": half_n},
@@ -895,10 +948,15 @@ def antipode_formula_check(n, order, gate="printed", diagnose=True):
         },
         "f": {"uniform-hat-shifts": {"hat_pattern": 1}},
     }
+
+
+def antipode_formula_check(n, order, gate="printed", diagnose=True):
+    """Closed antipode formulas against the transported antipode."""
+    half_n = Fraction(n, 2)
     return _formula_check(n, order, gate, diagnose, "antipode",
                           formula_antipode,
                           lambda s: antipode_series(s).shift(half_n),
-                          ANTIPODE_SLOTS, extras)
+                          ANTIPODE_SLOTS, antipode_extras(n))
 
 
 def counit_formula_check(n, order, mode=SL):

@@ -276,6 +276,101 @@ def test_counit_of_currents(n, order):
 
 
 # ---------------------------------------------------------------------------
+# the frame memo under the diagnosis probes
+
+
+def _diagnosis_builds(n):
+    """(formula, kind, i, keywords) of every build _formula_check and
+    _diagnose make, in their order: the written formula, each spectral
+    slot at +1 and -1, the named extras and the narrow gate.  The
+    lowering coproduct is also built with its other head pairing."""
+    families = ((hopf.formula_antipode, hopf.ANTIPODE_SLOTS,
+                 hopf.antipode_extras(n)),
+                (hopf.formula_delta, hopf.DELTA_SLOTS, {}))
+    builds = []
+    for formula, slots, extras in families:
+        for i in range(1, n):
+            for kind in ("e", "f", "h"):
+                builds.append((formula, kind, i, {}))
+                for name, value in slots[kind].items():
+                    for delta in (1, -1):
+                        builds.append((formula, kind, i,
+                                       {"shifts": {name: value + delta}}))
+                for shifts in extras.get(kind, {}).values():
+                    builds.append((formula, kind, i, {"shifts": shifts}))
+                builds.append((formula, kind, i, {"gate": "narrow"}))
+                if formula is hopf.formula_delta and kind == "f":
+                    # the other head pairing, and the raising formula's
+                    # slot values, which the lowering one shares by name
+                    builds.append((formula, kind, i,
+                                   {"f_head_pairing": "g~"}))
+                    builds.append((formula, kind, i,
+                                   {"shifts": dict(slots["e"])}))
+    return builds
+
+
+# Each size separates some pieces that agree at the others: operator
+# shifts and the narrow coproduct gate first act at order 3, the two
+# pairing series differ from u^-4 on, and the h numerator meets a
+# spectral correction only from n=5.
+@pytest.mark.parametrize("n, order", [(3, 2), (4, 2), (5, 2), (4, 3), (2, 5)])
+def test_frame_memo_matches_fresh_builds(n, order):
+    # every probe built on one shared frame, in the diagnosis order and
+    # reversed, equals the same build on a fresh frame: no memo key may
+    # leave out an input its piece reads
+    ctx = Context(n, order, SL)
+    builds = _diagnosis_builds(n)
+    fresh = [formula(hopf.CurrentFrame(ctx, order), kind, i, **keywords)
+             for formula, kind, i, keywords in builds]
+    for sequence in (list(range(len(builds))),
+                     list(reversed(range(len(builds))))):
+        frame = hopf.CurrentFrame(ctx, order)
+        for p in sequence:
+            formula, kind, i, keywords = builds[p]
+            got = formula(frame, kind, i, **keywords)
+            assert got == fresh[p], (formula.__name__, kind, i, keywords)
+
+
+def test_frame_memo_root_actions_match_fresh_builds():
+    # every root action with a correction, on one shared frame, equals
+    # the same action on a fresh frame: the diagnosis never asks for two
+    # corrections that differ only in the root's low end, this does
+    n, order = 4, 2
+    ctx = Context(n, order, SL)
+    shared = hopf.CurrentFrame(ctx, order)
+    arg = shared.g(1)
+    seen = 0
+    for kind in ("e", "f"):
+        for alpha in range(1, n):
+            for low in range(1, alpha + 1):
+                for high in range(alpha + 1, n + 1):
+                    for shift in (0, 1):
+                        for side in ("L", "R"):
+                            got = hopf.elementary_root(
+                                shared, kind, side, alpha, low, high,
+                                shift)(arg)
+                            want = hopf.elementary_root(
+                                hopf.CurrentFrame(ctx, order), kind, side,
+                                alpha, low, high, shift)(arg)
+                            assert got == want, (kind, side, alpha, low,
+                                                 high, shift)
+                            seen += 1
+    assert seen == 2 * 2 * 2 * 10
+
+
+def test_frame_memo_builds_once():
+    ctx = Context(3, 2, SL)
+    frame = hopf.CurrentFrame(ctx, 2)
+    calls = []
+    first = frame.memo(("k", 1), lambda: calls.append(1) or "v")
+    assert frame.memo(("k", 1), lambda: calls.append(2) or "w") is first
+    assert calls == [1]
+    assert frame.g(1) is frame.g(1)
+    assert (hopf.formula_antipode(frame, "h", 1)
+            is hopf.formula_antipode(frame, "h", 1, shifts={"den_op": 0}))
+
+
+# ---------------------------------------------------------------------------
 # pairing series identities behind the antipode diagnosis
 
 

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from yangian.algebra import Context, GL, SL, generator, unit
+from yangian.algebra import Context, GL, SL, generator, unit, zero
 from yangian.series import Series, SeriesMatrix
 from yangian import rtt
 
@@ -228,10 +228,108 @@ def test_minor_commutation_case_records_a_wrong_replaced_minor():
                 assert rep.residuals, ("row", i, j, k)
 
 
+def _chain_commutation_residuals(ctx, i, j, rows, cols, order, minor,
+                                 col_repl, row_repl):
+    """Residuals of the commutation relation with each right side built
+    as a chain of reduced products and sums (the reference body)."""
+    out = {}
+    for a in range(order):
+        for b in range(order - a):
+            lhs = (generator(ctx, i, j, a + 1) * minor.coefficient(b)
+                   - minor.coefficient(b) * generator(ctx, i, j, a + 1))
+            if a >= 1:
+                x = generator(ctx, i, j, a)
+                c = minor.coefficient(b + 1)
+                lhs = lhs - (x * c - c * x)
+            rhs = zero(ctx)
+            for k in range(len(rows)):
+                if a == 0:
+                    if i == cols[k]:
+                        rhs = rhs + col_repl[k].coefficient(b)
+                    if rows[k] == j:
+                        rhs = rhs - row_repl[k].coefficient(b)
+                else:
+                    rhs = (rhs + col_repl[k].coefficient(b)
+                           * generator(ctx, i, cols[k], a))
+                    rhs = rhs - (generator(ctx, rows[k], j, a)
+                                 * row_repl[k].coefficient(b))
+            diff = lhs - rhs
+            if not diff.is_zero():
+                out["u^-%d v^-%d" % (a, b)] = diff
+    return out
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+def test_minor_commutation_residuals_match_the_chained_right_side(mode):
+    # the right side summed into one raw dict leaves the residuals the
+    # chain of reduced sums leaves, also where the SL elimination acts
+    ctx = Context(3, 3, mode)
+    rows, cols, order = (2, 3), (1, 3), 3
+    minor = rtt.quantum_minor(ctx, rows, cols, order)
+    seen = 0
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            col_repl = rtt.column_replaced_minors(ctx, rows, cols, j, order)
+            row_repl = rtt.row_replaced_minors(ctx, rows, cols, i, order)
+            wrong_col = rtt.column_replaced_minors(ctx, rows, cols,
+                                                   j % 3 + 1, order)
+            wrong_row = rtt.row_replaced_minors(ctx, rows, cols,
+                                                i % 3 + 1, order)
+            for cr, rr in ((col_repl, row_repl),
+                           ([wrong_col[0], col_repl[1]], row_repl),
+                           (col_repl, [row_repl[0], wrong_row[1]])):
+                rep = rtt.minor_commutation_case(ctx, i, j, rows, cols,
+                                                 order, minor, cr, rr)
+                want = _chain_commutation_residuals(ctx, i, j, rows, cols,
+                                                    order, minor, cr, rr)
+                assert dict(rep.residuals) == want, (i, j)
+                seen += len(want)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_t_entry_keeps_the_coefficient_invariant(n, mode):
+    # T_ij(u) is built unchecked; the public constructor must accept it
+    # as it stands, SL T_nn included
+    ctx = Context(n, 3, mode)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            s = rtt.t_entry(ctx, i, j, 3)
+            checked = Series(ctx, s.order, s.coeffs, s.arity)
+            assert checked.coeffs == s.coeffs
+            assert list(checked.coeffs) == list(s.coeffs)
+            assert not any(c.is_zero() for c in s.coeffs.values())
+            assert sorted(s.coeffs) == ([0] if i == j else []) + [1, 2, 3]
+
+
 def test_minor_centrality_inside_own_indices():
     ctx = Context(3, 3)
     rep = rtt.minor_centrality_check(ctx, (1, 2), (1, 2), 3)
     assert rep.passed
+
+
+def test_centrality_checks_record_a_non_central_series(monkeypatch):
+    # with a minor that is not central in its indices, each residual is
+    # the bracket x c - c x of that case
+    ctx = Context(3, 3)
+    other = rtt.quantum_minor(ctx, (1, 2), (1, 3), 3)
+    monkeypatch.setattr(rtt, "quantum_minor", lambda *args: other)
+    rep = rtt.minor_centrality_check(ctx, (1, 2), (1, 2), 3)
+    assert rep.residuals
+    for label, res in rep.residuals:
+        ij, s = label.split(" vs u^-")
+        i, j, r = int(ij[2]), int(ij[3]), int(ij[6])
+        x, c = generator(ctx, i, j, r), other.coefficient(int(s))
+        assert res == x * c - c * x
+    monkeypatch.setattr(rtt, "qdet", lambda *args: other)
+    rep = rtt.qdet_centrality_check(ctx, 3, 3)
+    assert rep.residuals
+    for label, res in rep.residuals:
+        k, ij = label.split(" vs T_")
+        c = other.coefficient(int(k[5:]))
+        x = generator(ctx, int(ij[0]), int(ij[1]), int(ij[4]))
+        assert res == c * x - x * c
 
 
 def test_embedding_relations():
