@@ -287,6 +287,24 @@ def test_verify_hopf_axioms_order_seven_json_is_pinned(capsys, seed):
     assert digest == HOPF_DEEP_JSON_SHA256[seed]
 
 
+# (exit code, sha256) of `verify hopf-axioms --n N --seed 0 --format json`
+# at the ranks where its minor-antipode and reflected-minor sweeps cost
+# the most.  A change meant to alter that output updates these and says
+# why.
+HOPF_AXIOMS_JSON_SHA256 = {
+    5: (0, "d1e0463b5897ba8a638b9450295d39175a502ca9b6dba2c6eef164fc4c5ab88e"),
+    6: (0, "e1d8ad3c72999befb90e54def53b1f163f8e1939aa980fafd411bf07f7dec695"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(HOPF_AXIOMS_JSON_SHA256))
+def test_verify_hopf_axioms_json_is_pinned(capsys, n):
+    code, out = run_cli(capsys, "verify", "hopf-axioms", "--n", str(n),
+                        "--seed", "0", "--format", "json")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == HOPF_AXIOMS_JSON_SHA256[n]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("suite", sorted(SUITES) + ["all"])
 def test_verify_order_one_ends_in_a_report(capsys, suite, n):
