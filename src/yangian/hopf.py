@@ -366,13 +366,15 @@ def minor_antipode_sign_check(n, order, mode=GL):
     ctx = Context(n, order, mode)
     rep = Report("minor-antipode-sign", n=n, order=order, mode=mode)
     star = t_star_matrix(ctx, order)
+    # one sub-minor memo for every reflected minor of this sweep
+    memo = {}
     signs = {}
     for m in range(1, n + 1):
         seen = None
         for rows in _index_subsets(n, m):
             for cols in _index_subsets(n, m):
                 pull = antipode_series(quantum_minor(ctx, rows, cols, order))
-                cand = reflected_minor(star, rows, cols, m - 1)
+                cand = reflected_minor(star, rows, cols, m - 1, memo)
                 match = None
                 for sign in (1, -1):
                     if all((pull.coefficient(k) - cand.coefficient(k) * sign).is_zero()

@@ -5,7 +5,10 @@ R = I + P/u has at most two nonzeros per row, and its lifts to the
 tensor cube keep that, so `embed_pair` writes only the nonzeros and
 `mat_mul` runs each nonzero of x over the listed nonzeros of a row of
 y; both still take and return dense lists of rows, and the checks
-compare full exact matrices.
+compare full exact matrices.  The Yang-Baxter check multiplies the
+integer matrices q u R(u) = p I + q P at u = p/q: the equation is
+homogeneous in each R factor, so scaling every factor by a nonzero
+integer keeps it exactly and leaves no fraction to reduce.
 
 Everything else works with the matrix T(u) of generator series: quantum
 determinant, quantum minors with their expansions and commutation
@@ -13,10 +16,14 @@ relations, Gauss decompositions in both triangular orders, and the
 reflected matrix (T(-u))^{-1} whose minors mirror ordinary ones.  The
 commutation of an entry with a minor is checked from the minor and its
 row- and column-replaced minors, which a sweep over every entry looks
-up once per index set.
+up once per index set.  Entries T_ij(u) and quantum minors are memoised
+per context and order; the minor cache answers a key exactly as given
+before it checks and sorts the rows.  A sweep over the minors of one
+reflected matrix shares one sub-minor memo.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 from .algebra import (
@@ -47,6 +54,23 @@ def rmatrix(n, u):
             row = a * n + b
             out[row][row] += 1
             out[row][b * n + a] += 1 / u
+    return out
+
+
+def scaled_rmatrix(n, u):
+    """q u R(u) = p I + q P at u = p/q in lowest terms: an integer matrix
+    with the nonzeros of R(u), proportional to it by the nonzero q u."""
+    u = Fraction(u)
+    if u == 0:
+        raise ValueError("spectral point must be nonzero")
+    p, q = u.numerator, u.denominator
+    size = n * n
+    out = [[ZERO] * size for _ in range(size)]
+    for a in range(n):
+        for b in range(n):
+            row = a * n + b
+            out[row][row] += p
+            out[row][b * n + a] += q
     return out
 
 
@@ -111,12 +135,18 @@ def embed_pair(n, r, slot_a, slot_b):
 
 
 def yang_baxter_check(n, u, v):
-    """R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u) at exact points."""
+    """R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u) at exact points.
+
+    Each side is a product of one R factor at each of u, u+v and v, so
+    both sides scale by the same nonzero integer when every factor is
+    replaced by its integer multiple `scaled_rmatrix`; the products then
+    run over integers and the check is exactly equivalent.
+    """
     rep = Report("yang-baxter", n=n, u=str(u), v=str(v))
     u, v = Fraction(u), Fraction(v)
-    r12 = embed_pair(n, rmatrix(n, u), 0, 1)
-    r13 = embed_pair(n, rmatrix(n, u + v), 0, 2)
-    r23 = embed_pair(n, rmatrix(n, v), 1, 2)
+    r12 = embed_pair(n, scaled_rmatrix(n, u), 0, 1)
+    r13 = embed_pair(n, scaled_rmatrix(n, u + v), 0, 2)
+    r23 = embed_pair(n, scaled_rmatrix(n, v), 1, 2)
     lhs = mat_mul(mat_mul(r12, r13), r23)
     rhs = mat_mul(mat_mul(r23, r13), r12)
     rep.tally()
@@ -149,8 +179,11 @@ def transposition_symmetry_check(n, u):
 # ---------------------------------------------------------------------------
 # generating matrix and quantum minors
 
+@lru_cache(maxsize=None)
 def t_entry(ctx, i, j, order):
-    """The series T_{i,j}(u) = delta_{ij} + sum_k T_{i,j}^{(k)} u^{-k}."""
+    """The series T_{i,j}(u) = delta_{ij} + sum_k T_{i,j}^{(k)} u^{-k},
+    built once per (ctx, i, j, order); series are never mutated, so
+    every caller shares it."""
     coeffs = {k: generator(ctx, i, j, k) for k in range(1, order + 1)}
     if i == j:
         coeffs[0] = unit(ctx)
@@ -187,22 +220,37 @@ def quantum_minor(ctx, rows, cols, order):
     and computed by expanding along the last column over memoised
     sub-minors.  Rows are normalized by sorting (a relabelling of the
     defining sum); columns are taken exactly as given.
+
+    The key is looked up exactly as given first, so a hit skips the
+    range check and the sort.  Only keys that pass the checks are
+    stored: the sorted key with its computed minor, and the given key,
+    if different, with the signed result.
     """
     rows, cols = tuple(rows), tuple(cols)
+    key = (ctx, rows, cols, order)
+    hit = _MINOR_CACHE.get(key)
+    if hit is not None:
+        return hit
     if len(rows) != len(cols):
         raise ValueError("rows and columns must have equal length")
     if not all(1 <= r <= ctx.n for r in rows + cols):
         raise ValueError("minor indices out of range")
     if not rows:
-        return Series.constant(ctx, order)
-    sorted_rows, sign = _minor_rows_normalized(rows)
-    if sign == 0:
-        return Series(ctx, order)
-    key = (ctx, sorted_rows, cols, order)
-    hit = _MINOR_CACHE.get(key)
-    if hit is None:
-        hit = _MINOR_CACHE[key] = _minor_sum(ctx, sorted_rows, cols, order)
-    return hit if sign == 1 else -hit
+        out = Series.constant(ctx, order)
+    else:
+        sorted_rows, sign = _minor_rows_normalized(rows)
+        if sign == 0:
+            out = Series(ctx, order)
+        else:
+            sorted_key = (ctx, sorted_rows, cols, order)
+            out = _MINOR_CACHE.get(sorted_key)
+            if out is None:
+                out = _MINOR_CACHE[sorted_key] = _minor_sum(
+                    ctx, sorted_rows, cols, order)
+            if sign == -1:
+                out = -out
+    _MINOR_CACHE[key] = out
+    return out
 
 
 def _minor_sum(ctx, rows, cols, order):
@@ -327,7 +375,8 @@ def minor_commutation_case(ctx, i, j, rows, cols, order, minor, col_repl,
     [T_ij^(a+1), c_b] - [T_ij^(a), c_(b+1)], with c_b the coefficient of
     the minor, so each bracket serves two cases and is formed once.
     T^(0) is the scalar delta, so its products select a coefficient.
-    Each right side is summed into one raw dict and reduced once.
+    Each right side is summed into one raw dict and reduced once; the
+    generators T_{i,b_k}^(a) and T_{a_k,j}^(a) are made once per a.
     """
     rep = Report("minor-commutation", n=ctx.n, mode=ctx.mode, i=i, j=j,
                  rows=rows, cols=cols, order=order)
@@ -337,23 +386,26 @@ def minor_commutation_case(ctx, i, j, rows, cols, order, minor, col_repl,
         x = generator(ctx, i, j, r)
         for b in range(order + 1 - r):
             bracket[r, b] = commutator(x, c[b])
+    m = len(rows)
     for a in range(order):
+        if a >= 1:
+            col_gen = [generator(ctx, i, cols[k], a) for k in range(m)]
+            row_gen = [generator(ctx, rows[k], j, a) for k in range(m)]
         for b in range(order - a):
             lhs = bracket[a + 1, b]
             if a >= 1:
                 lhs = lhs - bracket[a, b + 1]
             raw = {}
-            for k in range(len(rows)):
+            for k in range(m):
                 if a == 0:
                     if i == cols[k]:
                         _add_into(raw, col_repl[k].coefficient(b), 1)
                     if rows[k] == j:
                         _add_into(raw, row_repl[k].coefficient(b), -1)
                 else:
-                    col_repl[k].coefficient(b)._mul_into(
-                        generator(ctx, i, cols[k], a), raw)
-                    generator(ctx, rows[k], j, a)._mul_into(
-                        row_repl[k].coefficient(b), raw, -1)
+                    col_repl[k].coefficient(b)._mul_into(col_gen[k], raw)
+                    row_gen[k]._mul_into(row_repl[k].coefficient(b), raw,
+                                         -1)
             rep.check("u^-%d v^-%d" % (a, b), lhs, Element(ctx, raw))
     return rep
 
@@ -365,14 +417,14 @@ def minor_centrality_check(ctx, rows, cols, order):
                  rows=rows, cols=cols, order=order)
     minor = quantum_minor(ctx, rows, cols, order)
     nil = zero(ctx)
-    pairs = [(i, j) for i in rows for j in cols]
-    for (i, j) in pairs:
-        for r in range(1, order + 1):
-            for s in range(0, order - r + 1):
+    c = [minor.coefficient(s) for s in range(order)]
+    for i in rows:
+        for j in cols:
+            for r in range(1, order + 1):
                 x = generator(ctx, i, j, r)
-                c = minor.coefficient(s)
-                rep.check("T_%d%d^(%d) vs u^-%d" % (i, j, r, s),
-                          commutator(x, c), nil)
+                for s in range(0, order - r + 1):
+                    rep.check("T_%d%d^(%d) vs u^-%d" % (i, j, r, s),
+                              commutator(x, c[s]), nil)
     return rep
 
 
@@ -382,14 +434,16 @@ def qdet_centrality_check(ctx, order, mode_bound):
     q = qdet(ctx, order)
     n = ctx.n
     nil = zero(ctx)
+    gen = {(i, j, l): generator(ctx, i, j, l)
+           for i in range(1, n + 1) for j in range(1, n + 1)
+           for l in range(1, mode_bound)}
     for k in range(1, mode_bound + 1):
         c = q.coefficient(k)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 for l in range(1, mode_bound - k + 1):
-                    x = generator(ctx, i, j, l)
                     rep.check("qdet_%d vs T_%d%d^(%d)" % (k, i, j, l),
-                              commutator(c, x), nil)
+                              commutator(c, gen[i, j, l]), nil)
     return rep
 
 
@@ -546,28 +600,37 @@ def t_star_matrix(ctx, order):
     return neg.inverse()
 
 
-def matrix_minor(mat, rows, cols):
+def matrix_minor(mat, rows, cols, memo=None):
     """Quantum minor of an arbitrary series matrix (column-shift form),
-    by last-column expansion over sub-minors memoised within the call."""
-    # keyed on rows alone: a sub-minor's columns are always the leading
-    # len(rows) columns
-    memo = {}
+    by last-column expansion over memoised sub-minors.
+
+    `memo` maps (rows, leading columns) to the minor of `mat` there; a
+    sweep over many minors of one matrix passes one dict to every call
+    and shares the sub-minors, and without it the memo lives for the
+    call only.
+    """
+    if memo is None:
+        memo = {}
 
     def minor(sub_rows, sub_cols):
         if not sub_rows:
             return Series.constant(mat.ctx, mat.order)
-        if sub_rows not in memo:
-            memo[sub_rows] = _expand_last_column(
+        key = (sub_rows, sub_cols)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _expand_last_column(
                 mat.entry, minor, sub_rows, sub_cols,
                 Series(mat.ctx, mat.order))
-        return memo[sub_rows]
+        return out
 
     return minor(tuple(rows), tuple(cols))
 
 
-def reflected_minor(star, rows, cols, shift):
-    """Minor of the reflected matrix star = (T(-u))^{-1}, at -u-shift."""
-    return matrix_minor(star, rows, cols).negate_variable().shift(shift)
+def reflected_minor(star, rows, cols, shift, memo=None):
+    """Minor of the reflected matrix star = (T(-u))^{-1}, at -u-shift;
+    `memo` is the sub-minor memo of `star`, as in matrix_minor."""
+    minor = matrix_minor(star, rows, cols, memo)
+    return minor.negate_variable().shift(shift)
 
 
 def star_minor_identities_check(ctx, order):
@@ -578,9 +641,10 @@ def star_minor_identities_check(ctx, order):
     rep = Report("star-minor-reflection", n=ctx.n, order=order)
     n = ctx.n
     star = t_star_matrix(ctx, order)
+    memo = {}
 
     def refl(rows, cols):
-        return reflected_minor(star, rows, cols, n - 1)
+        return reflected_minor(star, rows, cols, n - 1, memo)
 
     for m in range(1, n + 1):
         head = tuple(range(1, m + 1))

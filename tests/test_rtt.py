@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -101,6 +101,41 @@ def test_yang_baxter_sides_differ_at_a_wrong_argument(n):
             assert (lhs == rhs) is equal, (u, v, arg)
 
 
+@pytest.mark.parametrize("u", [3, Fraction(-7, 2), Fraction(5, 3)])
+def test_scaled_rmatrix_is_q_u_times_rmatrix(u):
+    # q u R(u) = p I + q P at u = p/q: integer entries, same nonzeros
+    u = Fraction(u)
+    scale = u.denominator * u
+    for n in (2, 3):
+        scaled = rtt.scaled_rmatrix(n, u)
+        plain = rtt.rmatrix(n, u)
+        assert scaled == [[scale * x for x in row] for row in plain]
+        assert all(type(x) is int for row in scaled for x in row)
+
+
+def test_scaled_rmatrix_rejects_zero():
+    for z in (0, Fraction(0, 3)):
+        with pytest.raises(ValueError):
+            rtt.scaled_rmatrix(2, z)
+    with pytest.raises(ValueError):
+        rtt.yang_baxter_check(2, Fraction(1, 2), Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scaled_yang_baxter_sides_differ_at_a_wrong_argument(n):
+    # the scaled factors must keep the check sharp: a wrong R13 shows
+    for u, v in [(Fraction(1, 2), Fraction(-3)), (Fraction(7, 3), 2),
+                 (5, Fraction(2, 5))]:
+        u, v = Fraction(u), Fraction(v)
+        r12 = rtt.embed_pair(n, rtt.scaled_rmatrix(n, u), 0, 1)
+        r23 = rtt.embed_pair(n, rtt.scaled_rmatrix(n, v), 1, 2)
+        for arg, equal in ((u + v, True), (u - v, False)):
+            r13 = rtt.embed_pair(n, rtt.scaled_rmatrix(n, arg), 0, 2)
+            lhs = rtt.mat_mul(rtt.mat_mul(r12, r13), r23)
+            rhs = rtt.mat_mul(rtt.mat_mul(r23, r13), r12)
+            assert (lhs == rhs) is equal, (u, v, arg)
+
+
 def test_qdet_n2_matches_handmade():
     ctx = Context(2, 4)
     t11 = rtt.t_entry(ctx, 1, 1, 4)
@@ -191,6 +226,91 @@ def test_minor_engine_matches_permutation_sums_n4():
                         == rtt.minor_by_permutations(star, rows, cols))
     idx = (1, 2, 3, 4)
     assert rtt.qdet(ctx, 2) == rtt.minor_by_permutations(t, idx, idx)
+
+
+def _all_index_sets(n):
+    return [(rows, cols) for m in range(1, n + 1)
+            for rows in combinations(range(1, n + 1), m)
+            for cols in combinations(range(1, n + 1), m)]
+
+
+@pytest.mark.parametrize("n, order", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_matrix_minor_shared_memo_equals_fresh_memo(n, order):
+    # one memo shared over a whole sweep, in either direction, gives the
+    # minor a memo made for that call alone gives
+    star = rtt.t_star_matrix(Context(n, order), order)
+    sets = _all_index_sets(n)
+    fresh = {key: rtt.matrix_minor(star, *key) for key in sets}
+    for sweep in (sets, sets[::-1]):
+        memo = {}
+        for rows, cols in sweep:
+            got = rtt.matrix_minor(star, rows, cols, memo)
+            assert got == fresh[rows, cols], (rows, cols)
+            assert (rtt.reflected_minor(star, rows, cols, n - 1, memo)
+                    == fresh[rows, cols].negate_variable().shift(n - 1))
+
+
+@pytest.mark.parametrize("sorted_first", [True, False])
+def test_minor_cache_signs_permuted_and_repeated_rows(monkeypatch,
+                                                      sorted_first):
+    # whichever of a permuted key and its sorted key is looked up first,
+    # the permuted one is the sorted minor times the permutation's sign,
+    # and the defining permutation sum agrees
+    monkeypatch.setattr(rtt, "_MINOR_CACHE", {})
+    ctx = Context(3, 2)
+    t = rtt.t_matrix(ctx, 2)
+    for cols in [(1, 2, 3), (3, 1, 2), (2, 3)]:
+        base = tuple(range(1, len(cols) + 1))
+        for rows in permutations(base):
+            sign = rtt.perm_sign(tuple(r - 1 for r in rows))
+            lookups = [base, rows] if sorted_first else [rows, base]
+            got = {r: rtt.quantum_minor(ctx, r, cols, 2) for r in lookups}
+            assert got[rows] == got[base] * sign, (rows, cols)
+            assert got[rows] == rtt.minor_by_permutations(t, rows, cols)
+            again = rtt.quantum_minor(ctx, list(rows), list(cols), 2)
+            assert again == got[rows]
+    for rows in [(1, 1), (2, 1, 2), (3, 3, 1)]:
+        cols = tuple(range(1, len(rows) + 1))
+        for _ in range(2):
+            assert rtt.quantum_minor(ctx, rows, cols, 2).is_zero()
+        assert rtt.minor_by_permutations(t, rows, cols).is_zero()
+
+
+def test_minor_cache_still_rejects_bad_indices(monkeypatch):
+    monkeypatch.setattr(rtt, "_MINOR_CACHE", {})
+    ctx = Context(3, 2)
+    for rows, cols in _all_index_sets(3) + [((2, 1), (1, 3)), ((), ())]:
+        rtt.quantum_minor(ctx, rows, cols, 2)
+    stored = dict(rtt._MINOR_CACHE)
+    bad = [((1, 2), (1,)), ((1,), (1, 2)), ((), (1,)),
+           ((0, 1), (1, 2)), ((1, 4), (1, 2)), ((1, 2), (2, 4)),
+           ((4,), (4,)), ((1, 2, 3), (1, 2, -1))]
+    for rows, cols in bad:
+        with pytest.raises(ValueError):
+            rtt.quantum_minor(ctx, rows, cols, 2)
+    assert rtt._MINOR_CACHE == stored
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_memoised_t_entry_equals_a_fresh_build(n, mode):
+    # T_ij(u) = delta_ij + sum_k T_ij^(k) u^-k from the public
+    # constructor, SL T_nn (eliminated) included; a repeated call is
+    # the same object
+    ctx = Context(n, 3, mode)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            coeffs = {k: generator(ctx, i, j, k) for k in range(1, 4)}
+            if i == j:
+                coeffs[0] = unit(ctx)
+            want = Series(ctx, 3, coeffs)
+            got = rtt.t_entry(ctx, i, j, 3)
+            assert got == want, (i, j)
+            assert rtt.t_entry(Context(n, 3, mode), i, j, 3) is got
+            assert rtt.t_entry(ctx, i, j, 2) == Series(
+                ctx, 2, {k: c for k, c in coeffs.items() if k <= 2})
+    with pytest.raises(ValueError):
+        rtt.t_entry(ctx, n + 1, 1, 3)
 
 
 def test_minor_commutation_cases():
