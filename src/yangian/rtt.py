@@ -42,36 +42,35 @@ def perm_sign(perm):
     return -1 if inv % 2 else 1
 
 
-def rmatrix(n, u):
-    """R(u) = I + P/u on the tensor square, as an n^2 x n^2 matrix."""
+def _spectral_point(u):
     u = Fraction(u)
     if u == 0:
         raise ValueError("spectral point must be nonzero")
+    return u
+
+
+def _identity_plus_swap(n, x, y):
+    """x I + y P on the tensor square, as an n^2 x n^2 matrix."""
     size = n * n
     out = [[ZERO] * size for _ in range(size)]
     for a in range(n):
         for b in range(n):
             row = a * n + b
-            out[row][row] += 1
-            out[row][b * n + a] += 1 / u
+            out[row][row] += x
+            out[row][b * n + a] += y
     return out
+
+
+def rmatrix(n, u):
+    """R(u) = I + P/u on the tensor square, as an n^2 x n^2 matrix."""
+    return _identity_plus_swap(n, 1, 1 / _spectral_point(u))
 
 
 def scaled_rmatrix(n, u):
     """q u R(u) = p I + q P at u = p/q in lowest terms: an integer matrix
     with the nonzeros of R(u), proportional to it by the nonzero q u."""
-    u = Fraction(u)
-    if u == 0:
-        raise ValueError("spectral point must be nonzero")
-    p, q = u.numerator, u.denominator
-    size = n * n
-    out = [[ZERO] * size for _ in range(size)]
-    for a in range(n):
-        for b in range(n):
-            row = a * n + b
-            out[row][row] += p
-            out[row][b * n + a] += q
-    return out
+    u = _spectral_point(u)
+    return _identity_plus_swap(n, u.numerator, u.denominator)
 
 
 def transposed_rmatrix(n, u):

@@ -89,16 +89,19 @@ def test_mat_mul_matches_triple_loop():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_yang_baxter_sides_differ_at_a_wrong_argument(n):
-    # the check compares full matrices, so a wrong R13 must show
-    for u, v in [(Fraction(1, 2), Fraction(-3)), (Fraction(7, 3), 2),
-                 (5, Fraction(2, 5))]:
-        r12 = rtt.embed_pair(n, rtt.rmatrix(n, u), 0, 1)
-        r23 = rtt.embed_pair(n, rtt.rmatrix(n, v), 1, 2)
-        for arg, equal in ((u + v, True), (u - v, False)):
-            r13 = rtt.embed_pair(n, rtt.rmatrix(n, arg), 0, 2)
-            lhs = rtt.mat_mul(rtt.mat_mul(r12, r13), r23)
-            rhs = rtt.mat_mul(rtt.mat_mul(r23, r13), r12)
-            assert (lhs == rhs) is equal, (u, v, arg)
+    # the check compares full matrices, so a wrong R13 must show, also
+    # with the integer multiples of R the check multiplies
+    for build in (rtt.rmatrix, rtt.scaled_rmatrix):
+        for u, v in [(Fraction(1, 2), Fraction(-3)), (Fraction(7, 3), 2),
+                     (5, Fraction(2, 5))]:
+            u, v = Fraction(u), Fraction(v)
+            r12 = rtt.embed_pair(n, build(n, u), 0, 1)
+            r23 = rtt.embed_pair(n, build(n, v), 1, 2)
+            for arg, equal in ((u + v, True), (u - v, False)):
+                r13 = rtt.embed_pair(n, build(n, arg), 0, 2)
+                lhs = rtt.mat_mul(rtt.mat_mul(r12, r13), r23)
+                rhs = rtt.mat_mul(rtt.mat_mul(r23, r13), r12)
+                assert (lhs == rhs) is equal, (build, u, v, arg)
 
 
 @pytest.mark.parametrize("u", [3, Fraction(-7, 2), Fraction(5, 3)])
@@ -119,21 +122,6 @@ def test_scaled_rmatrix_rejects_zero():
             rtt.scaled_rmatrix(2, z)
     with pytest.raises(ValueError):
         rtt.yang_baxter_check(2, Fraction(1, 2), Fraction(-1, 2))
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_scaled_yang_baxter_sides_differ_at_a_wrong_argument(n):
-    # the scaled factors must keep the check sharp: a wrong R13 shows
-    for u, v in [(Fraction(1, 2), Fraction(-3)), (Fraction(7, 3), 2),
-                 (5, Fraction(2, 5))]:
-        u, v = Fraction(u), Fraction(v)
-        r12 = rtt.embed_pair(n, rtt.scaled_rmatrix(n, u), 0, 1)
-        r23 = rtt.embed_pair(n, rtt.scaled_rmatrix(n, v), 1, 2)
-        for arg, equal in ((u + v, True), (u - v, False)):
-            r13 = rtt.embed_pair(n, rtt.scaled_rmatrix(n, arg), 0, 2)
-            lhs = rtt.mat_mul(rtt.mat_mul(r12, r13), r23)
-            rhs = rtt.mat_mul(rtt.mat_mul(r23, r13), r12)
-            assert (lhs == rhs) is equal, (u, v, arg)
 
 
 def test_qdet_n2_matches_handmade():
