@@ -190,6 +190,9 @@ ALL_JSON_SHA256 = {
     3: "dcfa70f9f80b4cd64e0d68dec96de2854670f833bda3a66493a019aab668269b",
     # n=4 is the smallest rank where formula checks fail and are diagnosed
     4: "2e516a548b0bf294dd593ac865d82ddaf06224e3f9b5e97b64ffe9b65c753313",
+    # n=5 and n=6 fail the hat composites at further indices
+    5: "7ea93a51666e90b34d28850ed051a902c8f5c3fac9bdff730883293a75cc4814",
+    6: "4506a377add082cd72ad3c4926144019cd0bea6f8d1dcd916bbb0a75868c8e58",
 }
 
 
