@@ -7,6 +7,13 @@ else here transports that structure to the currents: generalized
 adjoint operators built from degree-one root vectors, their composites,
 closed coproduct/antipode formulas for the currents, and checkers that
 compare each formula against the transported (pullback) maps.
+
+Each composite of root actions is data, a chain spec (side, alpha,
+steps).  A step (kind, low, high, offset) is a root action "e" (raising)
+or "f" (lowering) on the root (low, high), or a diagonal step "d", at the
+chain's base shift plus offset; steps act right to left, as the printed
+product reads.  `composite_spec` and `hat_spec` write the printed chains,
+and `chain` alone turns a spec into an operator.
 """
 
 from fractions import Fraction
@@ -404,9 +411,9 @@ class CurrentFrame:
 
     A frame memoises, each under a key that names every input it reads:
     the pairing series g and g~, the spectral corrections of the root
-    actions, the denominator and numerators of the antipode formulas, and
-    the whole antipode and coproduct formulas.  A diagnosis that moves one
-    spectral slot therefore rebuilds only the pieces reading that slot.
+    actions, applied chain specs, the inverted antipode denominators and
+    the whole current formulas.  A diagnosis that moves one spectral slot
+    therefore rebuilds only the pieces reading that slot.
 
     A frame lives for one check function and is dropped with it; nothing
     it holds outlives the check.  Sharing the stored results is safe
@@ -447,6 +454,16 @@ class CurrentFrame:
 
     def constant_one(self, model):
         return Series.constant(self.ctx, model.order, arity=model.arity)
+
+    def apply_chain(self, spec, shift, gate, arg):
+        """A chain spec at a shift applied to arg = (name, index, shift):
+        the current "e", "f" or "h", or the pairing series "g" or "gt"."""
+        def build():
+            name, i, at = arg
+            series = (self.g(i) if name == "g" else self.g_tilde(i)
+                      if name == "gt" else self.current(name, i))
+            return chain(self, spec, shift, gate)(series.shift(at))
+        return self.memo(("chain", spec, shift, gate, arg), build)
 
 
 def _gate_fires(alpha, i, j, gate):
@@ -519,75 +536,65 @@ def elementary_diagonal(frame, side, alpha, i, j, shift, gate="printed"):
     return lambda x: x + e_op(f_op(x))
 
 
-def _chain(ops):
-    def act(x):
-        y = x
-        for op in reversed(ops):
-            y = op(y)
-        return y
-    return act
-
-
-def composite(frame, kind, side, alpha, ks, shift, gate="printed"):
+def composite_spec(kind, side, alpha, ks):
     """Ordered product of elementary actions over an index set.
 
-    kind "e" (raising) or "f" (lowering) takes root actions, kind "h"
+    kind "e" (raising) or "f" (lowering) takes root steps, kind "h"
     diagonal steps; step p pairs p with k_p, the last step m+1 with k_m.
     """
-    ks = tuple(ks)
-    if not ks:
+    lows = tuple(range(1, len(ks))) + (len(ks) + 1,)
+    step = "d" if kind == "h" else kind
+    return side, alpha, tuple((step, low, high, 0)
+                              for low, high in zip(lows, ks))
+
+
+def hat_spec(n, kind, m):
+    """Hat composite of the antipode formulas: raising (kind "e") from the
+    right, lowering (kind "f") from the left.  The single-step case puts
+    the extra +1 on the factor of the hat's own kind, the composite case
+    on the raising factors."""
+    if not 1 <= m <= n - 1:
+        raise ValueError("index out of range")
+    diagonals = tuple(("d", p, n - m + p, 0) for p in range(2, m))
+    if kind == "e":
+        steps = ((("e", 2, n, 1), ("f", 1, n - 1, 0)) if m == 1 else
+                 (("e", 1, n - m + 1, 1), ("f", 1, n - m, 0)) + diagonals
+                 + (("e", m + 1, n, 1), ("f", m, n, 0)))
+        return "R", m, steps
+    steps = ((("e", 1, n - 1, 0), ("f", 2, n, 1)) if m == 1 else
+             (("e", 1, n - m, 1), ("f", 1, n - m + 1, 0)) + diagonals
+             + (("e", m, n, 1), ("f", m + 1, n, 0)))
+    return "L", m, steps
+
+
+def uniform_shifts(spec):
+    """The single-step shift pattern at every size: +1 on the root steps
+    of the chain's own kind (lowering on side "L", raising on side "R"),
+    0 on the others.  The identity on both single-step hats."""
+    side, alpha, steps = spec
+    own = "f" if side == "L" else "e"
+    return side, alpha, tuple(
+        (kind, low, high, offset if kind == "d" else int(kind == own))
+        for kind, low, high, offset in steps)
+
+
+def chain(frame, spec, shift, gate="printed"):
+    """The operator of a chain spec at a base spectral shift; an empty
+    chain maps every argument to the constant series 1."""
+    side, alpha, steps = spec
+    if not steps:
         return frame.constant_one
-    m = len(ks)
-    lows = list(range(1, m)) + [m + 1]
-    if kind == "h":
-        return _chain([elementary_diagonal(frame, side, alpha, low, high,
-                                           shift, gate)
-                       for low, high in zip(lows, ks)])
-    return _chain([elementary_root(frame, kind, side, alpha, low, high,
-                                   shift, gate)
-                   for low, high in zip(lows, ks)])
+    ops = [elementary_diagonal(frame, side, alpha, low, high, shift + offset,
+                               gate) if kind == "d"
+           else elementary_root(frame, kind, side, alpha, low, high,
+                                shift + offset, gate)
+           for kind, low, high, offset in reversed(steps)]
 
-
-def hat_raising(frame, m, shift, gate="printed"):
-    """Raising-sector composite used by the antipode formulas."""
-    n = frame.ctx.n
-    if not 1 <= m <= n - 1:
-        raise ValueError("index out of range")
-    if m == 1:
-        ops = [elementary_root(frame, "e", "R", 1, 2, n, shift + 1, gate),
-               elementary_root(frame, "f", "R", 1, 1, n - 1, shift, gate)]
-        return _chain(ops)
-    ops = [elementary_root(frame, "e", "R", m, 1, n - m + 1, shift + 1, gate),
-           elementary_root(frame, "f", "R", m, 1, n - m, shift, gate)]
-    ops.extend(elementary_diagonal(frame, "R", m, p, n - m + p, shift, gate)
-               for p in range(2, m))
-    ops.append(elementary_root(frame, "e", "R", m, m + 1, n, shift + 1, gate))
-    ops.append(elementary_root(frame, "f", "R", m, m, n, shift, gate))
-    return _chain(ops)
-
-
-def hat_lowering(frame, m, shift, gate="printed", pattern="printed"):
-    """Lowering-sector composite used by the antipode formulas.
-
-    pattern "printed" follows the text: the single-step case puts the
-    extra +1 on the lowering factor, the composite case on the raising
-    factors.  "uniform" extends the single-step pattern to every size.
-    """
-    n = frame.ctx.n
-    if not 1 <= m <= n - 1:
-        raise ValueError("index out of range")
-    if m == 1:
-        ops = [elementary_root(frame, "e", "L", 1, 1, n - 1, shift, gate),
-               elementary_root(frame, "f", "L", 1, 2, n, shift + 1, gate)]
-        return _chain(ops)
-    up, low = (shift + 1, shift) if pattern == "printed" else (shift, shift + 1)
-    ops = [elementary_root(frame, "e", "L", m, 1, n - m, up, gate),
-           elementary_root(frame, "f", "L", m, 1, n - m + 1, low, gate)]
-    ops.extend(elementary_diagonal(frame, "L", m, p, n - m + p, shift, gate)
-               for p in range(2, m))
-    ops.append(elementary_root(frame, "e", "L", m, m, n, up, gate))
-    ops.append(elementary_root(frame, "f", "L", m, m + 1, n, low, gate))
-    return _chain(ops)
+    def act(x):
+        for op in ops:
+            x = op(x)
+        return x
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +650,8 @@ def ratio_identities_check(n, order, gate="printed"):
                 minor = (quantum_minor(ctx, top, a, order) if kind == "e"
                          else quantum_minor(ctx, a, top, order))
                 lhs = inv * minor if side == "L" else minor * inv
-                rhs = composite(frame, kind, side, i, a, shift, gate)(arg)
+                rhs = chain(frame, composite_spec(kind, side, i, a), shift,
+                            gate)(arg)
                 _series_match(rep, "i=%d,a=%s" % (i, a), lhs, rhs, order)
         reports.append(rep)
     return reports
@@ -661,19 +669,19 @@ def diagonal_ratio_check(n, order, gate="printed"):
         for j in range(1, i + 2):
             ks = (j,) + tuple(range(i + 2, n + 1))
             block = quantum_minor(ctx, ks, ks, order)
-            op_r = composite(frame, "h", "R", m, ks, c, gate)
+            op_r = chain(frame, composite_spec("h", "R", m, ks), c, gate)
             _series_match(rep, "right,i=%d,j=%d" % (i, j),
                           block * inv, op_r(frame.g(m).shift(c)), order)
-            op_l = composite(frame, "h", "L", m, ks, c, gate)
+            op_l = chain(frame, composite_spec("h", "L", m, ks), c, gate)
             _series_match(rep, "left,i=%d,j=%d" % (i, j),
                           inv * block, op_l(frame.g_tilde(m).shift(c)), order)
     return rep
 
 
 # probes of a failing hat composite: name, operator shift, argument
-# shift and shift pattern
-HAT_VARIANTS = (("op-1", -1, 0, "printed"), ("arg-1", 0, -1, "printed"),
-                ("uniform-shift-pattern", 0, 0, "uniform"))
+# shift and spec transform (None keeps the printed chain)
+HAT_VARIANTS = (("op-1", -1, 0, None), ("arg-1", 0, -1, None),
+                ("uniform-shift-pattern", 0, 0, uniform_shifts))
 
 
 def hat_ratio_check(n, order, gate="printed", diagnose=True):
@@ -695,21 +703,21 @@ def hat_ratio_check(n, order, gate="printed", diagnose=True):
         down = quantum_minor(ctx, (i + 1,) + tail, (i,) + tail, order)
         for kind, label, lhs in (("e", "raise,i=%d" % i, up * inv),
                                  ("f", "lower,i=%d" % i, inv * down)):
-            def image(d_op=0, d_arg=0, pattern="printed"):
-                hat = (hat_raising(frame, m, c + d_op, gate) if kind == "e"
-                       else hat_lowering(frame, m, c + d_op, gate, pattern))
-                return hat(frame.current(kind, m).shift(c + 1 + d_arg))
+            def image(d_op=0, d_arg=0, transform=None):
+                spec = hat_spec(n, kind, m)
+                return frame.apply_chain(
+                    transform(spec) if transform else spec, c + d_op, gate,
+                    (kind, m, c + 1 + d_arg))
             got = image()
             bad = _first_mismatch(got, lhs, order)
             repaired = []
             if bad is not None:
                 rep.note("%s: earliest failing degree %d" % (label, bad))
                 if diagnose:
-                    for name, d_op, d_arg, pattern in HAT_VARIANTS:
-                        # the raising hat has a single shift pattern
-                        if kind == "e" and pattern != "printed":
-                            continue
-                        cand = image(d_op, d_arg, pattern)
+                    for name, d_op, d_arg, transform in HAT_VARIANTS:
+                        # the raising hat has a single shift pattern, so
+                        # the uniform one reproduces its failure
+                        cand = image(d_op, d_arg, transform)
                         if _first_mismatch(cand, lhs, order) is None:
                             repaired.append(name)
                     rep.note("%s: %s" % (
@@ -768,6 +776,9 @@ def _build_delta(frame, kind, i, s, gate, f_head_pairing):
     f_arg = fi.shift(s["arg_f"])
     power = None
 
+    def op(sector, a, slot, side="R"):
+        return chain(frame, composite_spec(sector, side, i, a), s[slot], gate)
+
     if kind in ("e", "f"):
         # mirror pair: "e" acts from the left and puts the current in the
         # right slot, "f" acts from the right and fills the left slot
@@ -778,8 +789,7 @@ def _build_delta(frame, kind, i, s, gate, f_head_pairing):
         own = (ei if kind == "e" else fi).shift(s["head_arg"])
         head = slot_embed(own, 2, 1 if kind == "e" else 0)
         for a in subsets:
-            eop = composite(frame, "e", side, i, a, s["op_e"], gate)
-            fop = composite(frame, "f", side, i, a, s["op_f"], gate)
+            eop, fop = op("e", a, "op_e", side), op("f", a, "op_f", side)
             left, right = eop(e_arg), fop(f_arg)
             term = series_outer(left, right)
             power = term if power is None else power + term
@@ -793,12 +803,10 @@ def _build_delta(frame, kind, i, s, gate, f_head_pairing):
     pair = frame.g(i).shift(s["arg_pair"])
     head = series_outer(fi.shift(s["head_f"]), ei.shift(s["head_e"]))
     for a in subsets:
-        eop = composite(frame, "e", "R", i, a, s["op_e"], gate)
-        term = series_outer(eop(e_arg), composite(
-            frame, "f", "R", i, a, s["op_f_pow"], gate)(f_arg))
+        eop = op("e", a, "op_e")
+        term = series_outer(eop(e_arg), op("f", a, "op_f_pow")(f_arg))
         power = term if power is None else power + term
-        head = head + series_outer(eop(pair), composite(
-            frame, "f", "R", i, a, s["op_f_head"], gate)(pair))
+        head = head + series_outer(eop(pair), op("f", a, "op_f_head")(pair))
     base = head * geometric_unit_sum(-power)
     sub = (formula_delta(frame, "f", i, gate=gate)
            * formula_delta(frame, "e", i, gate=gate).shift(s["sub_shift"]))
@@ -807,7 +815,8 @@ def _build_delta(frame, kind, i, s, gate, f_head_pairing):
 
 def _first_mismatch(lhs, rhs, upto):
     for k in range(upto + 1):
-        if not (lhs.coefficient(k) - rhs.coefficient(k)).is_zero():
+        a, b = lhs.coefficient(k), rhs.coefficient(k)
+        if a != b and not (a - b).is_zero():
             return k
     return None
 
@@ -883,19 +892,12 @@ ANTIPODE_SLOTS = {
 }
 
 
-def _hat_numerator(frame, kind, m, op, arg, gate, pattern):
-    """The hat composite at m applied to the shifted current of kind."""
-    hat = (hat_raising(frame, m, op, gate) if kind == "e"
-           else hat_lowering(frame, m, op, gate, pattern))
-    return hat(frame.current(kind, m).shift(arg))
-
-
 def formula_antipode(frame, kind, i, shifts=None, gate="printed"):
     """Antipode of a current, centered at u + n/2, from the hat formulas.
 
     The frame keeps the result, and inside it the denominator and each
-    numerator under the slots they read, so a probe that moves one slot
-    rebuilds only the piece reading it.
+    applied chain under the slots they read, so a probe that moves one
+    slot rebuilds only the piece reading it.
     """
     if kind not in ANTIPODE_SLOTS:
         raise ValueError("unknown current kind %r" % (kind,))
@@ -910,26 +912,22 @@ def _build_antipode(frame, kind, i, s, gate):
     m = n - i
     # the e formula divides on the right by the g series, the f and h
     # formulas on the left by the g~ series
-    if kind == "e":
-        side, pairing = "R", frame.g(m)
-    else:
-        side, pairing = "L", frame.g_tilde(m)
+    side, pairing = ("R", "g") if kind == "e" else ("L", "gt")
+    den_spec = composite_spec("h", side, m, tuple(range(i + 1, n + 1)))
+    den_arg = (pairing, m, s["den_arg"])
     den = frame.memo(
-        ("den", side, i, s["den_op"], s["den_arg"], gate),
-        lambda: composite(frame, "h", side, m, tuple(range(i + 1, n + 1)),
-                          s["den_op"], gate)(
-            pairing.shift(s["den_arg"])).invert())
+        ("den", den_spec, s["den_op"], gate, den_arg),
+        lambda: frame.apply_chain(den_spec, s["den_op"], gate,
+                                  den_arg).invert())
     if kind in ("e", "f"):
-        pattern = "uniform" if s.get("hat_pattern") else "printed"
-        num = frame.memo(("hat", kind, i, s["op"], s["arg"], gate, pattern),
-                         lambda: _hat_numerator(frame, kind, m, s["op"],
-                                                s["arg"], gate, pattern))
+        spec = hat_spec(n, kind, m)
+        if s.get("hat_pattern"):
+            spec = uniform_shifts(spec)
+        num = frame.apply_chain(spec, s["op"], gate, (kind, m, s["arg"]))
         return -(num * den) if kind == "e" else -(den * num)
-    num = frame.memo(
-        ("h-num", i, s["num_op"], s["num_arg"], gate),
-        lambda: composite(frame, "h", "L", m,
-                          (i,) + tuple(range(i + 2, n + 1)),
-                          s["num_op"], gate)(pairing.shift(s["num_arg"])))
+    num = frame.apply_chain(
+        composite_spec("h", "L", m, (i,) + tuple(range(i + 2, n + 1))),
+        s["num_op"], gate, (pairing, m, s["num_arg"]))
     half_n = Fraction(n, 2)
     idx = i if s.get("sub_index") else m
     se = formula_antipode(frame, "e", idx, gate=gate).shift(s["e_shift"] - half_n)

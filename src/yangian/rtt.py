@@ -266,8 +266,8 @@ def _expand_last_column(entry, minor, rows, cols, total):
     m = len(rows)
     for k in range(1, m + 1):
         sub = minor(rows[:k - 1] + rows[k:], cols[:-1])
-        factor = entry(rows[k - 1], cols[-1]).shift(m - 1)
-        total = total + (sub * factor) * ((-1) ** (k + m))
+        term = sub * entry(rows[k - 1], cols[-1]).shift(m - 1)
+        total = total - term if (k + m) % 2 else total + term
     return total
 
 
@@ -326,7 +326,7 @@ def minor_expand_last_row(ctx, rows, cols, order):
     for k in range(1, m + 1):
         factor = t_entry(ctx, rows[-1], cols[k - 1], order).shift(m - 1)
         sub = quantum_minor(ctx, rows[:-1], cols[:k - 1] + cols[k:], order)
-        total = total + (factor * sub) * ((-1) ** (k + m))
+        total = total - factor * sub if (k + m) % 2 else total + factor * sub
     return total
 
 

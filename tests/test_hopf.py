@@ -236,6 +236,50 @@ def test_narrow_gate_window_breaks_hat_ratios():
 
 
 # ---------------------------------------------------------------------------
+# chain specs
+
+
+def test_chain_specs_of_the_checks_stay_in_range(monkeypatch):
+    # every spec the ratio and formula checks interpret, diagnosis probes
+    # included, has its roots inside 1..n
+    seen = []
+    interpret = hopf.chain
+
+    def spy(frame, spec, shift, gate="printed"):
+        seen.append((frame.ctx.n, spec))
+        return interpret(frame, spec, shift, gate)
+
+    monkeypatch.setattr(hopf, "chain", spy)
+    for n in range(2, 7):
+        hopf.ratio_identities_check(n, 2)
+        hopf.diagonal_ratio_check(n, 2)
+        hopf.hat_ratio_check(n, 2)
+        hopf.coproduct_formula_check(n, 2)
+        hopf.antipode_formula_check(n, 2)
+    kinds = set()
+    for n, (side, alpha, steps) in seen:
+        assert side in ("L", "R") and 1 <= alpha < n
+        for kind, low, high, _ in steps:
+            assert 1 <= low <= n and 1 <= high <= n, (n, side, alpha, steps)
+            kinds.add(kind)
+    assert kinds == {"e", "f", "d"}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_uniform_shifts_moves_offsets_only(n):
+    for kind in ("e", "f"):
+        for m in range(1, n):
+            spec = hopf.hat_spec(n, kind, m)
+            moved = hopf.uniform_shifts(spec)
+            assert moved[:2] == spec[:2]
+            assert ([step[:3] for step in moved[2]]
+                    == [step[:3] for step in spec[2]])
+            # the single-step hats already have the uniform pattern, and
+            # so does every raising hat
+            assert (moved == spec) == (m == 1 or kind == "e"), (kind, m)
+
+
+# ---------------------------------------------------------------------------
 # closed coproduct formulas for the currents
 
 
@@ -366,6 +410,9 @@ def test_frame_memo_builds_once():
     assert frame.memo(("k", 1), lambda: calls.append(2) or "w") is first
     assert calls == [1]
     assert frame.g(1) is frame.g(1)
+    spec = hopf.hat_spec(3, "f", 2)
+    assert (frame.apply_chain(spec, 0, "printed", ("f", 2, 1))
+            is frame.apply_chain(spec, 0, "printed", ("f", 2, 1)))
     assert (hopf.formula_antipode(frame, "h", 1)
             is hopf.formula_antipode(frame, "h", 1, shifts={"den_op": 0}))
 
@@ -395,11 +442,10 @@ def test_diagonal_first_term_is_antipode_of_pairing_series(n, order):
     half = Fraction(n, 2)
     for i in range(1, n):
         m = n - i
-        den = hopf.composite(
-            frame, "h", "L", m, tuple(range(i + 1, n + 1)), 0)(
-            frame.g_tilde(m))
-        num = hopf.composite(
-            frame, "h", "L", m, (i,) + tuple(range(i + 2, n + 1)), 0)(
+        den = hopf.chain(frame, hopf.composite_spec(
+            "h", "L", m, tuple(range(i + 1, n + 1))), 0)(frame.g_tilde(m))
+        num = hopf.chain(frame, hopf.composite_spec(
+            "h", "L", m, (i,) + tuple(range(i + 2, n + 1))), 0)(
             frame.g_tilde(m))
         first = den.invert() * num
         want = hopf.antipode_series(frame.g(i)).shift(half)
