@@ -228,6 +228,22 @@ def test_verify_suite_json_is_pinned(capsys, suite, n):
     assert digest == SUITE_JSON_SHA256[(suite, n)]
 
 
+# sha256 of `verify minors --n 4 --order 3 --seed 0 --format json`: the
+# default order 2 never reaches the u^-2 commutation cases or a bracket
+# with a non-scalar c_2.  A change meant to alter that output updates it
+# and says why.
+MINORS_ORDER_THREE_JSON_SHA256 = (
+    "6be5ade40e94adb4e61a9efc1a654adf83ab6462439073e5b7a33b602b8a4eea")
+
+
+def test_verify_minors_order_three_json_is_pinned(capsys):
+    code, out = run_cli(capsys, "verify", "minors", "--n", "4", "--order",
+                        "3", "--seed", "0", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == MINORS_ORDER_THREE_JSON_SHA256
+
+
 # (exit code, sha256) of `verify SUITE --n 5 --seed 0 --format json` for
 # the suites built on brackets and coefficient differences.  At n=5 the
 # antipode formulas f3 and h3 fail, so that suite exits 1.  A change
