@@ -13,13 +13,15 @@ integer keeps it exactly and leaves no fraction to reduce.
 Everything else works with the matrix T(u) of generator series: quantum
 determinant, quantum minors with their expansions and commutation
 relations, Gauss decompositions in both triangular orders, and the
-reflected matrix (T(-u))^{-1} whose minors mirror ordinary ones.  The
-commutation of an entry with a minor is checked from the minor and its
-row- and column-replaced minors, which a sweep over every entry looks
-up once per index set.  Entries T_ij(u) and quantum minors are memoised
-per context and order; the minor cache answers a key exactly as given
-before it checks and sorts the rows.  A sweep over the minors of one
-reflected matrix shares one sub-minor memo.
+reflected matrix (T(-u))^{-1} whose minors mirror ordinary ones.  One
+pass per index set checks the commutation of every entry with the minor
+and the centrality of the minor in its own indices: it looks the minor
+and its row- and column-replaced minors up once and forms each bracket
+of an entry coefficient with a minor coefficient once, for both reports.
+Entries T_ij(u), each shifted entry T_ij(u+c) and quantum minors are
+memoised per context and order; the minor cache answers a key exactly
+as given before it checks and sorts the rows.  A sweep over the minors
+of one reflected matrix shares one sub-minor memo.
 """
 
 from fractions import Fraction
@@ -179,10 +181,13 @@ def transposition_symmetry_check(n, u):
 # generating matrix and quantum minors
 
 @lru_cache(maxsize=None)
-def t_entry(ctx, i, j, order):
+def t_entry(ctx, i, j, order, shift=None):
     """The series T_{i,j}(u) = delta_{ij} + sum_k T_{i,j}^{(k)} u^{-k},
     built once per (ctx, i, j, order); series are never mutated, so
-    every caller shares it."""
+    every caller shares it.  With a `shift` c it is T_{i,j}(u + c),
+    shifted once per c (a zero shift is the entry itself)."""
+    if shift is not None:
+        return t_entry(ctx, i, j, order).shift(shift)
     coeffs = {k: generator(ctx, i, j, k) for k in range(1, order + 1)}
     if i == j:
         coeffs[0] = unit(ctx)
@@ -261,12 +266,13 @@ def _expand_last_column(entry, minor, rows, cols, total):
     """Add to total the column-form minor of `entry` expanded along its
     final column:
         sum_k (-1)^(k+m) minor(rows without a_k; cols[:-1])(u)
-                         * entry(a_k, b_m)(u+m-1).
+                         * entry(a_k, b_m)(u+m-1),
+    where entry(i, j, c) is the entry (i, j) at u + c.
     """
     m = len(rows)
     for k in range(1, m + 1):
         sub = minor(rows[:k - 1] + rows[k:], cols[:-1])
-        term = sub * entry(rows[k - 1], cols[-1]).shift(m - 1)
+        term = sub * entry(rows[k - 1], cols[-1], m - 1)
         total = total - term if (k + m) % 2 else total + term
     return total
 
@@ -295,10 +301,10 @@ def quantum_minor_row_form(ctx, rows, cols, order):
         return Series.constant(ctx, order)
     total = Series(ctx, order)
     for perm in permutations(range(m)):
-        prod = t_entry(ctx, rows[0], cols[perm[0]], order).shift(m - 1)
+        prod = t_entry(ctx, rows[0], cols[perm[0]], order, m - 1)
         for p in range(1, m):
-            prod = prod * t_entry(ctx, rows[p], cols[perm[p]],
-                                  order).shift(m - 1 - p)
+            prod = prod * t_entry(ctx, rows[p], cols[perm[p]], order,
+                                  m - 1 - p)
         total = total + prod * perm_sign(perm)
     return total
 
@@ -313,7 +319,7 @@ def minor_expand_last_column(ctx, rows, cols, order):
     """Signed expansion along the final column over cached sub-minors:
     the step quantum_minor computes every minor with."""
     return _expand_last_column(
-        lambda i, j: t_entry(ctx, i, j, order),
+        lambda i, j, shift: t_entry(ctx, i, j, order, shift),
         lambda sub_rows, sub_cols: quantum_minor(ctx, sub_rows, sub_cols,
                                                  order),
         tuple(rows), tuple(cols), Series(ctx, order))
@@ -324,7 +330,7 @@ def minor_expand_last_row(ctx, rows, cols, order):
     m = len(rows)
     total = Series(ctx, order)
     for k in range(1, m + 1):
-        factor = t_entry(ctx, rows[-1], cols[k - 1], order).shift(m - 1)
+        factor = t_entry(ctx, rows[-1], cols[k - 1], order, m - 1)
         sub = quantum_minor(ctx, rows[:-1], cols[:k - 1] + cols[k:], order)
         total = total - factor * sub if (k + m) % 2 else total + factor * sub
     return total
@@ -348,83 +354,73 @@ def _add_into(raw, x, sign):
         raw[w] = raw.get(w, ZERO) + sign * c
 
 
-def minor_commutation_check(ctx, i, j, rows, cols, order):
-    """Bivariate commutation of an entry with a minor:
+def minor_bracket_sweep(ctx, rows, cols, order, comm, cent, label):
+    """Commutation of every entry with the minor t(rows; cols)(v), into
+    the report `comm`, and centrality of the minor in its own indices,
+    into `cent`, checked in one pass with labels under `label`:
 
     (u - v) [T_{ij}(u), t(rows;cols)(v)]
         = sum_k ( t(rows; cols with b_k -> j)(v) T_{i,b_k}(u)
-                 - T_{a_k,j}(u) t(rows with a_k -> i; cols)(v) ).
+                 - T_{a_k,j}(u) t(rows with a_k -> i; cols)(v) ),
 
-    Checked coefficientwise in both variables by minor_commutation_case.
-    """
-    rows, cols = tuple(rows), tuple(cols)
-    return minor_commutation_case(
-        ctx, i, j, rows, cols, order, quantum_minor(ctx, rows, cols, order),
-        column_replaced_minors(ctx, rows, cols, j, order),
-        row_replaced_minors(ctx, rows, cols, i, order))
-
-
-def minor_commutation_case(ctx, i, j, rows, cols, order, minor, col_repl,
-                           row_repl):
-    """The commutation relation of minor_commutation_check, from the minor
-    and its column- and row-replaced minors (in the order of cols and
-    rows); a sweep looks each of them up once and shares it.
+    and [T_{ij}(u), t(rows;cols)(v)] = 0 for i in rows and j in cols.
 
     The u^-(a+1) v^-b coefficient of the left side is
     [T_ij^(a+1), c_b] - [T_ij^(a), c_(b+1)], with c_b the coefficient of
-    the minor, so each bracket serves two cases and is formed once.
-    T^(0) is the scalar delta, so its products select a coefficient.
-    Each right side is summed into one raw dict and reduced once; the
-    generators T_{i,b_k}^(a) and T_{a_k,j}^(a) are made once per a.
+    the minor.  Each bracket [T_ij^(r), c_b], r + b <= order, is formed
+    once: it serves two commutation cases and, inside the minor's own
+    indices, is a centrality case.  A scalar c_b (c_0 always is) is
+    central, so its bracket is zero with no product formed.  T^(0) is the
+    scalar delta, so its products select a coefficient.  Each right side
+    is summed into one raw dict and reduced once.
     """
-    rep = Report("minor-commutation", n=ctx.n, mode=ctx.mode, i=i, j=j,
-                 rows=rows, cols=cols, order=order)
-    c = [minor.coefficient(b) for b in range(order + 1)]
-    bracket = {}
-    for r in range(1, order + 1):
-        x = generator(ctx, i, j, r)
-        for b in range(order + 1 - r):
-            bracket[r, b] = commutator(x, c[b])
-    m = len(rows)
-    for a in range(order):
-        if a >= 1:
-            col_gen = [generator(ctx, i, cols[k], a) for k in range(m)]
-            row_gen = [generator(ctx, rows[k], j, a) for k in range(m)]
-        for b in range(order - a):
-            lhs = bracket[a + 1, b]
-            if a >= 1:
-                lhs = lhs - bracket[a, b + 1]
-            raw = {}
-            for k in range(m):
-                if a == 0:
-                    if i == cols[k]:
-                        _add_into(raw, col_repl[k].coefficient(b), 1)
-                    if rows[k] == j:
-                        _add_into(raw, row_repl[k].coefficient(b), -1)
-                else:
-                    col_repl[k].coefficient(b)._mul_into(col_gen[k], raw)
-                    row_gen[k]._mul_into(row_repl[k].coefficient(b), raw,
-                                         -1)
-            rep.check("u^-%d v^-%d" % (a, b), lhs, Element(ctx, raw))
-    return rep
-
-
-def minor_centrality_check(ctx, rows, cols, order):
-    """Entries indexed inside a minor's own rows and columns commute
-    with it; the full minor is central."""
-    rep = Report("minor-centrality", n=ctx.n, mode=ctx.mode,
-                 rows=rows, cols=cols, order=order)
-    minor = quantum_minor(ctx, rows, cols, order)
+    rows, cols = tuple(rows), tuple(cols)
+    idx = range(1, ctx.n + 1)
     nil = zero(ctx)
-    c = [minor.coefficient(s) for s in range(order)]
+    minor = quantum_minor(ctx, rows, cols, order)
+    c = [minor.coefficient(b) for b in range(order + 1)]
+    scalar = [all(not w for w in x.terms) for x in c]
+    # the generators T_ij^(r), read from the memoised entries
+    gen = {(i, j): t_entry(ctx, i, j, order).coeffs for i in idx for j in idx}
+    col_c = {j: [[s.coefficient(b) for b in range(order)]
+                 for s in column_replaced_minors(ctx, rows, cols, j, order)]
+             for j in idx}
+    row_c = {i: [[s.coefficient(b) for b in range(order)]
+                 for s in row_replaced_minors(ctx, rows, cols, i, order)]
+             for i in idx}
+    inside = {}
+    for i in idx:
+        row_i = row_c[i]
+        for j in idx:
+            col_j = col_c[j]
+            x = gen[i, j]
+            bracket = {(r, b): nil if scalar[b] else commutator(x[r], c[b])
+                       for r in range(1, order + 1)
+                       for b in range(order + 1 - r)}
+            for a in range(order):
+                for b in range(order - a):
+                    lhs = bracket[a + 1, b]
+                    if a >= 1:
+                        lhs = lhs - bracket[a, b + 1]
+                    raw = {}
+                    for k, (a_k, b_k) in enumerate(zip(rows, cols)):
+                        if a == 0:
+                            if i == b_k:
+                                _add_into(raw, col_j[k][b], 1)
+                            if a_k == j:
+                                _add_into(raw, row_i[k][b], -1)
+                        else:
+                            col_j[k][b]._mul_into(gen[i, b_k][a], raw)
+                            gen[a_k, j][a]._mul_into(row_i[k][b], raw, -1)
+                    comm.check("T%d%d %s:u^-%d v^-%d" % (i, j, label, a, b),
+                               lhs, Element(ctx, raw))
+            if i in rows and j in cols:
+                inside[i, j] = bracket
     for i in rows:
         for j in cols:
-            for r in range(1, order + 1):
-                x = generator(ctx, i, j, r)
-                for s in range(0, order - r + 1):
-                    rep.check("T_%d%d^(%d) vs u^-%d" % (i, j, r, s),
-                              commutator(x, c[s]), nil)
-    return rep
+            for (r, b), value in inside[i, j].items():
+                cent.check("%s:T_%d%d^(%d) vs u^-%d" % (label, i, j, r, b),
+                           value, nil)
 
 
 def qdet_centrality_check(ctx, order, mode_bound):
@@ -611,6 +607,9 @@ def matrix_minor(mat, rows, cols, memo=None):
     if memo is None:
         memo = {}
 
+    def entry(i, j, shift):
+        return mat.entry(i, j).shift(shift)
+
     def minor(sub_rows, sub_cols):
         if not sub_rows:
             return Series.constant(mat.ctx, mat.order)
@@ -618,7 +617,7 @@ def matrix_minor(mat, rows, cols, memo=None):
         out = memo.get(key)
         if out is None:
             out = memo[key] = _expand_last_column(
-                mat.entry, minor, sub_rows, sub_cols,
+                entry, minor, sub_rows, sub_cols,
                 Series(mat.ctx, mat.order))
         return out
 

@@ -76,21 +76,7 @@ def suite_minors(n, order, seed):
     for rows, cols in _minor_index_sets(n, 3):
         label = "r=%s,c=%s" % (",".join(map(str, rows)),
                                ",".join(map(str, cols)))
-        # each minor series once per index set, shared by the n^2 entries
-        minor = rtt.quantum_minor(ctx, rows, cols, order)
-        col_repl = {j: rtt.column_replaced_minors(ctx, rows, cols, j, order)
-                    for j in range(1, n + 1)}
-        row_repl = {i: rtt.row_replaced_minors(ctx, rows, cols, i, order)
-                    for i in range(1, n + 1)}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                _absorb(comm,
-                        rtt.minor_commutation_case(ctx, i, j, rows, cols,
-                                                   order, minor, col_repl[j],
-                                                   row_repl[i]),
-                        "T%d%d %s" % (i, j, label))
-        _absorb(cent, rtt.minor_centrality_check(ctx, rows, cols, order),
-                label)
+        rtt.minor_bracket_sweep(ctx, rows, cols, order, comm, cent, label)
         # reference: the defining permutation sum, not the engine itself
         mi = rtt.minor_by_permutations(t, rows, cols)
         alt = rtt.quantum_minor_row_form(ctx, rows, cols, order)
@@ -98,9 +84,11 @@ def suite_minors(n, order, seed):
             rowform.check("%s,k=%d" % (label, k), mi.coefficient(k),
                           alt.coefficient(k))
         if len(rows) >= 2:
-            for name, exp in (("col", rtt.minor_expand_last_column),
-                              ("row", rtt.minor_expand_last_row)):
-                got = exp(ctx, rows, cols, order)
+            # the cached minor is the last-column expansion itself
+            for name, got in (
+                    ("col", rtt.quantum_minor(ctx, rows, cols, order)),
+                    ("row", rtt.minor_expand_last_row(ctx, rows, cols,
+                                                      order))):
                 for k in range(order + 1):
                     expand.check("%s,%s,k=%d" % (label, name, k),
                                  mi.coefficient(k), got.coefficient(k))

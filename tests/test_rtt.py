@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from yangian.algebra import Context, GL, SL, generator, unit, zero
+from yangian.report import Report
 from yangian.series import Series, SeriesMatrix
 from yangian import rtt
 
@@ -301,11 +302,60 @@ def test_memoised_t_entry_equals_a_fresh_build(n, mode):
         rtt.t_entry(ctx, n + 1, 1, 3)
 
 
+@pytest.mark.parametrize("mode", [GL, SL])
+def test_shifted_t_entry_is_memoised(mode):
+    # T_ij(u + c) is the memoised entry shifted by c, built once per c;
+    # a zero shift is the entry itself
+    ctx = Context(3, 3, mode)
+    for i in range(1, 4):
+        for j in range(1, 4):
+            base = rtt.t_entry(ctx, i, j, 3)
+            assert rtt.t_entry(ctx, i, j, 3, 0) is base
+            for c in (1, 2, -1, Fraction(1, 2)):
+                got = rtt.t_entry(ctx, i, j, 3, c)
+                assert got == base.shift(c), (i, j, c)
+                assert rtt.t_entry(ctx, i, j, 3, c) is got
+
+
+def _sweep(ctx, rows, cols, order):
+    """The commutation and centrality reports of one index set, as the
+    minors suite labels them."""
+    comm = Report("minor-commutation-sweep")
+    cent = Report("minor-centrality-sweep")
+    label = "r=%s,c=%s" % (",".join(map(str, rows)),
+                           ",".join(map(str, cols)))
+    rtt.minor_bracket_sweep(ctx, rows, cols, order, comm, cent, label)
+    return label, comm, cent
+
+
+def _case_residuals(comm, i, j, label):
+    """Residuals of the commutation case of T_ij, by coefficient."""
+    prefix = "T%d%d %s:" % (i, j, label)
+    return {name[len(prefix):]: res for name, res in comm.residuals
+            if name.startswith(prefix)}
+
+
+def _replace_one(monkeypatch, name, k):
+    """Make rtt.<name>(ctx, rows, cols, x, order) return its k-th
+    replaced minor taken at the wrong index x % 3 + 1."""
+    real = getattr(rtt, name)
+
+    def patched(ctx, rows, cols, x, order):
+        out = real(ctx, rows, cols, x, order)
+        wrong = real(ctx, rows, cols, x % 3 + 1, order)
+        return out[:k] + [wrong[k]] + out[k + 1:]
+
+    monkeypatch.setattr(rtt, name, patched)
+
+
 def test_minor_commutation_cases():
     ctx = Context(3, 3)
+    label, comm, _ = _sweep(ctx, (1, 2), (1, 3), 3)
     for (i, j) in [(1, 1), (1, 3), (2, 1), (3, 2)]:
-        rep = rtt.minor_commutation_check(ctx, i, j, (1, 2), (1, 3), 3)
-        assert rep.passed, rep.residuals[:1]
+        assert not _case_residuals(comm, i, j, label)
+    assert comm.passed, comm.residuals[:1]
+    # every entry, every coefficient u^-a v^-b with a + b < order
+    assert comm.cases == 9 * 6
 
 
 def test_minor_commutation_case_records_a_wrong_replaced_minor():
@@ -313,27 +363,16 @@ def test_minor_commutation_case_records_a_wrong_replaced_minor():
     # on either side and in every slot
     ctx = Context(3, 3)
     rows, cols = (1, 2), (1, 3)
-    minor = rtt.quantum_minor(ctx, rows, cols, 3)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            col_repl = rtt.column_replaced_minors(ctx, rows, cols, j, 3)
-            row_repl = rtt.row_replaced_minors(ctx, rows, cols, i, 3)
-            assert rtt.minor_commutation_case(ctx, i, j, rows, cols, 3,
-                                              minor, col_repl,
-                                              row_repl).passed
-            wrong_col = rtt.column_replaced_minors(ctx, rows, cols,
-                                                   j % 3 + 1, 3)
-            wrong_row = rtt.row_replaced_minors(ctx, rows, cols,
-                                                i % 3 + 1, 3)
-            for k in range(2):
-                bad = col_repl[:k] + [wrong_col[k]] + col_repl[k + 1:]
-                rep = rtt.minor_commutation_case(ctx, i, j, rows, cols, 3,
-                                                 minor, bad, row_repl)
-                assert rep.residuals, ("col", i, j, k)
-                bad = row_repl[:k] + [wrong_row[k]] + row_repl[k + 1:]
-                rep = rtt.minor_commutation_case(ctx, i, j, rows, cols, 3,
-                                                 minor, col_repl, bad)
-                assert rep.residuals, ("row", i, j, k)
+    assert _sweep(ctx, rows, cols, 3)[1].passed
+    for name in ("column_replaced_minors", "row_replaced_minors"):
+        for k in range(2):
+            with pytest.MonkeyPatch.context() as mp:
+                _replace_one(mp, name, k)
+                label, comm, _ = _sweep(ctx, rows, cols, 3)
+            for i in (1, 2, 3):
+                for j in (1, 2, 3):
+                    assert _case_residuals(comm, i, j, label), (name, i, j,
+                                                                k)
 
 
 def _chain_commutation_residuals(ctx, i, j, rows, cols, order, minor,
@@ -375,23 +414,35 @@ def test_minor_commutation_residuals_match_the_chained_right_side(mode):
     rows, cols, order = (2, 3), (1, 3), 3
     minor = rtt.quantum_minor(ctx, rows, cols, order)
     seen = 0
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            col_repl = rtt.column_replaced_minors(ctx, rows, cols, j, order)
-            row_repl = rtt.row_replaced_minors(ctx, rows, cols, i, order)
-            wrong_col = rtt.column_replaced_minors(ctx, rows, cols,
-                                                   j % 3 + 1, order)
-            wrong_row = rtt.row_replaced_minors(ctx, rows, cols,
-                                                i % 3 + 1, order)
-            for cr, rr in ((col_repl, row_repl),
-                           ([wrong_col[0], col_repl[1]], row_repl),
-                           (col_repl, [row_repl[0], wrong_row[1]])):
-                rep = rtt.minor_commutation_case(ctx, i, j, rows, cols,
-                                                 order, minor, cr, rr)
-                want = _chain_commutation_residuals(ctx, i, j, rows, cols,
-                                                    order, minor, cr, rr)
-                assert dict(rep.residuals) == want, (i, j)
-                seen += len(want)
+    for patch in (None, ("column_replaced_minors", 0),
+                  ("row_replaced_minors", 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            if patch:
+                _replace_one(mp, *patch)
+            label, comm, _ = _sweep(ctx, rows, cols, order)
+            want = {}
+            for i in (1, 2, 3):
+                for j in (1, 2, 3):
+                    col_repl = rtt.column_replaced_minors(ctx, rows, cols,
+                                                          j, order)
+                    row_repl = rtt.row_replaced_minors(ctx, rows, cols, i,
+                                                       order)
+                    res = _chain_commutation_residuals(
+                        ctx, i, j, rows, cols, order, minor, col_repl,
+                        row_repl)
+                    want.update(("T%d%d %s:%s" % (i, j, label, name), r)
+                                for name, r in res.items())
+        assert dict(comm.residuals) == want, patch
+        seen += len(want)
+        if patch == ("column_replaced_minors", 0):
+            # the wrong t((2,3);(3,3)) has c_0 = 0 where t((2,3);(2,3))
+            # has 1, and at u^-0 v^-0 the left side is the bracket with
+            # the scalar c_0, formed as zero: the right side still shows
+            right, wrong = (rtt.column_replaced_minors(ctx, rows, cols, x,
+                                                       order)[0]
+                            for x in (2, 3))
+            assert right.coefficient(0) != wrong.coefficient(0)
+            assert "u^-0 v^-0" in _case_residuals(comm, 1, 2, label)
     assert seen > 0
 
 
@@ -413,8 +464,10 @@ def test_t_entry_keeps_the_coefficient_invariant(n, mode):
 
 def test_minor_centrality_inside_own_indices():
     ctx = Context(3, 3)
-    rep = rtt.minor_centrality_check(ctx, (1, 2), (1, 2), 3)
-    assert rep.passed
+    _, _, cent = _sweep(ctx, (1, 2), (1, 2), 3)
+    assert cent.passed
+    # T_ij^(r) against c_s, r + s <= order, for i, j in the indices
+    assert cent.cases == 4 * 6
 
 
 def test_centrality_checks_record_a_non_central_series(monkeypatch):
@@ -423,10 +476,10 @@ def test_centrality_checks_record_a_non_central_series(monkeypatch):
     ctx = Context(3, 3)
     other = rtt.quantum_minor(ctx, (1, 2), (1, 3), 3)
     monkeypatch.setattr(rtt, "quantum_minor", lambda *args: other)
-    rep = rtt.minor_centrality_check(ctx, (1, 2), (1, 2), 3)
-    assert rep.residuals
-    for label, res in rep.residuals:
-        ij, s = label.split(" vs u^-")
+    _, _, cent = _sweep(ctx, (1, 2), (1, 2), 3)
+    assert cent.residuals
+    for label, res in cent.residuals:
+        ij, s = label.split(":")[1].split(" vs u^-")
         i, j, r = int(ij[2]), int(ij[3]), int(ij[6])
         x, c = generator(ctx, i, j, r), other.coefficient(int(s))
         assert res == x * c - c * x
