@@ -8,6 +8,7 @@ JSON output is byte-deterministic for a fixed configuration.
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import Context, GL, SL
@@ -208,17 +209,28 @@ def main(argv=None):
         return 3
 
 
+def _emit(text):
+    """Print the output.  A reader that closes the pipe early (`| head`)
+    does not turn the run into a crash: the rest is dropped, and stdout
+    points at the null device so the flush at exit does not fail again."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")
+
+
 def _run(parser, args):
     if args.command == "expand":
         obj, params = _expand_object(parser, args)
-        print(_render_expand(args, obj, params))
+        _emit(_render_expand(args, obj, params))
         return 0
 
     if args.fmt == "latex":
         parser.error("latex output applies to expand only")
     reports = run_suite(args.suite, n=args.n, order=args.order,
                         seed=args.seed)
-    print(_render_verify(args, reports))
+    _emit(_render_verify(args, reports))
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -409,6 +410,39 @@ def test_internal_error_exits_three_with_one_line(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == \
         "yangian: internal error: RuntimeError: boom second line\n"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["expand", "qdet", "--n", "2"], 0),
+    (["verify", "gauss", "--n", "2", "--format", "json"], 0),
+    (["verify", "gauss", "--n", "2"], 1),
+])
+def test_closed_pipe_keeps_the_verdict(capsys, monkeypatch, argv, verdict):
+    # `yangian ... | head` closes the pipe early: the command still exits
+    # with its verdict, silently, and exit 3 stays for crashes
+    def with_failure(suite, **kwargs):
+        bad = Report("mutated-identity", n=2)
+        bad.record("k=1")
+        return run_suite(suite, **kwargs) + [bad]
+
+    if verdict:
+        monkeypatch.setattr(cli, "run_suite", with_failure)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == verdict
+    sink = sys.stdout
+    assert sink.name == os.devnull
+    sink.close()
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------
