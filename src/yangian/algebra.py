@@ -168,47 +168,6 @@ def normal_form_word(word):
     return tuple(sorted((w, c) for w, c in out.items() if c))
 
 
-def _bubble_pass(terms, reverse):
-    """One directed sweep of adjacent-descent rewriting over every word."""
-    out = {}
-    changed = False
-    for word, coeff in terms.items():
-        positions = range(len(word) - 1)
-        if reverse:
-            positions = reversed(positions)
-        hit = None
-        for t in positions:
-            if word[t] > word[t + 1]:
-                hit = t
-                break
-        if hit is None:
-            out[word] = out.get(word, ZERO) + coeff
-            continue
-        changed = True
-        x, y = word[hit], word[hit + 1]
-        prefix, suffix = word[:hit], word[hit + 2:]
-        swapped = prefix + (y, x) + suffix
-        out[swapped] = out.get(swapped, ZERO) + coeff
-        for mid, c0 in commutator_words(x[1], x[2], x[0], y[1], y[2], y[0]):
-            w = prefix + mid + suffix
-            out[w] = out.get(w, ZERO) + coeff * c0
-    return {w: c for w, c in out.items() if c}, changed
-
-
-def normal_order_strategy(word, direction="left"):
-    """Normal-order one word by repeated directed sweeps.
-
-    An independent rewriting strategy ('left' or 'right' scan for the
-    descent to fix) used by the confluence checks against
-    normal_form_word.  Returns {word: coefficient}.
-    """
-    terms = {tuple(word): ONE}
-    changed = True
-    while changed:
-        terms, changed = _bubble_pass(terms, direction == "right")
-    return terms
-
-
 # ---------------------------------------------------------------------------
 # SL quotient: eliminate T_{n,n}^{(k)} using the quantum determinant
 

@@ -14,13 +14,12 @@ from yangian.algebra import (
     SL,
     generator,
     normal_form_word,
-    normal_order_strategy,
     word_degree,
 )
 from yangian import drinfeld, hopf, rtt
 from yangian.suites import _random_points
 
-from util import random_element, random_word
+from util import normal_order_strategy, random_element, random_word
 
 
 def _announce(tag, detail):

@@ -9,10 +9,11 @@ import pytest
 from yangian.algebra import (
     Context, Element, Tensor, TruncationError, GL, SL,
     commutator, from_words, generator, mode_commutator, normal_order,
-    normal_order_strategy, normal_form_word, sl_reduce, unit, word_degree,
-    zero,
+    normal_form_word, sl_reduce, unit, word_degree, zero,
 )
-from util import project, random_element, random_word
+from util import (
+    normal_order_strategy, project, random_element, random_word,
+)
 
 
 def test_normal_order_single_swap():
