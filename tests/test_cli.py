@@ -325,6 +325,21 @@ def test_verify_hopf_axioms_json_is_pinned(capsys, n):
     assert (code, digest) == HOPF_AXIOMS_JSON_SHA256[n]
 
 
+# (exit code, sha256) of `verify hopf-axioms --n 3 --order 4 --seed 0
+# --format json`: the SL axiom sweep at depth, where the elimination of
+# T_33 reaches words of degree 4.  A change meant to alter that output
+# updates it and says why.
+HOPF_AXIOMS_N3_ORDER_FOUR_JSON = (
+    0, "e6e061cf3900ddbbfcff8ab639c176851a4b620207b8268faf9fdcf8ccf72085")
+
+
+def test_verify_hopf_axioms_n3_order_four_json_is_pinned(capsys):
+    code, out = run_cli(capsys, "verify", "hopf-axioms", "--n", "3",
+                        "--order", "4", "--seed", "0", "--format", "json")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == HOPF_AXIOMS_N3_ORDER_FOUR_JSON
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("suite", sorted(SUITES) + ["all"])
 def test_verify_order_one_ends_in_a_report(capsys, suite, n):
