@@ -283,11 +283,20 @@ def minor_by_permutations(mat, rows, cols):
     m = len(rows)
     if m == 0:
         return Series.constant(mat.ctx, mat.order)
+    # entry (r, cols[p]) at u + p, shifted once per call
+    shifted = {}
+
+    def entry(r, p):
+        out = shifted.get((r, p))
+        if out is None:
+            out = shifted[r, p] = mat.entry(r, cols[p]).shift(p)
+        return out
+
     total = Series(mat.ctx, mat.order)
     for perm in permutations(range(m)):
         prod = mat.entry(rows[perm[0]], cols[0])
         for p in range(1, m):
-            prod = prod * mat.entry(rows[perm[p]], cols[p]).shift(p)
+            prod = prod * entry(rows[perm[p]], p)
         total = total + prod * perm_sign(perm)
     return total
 
@@ -599,16 +608,21 @@ def matrix_minor(mat, rows, cols, memo=None):
     """Quantum minor of an arbitrary series matrix (column-shift form),
     by last-column expansion over memoised sub-minors.
 
-    `memo` maps (rows, leading columns) to the minor of `mat` there; a
-    sweep over many minors of one matrix passes one dict to every call
-    and shares the sub-minors, and without it the memo lives for the
-    call only.
+    `memo` maps (rows, leading columns) to the minor of `mat` there, and
+    (i, j, shift) to the entry (i, j) at u + shift, so each shifted
+    entry is built once; a sweep over many minors of one matrix passes
+    one dict to every call and shares both, and without it the memo
+    lives for the call only.
     """
     if memo is None:
         memo = {}
 
     def entry(i, j, shift):
-        return mat.entry(i, j).shift(shift)
+        key = (i, j, shift)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = mat.entry(i, j).shift(shift)
+        return out
 
     def minor(sub_rows, sub_cols):
         if not sub_rows:

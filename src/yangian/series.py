@@ -340,21 +340,42 @@ class SeriesMatrix:
         return SeriesMatrix(out)
 
     def inverse(self):
-        """Geometric inverse; the u^0 part must be the identity matrix."""
-        for i in range(self.size):
-            for j in range(self.size):
+        """Inverse of a matrix whose u^0 part is the identity matrix.
+
+        Write T = sum_p T^(p) u^-p with T^(0) = 1.  Reading T S = 1 at
+        u^-k gives the coefficients of the inverse S by recursion:
+        S^(0) = 1 and S^(k) = -sum_{p=1..k} T^(p) S^(k-p).  Each entry
+        coefficient S^(k)_ij sums T^(p)_il S^(k-p)_lj over p and l into
+        one raw dict, reduced once.  A right inverse of a series whose
+        leading term is invertible is also its left inverse, so S is
+        the unique inverse.
+        """
+        n, ctx, order = self.size, self.ctx, self.order
+        for i in range(n):
+            for j in range(n):
                 c0 = scalar_of(self.rows[i][j].coefficient(0))
                 want = ONE if i == j else ZERO
                 if c0 != want:
                     raise ValueError("u^0 part is not the identity")
-        ident = SeriesMatrix.identity(self.ctx, self.size, self.order)
-        a = ident - self
-        total = ident
-        power = a
-        for _ in range(self.order):
-            total = total + power
-            power = power * a
-        return total
+        arity = self.rows[0][0].arity
+        t = [[s.coeffs for s in row] for row in self.rows]
+        unit_coeff = _coeff_unit(ctx, arity)
+        inv = [[{0: unit_coeff} if i == j else {} for j in range(n)]
+               for i in range(n)]
+        for k in range(1, order + 1):
+            for i in range(n):
+                for j in range(n):
+                    raw = {}
+                    for p in range(1, k + 1):
+                        for l in range(n):
+                            a = t[i][l].get(p)
+                            b = inv[l][j].get(k - p)
+                            if a is not None and b is not None:
+                                a._mul_into(b, raw, -1)
+                    if raw:
+                        inv[i][j][k] = _from_products(ctx, arity, raw)
+        return SeriesMatrix([[Series._trusted(ctx, order, c, arity)
+                              for c in row] for row in inv])
 
     def __eq__(self, other):
         return isinstance(other, SeriesMatrix) and self.rows == other.rows

@@ -18,6 +18,7 @@ from yangian.algebra import (
 from yangian.drinfeld import current
 from yangian import hopf
 from yangian.rtt import t_entry, t_matrix
+from util import map_slot_per_term, random_element
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +144,76 @@ def test_slot_maps_keep_the_degree_bound(n, mode):
             assert 0 not in got.terms.values()
             outputs += bool(got.terms)
     assert outputs > 0
+
+
+def _random_tensor(rng, ctx, arity, terms=6):
+    """A sum of outer products of random elements; few distinct words at
+    n=2, so terms share slots and the slot maps see cancellations."""
+    total = Tensor.zero(ctx, arity)
+    for _ in range(terms):
+        parts = [random_element(rng, ctx, terms=2, max_len=2)
+                 for _ in range(arity)]
+        total = total + Tensor.of_elements(*parts)
+    return total
+
+
+def _slot_map_cases(ctx):
+    """Random tensor squares and cubes, and the coproduct of every
+    current coefficient with its two cubes (Fraction coefficients from
+    the recentred currents)."""
+    rng = random.Random(ctx.n * 10 + (ctx.mode == SL))
+    cases = [_random_tensor(rng, ctx, arity)
+             for arity in (2, 3) for _ in range(4)]
+    for i in range(1, ctx.n):
+        for kind in ("e", "f", "h"):
+            s = current(ctx, kind, i, ctx.max_degree)
+            for k in range(1, ctx.max_degree + 1):
+                d = hopf.delta_element(s.coefficient(k))
+                cases += [d, hopf.delta_on_slot(d, 0),
+                          hopf.delta_on_slot(d, 1)]
+    return cases
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_grouped_slot_maps_match_per_term_oracle(n, mode):
+    ctx = Context(n, 4 if n == 2 else 3, mode)
+    images = {
+        hopf.delta_on_slot: (
+            lambda w: hopf._delta_word(ctx, w).terms.items(), 1),
+        hopf.antipode_on_slot: (
+            lambda w: (((v,), c) for v, c
+                       in hopf._antipode_word(ctx, w).terms.items()), 0),
+        hopf.counit_on_slot: (lambda w: () if w else (((), 1),), -1),
+    }
+    fractions = nonzero = 0
+    for t in _slot_map_cases(ctx):
+        fractions += any(type(c) is Fraction for c in t.terms.values())
+        for slot in range(t.arity):
+            for fn, (image, step) in images.items():
+                got = fn(t, slot)
+                want = map_slot_per_term(t, slot, image, t.arity + step)
+                assert got.arity == want.arity
+                assert got.terms == want.terms, (fn.__name__, slot)
+                nonzero += bool(got.terms)
+    assert fractions > 0 and nonzero > 0
+
+
+def test_hopf_axioms_check_takes_one_coproduct_per_target(monkeypatch):
+    calls = []
+    delta = hopf.delta_element
+
+    def counted(x):
+        calls.append(x)
+        return delta(x)
+
+    monkeypatch.setattr(hopf, "delta_element", counted)
+    reports = hopf.hopf_axioms_check(2, 4)
+    targets = hopf._axiom_targets(Context(2, 4, SL), 4)
+    assert len(calls) == len(targets)
+    assert [rep.cases for rep in reports] == [len(targets),
+                                              2 * len(targets),
+                                              2 * len(targets)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from yangian.algebra import (
 from yangian.series import (
     Series, SeriesMatrix, geometric_unit_sum, series_outer, slot_embed,
 )
-from util import random_element
+from yangian.rtt import t_matrix, t_star_matrix
+from util import geometric_inverse, random_element
 
 
 def gen_series(ctx, i, j, order):
@@ -198,6 +199,38 @@ def test_matrix_inverse_round_trip():
     assert m * inv == ident
     assert inv * m == ident
     assert inv.inverse() == m
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n, order", [(2, 7), (3, 4), (6, 3)])
+def test_matrix_inverse_matches_geometric_sum(n, order, mode):
+    # the coefficient recursion against the truncated geometric sum of
+    # (1 - T)^m, for T(u) and for the reflected T(-u) that t_star_matrix
+    # inverts
+    ctx = Context(n, order, mode)
+    t = t_matrix(ctx, order)
+    assert t.inverse() == geometric_inverse(t)
+    reflected = SeriesMatrix([[s.negate_variable() for s in row]
+                              for row in t.rows])
+    star = reflected.inverse()
+    assert star == geometric_inverse(reflected)
+    assert t_star_matrix(ctx, order) == star
+
+
+def test_matrix_inverse_rejects_a_non_identity_constant_part():
+    ctx = Context(2, 3)
+    t = t_matrix(ctx, 3)
+    two = Series.constant(ctx, 3, 2)
+    scaled = SeriesMatrix([[t.entry(1, 1) + two, t.entry(1, 2)],
+                           [t.entry(2, 1), t.entry(2, 2)]])
+    off = SeriesMatrix([[t.entry(1, 1), t.entry(1, 2) + two],
+                        [t.entry(2, 1), t.entry(2, 2)]])
+    vanishing = SeriesMatrix(
+        [[t.entry(1, 1), t.entry(1, 2)],
+         [t.entry(2, 1), t.entry(2, 2) - Series.constant(ctx, 3)]])
+    for mat in (scaled, off, vanishing):
+        with pytest.raises(ValueError):
+            mat.inverse()
 
 
 def test_matrix_inverse_leading_entry():

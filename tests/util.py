@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from yangian.algebra import Element, commutator_words, from_words
+from yangian.algebra import Element, Tensor, commutator_words, from_words
+from yangian.series import SeriesMatrix
 
 
 def random_word(rng, n, max_len=4, max_mode=2):
@@ -68,3 +69,36 @@ def normal_order_strategy(word, direction="left"):
     while changed:
         terms, changed = _bubble_pass(terms, direction == "right")
     return terms
+
+
+def geometric_inverse(mat):
+    """sum_{m=0..order} (1 - mat)^m: the inverse of a series matrix whose
+    u^0 part is the identity, as a truncated geometric sum of full matrix
+    products.  An independent route to SeriesMatrix.inverse."""
+    ident = SeriesMatrix.identity(mat.ctx, mat.size, mat.order)
+    a = ident - mat
+    total = ident
+    power = a
+    for _ in range(mat.order):
+        total = total + power
+        power = power * a
+    return total
+
+
+def map_slot_per_term(t, slot, image, arity):
+    """One slot of every key replaced by the slot tuples of image(word),
+    term by term: each (term, image term) pair builds its own result key.
+    An oracle for the grouped hopf._map_slot, with the same arguments."""
+    out = {}
+    for key, c in t.terms.items():
+        head, tail = key[:slot], key[slot + 1:]
+        for parts, c2 in image(key[slot]):
+            new = head + parts + tail
+            v = out.get(new, 0) + c * c2
+            if v:
+                out[new] = v
+            elif new in out:
+                del out[new]
+    if arity == 1:
+        return Element._trusted(t.ctx, {k[0]: c for k, c in out.items()})
+    return Tensor._trusted(t.ctx, arity, out)
