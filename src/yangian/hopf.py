@@ -167,7 +167,10 @@ def _map_slot(t, slot, image, arity):
         if sums is None:
             sums = groups[rest] = {}
         for parts, c2 in image(key[slot]):
-            sums[parts] = sums.get(parts, ZERO) + c * c2
+            # most image coefficients are 1, and a first sum needs no add
+            v = c if c2 == 1 else c * c2
+            old = sums.get(parts)
+            sums[parts] = v if old is None else old + v
     out = {}
     for rest, sums in groups.items():
         head, tail = rest[:slot], rest[slot:]

@@ -239,6 +239,33 @@ def test_matrix_minor_shared_memo_equals_fresh_memo(n, order):
                     == fresh[rows, cols].negate_variable().shift(n - 1))
 
 
+def test_minor_routines_shift_each_entry_once(monkeypatch):
+    # the permutation sum shifts each (row, column, position) once per
+    # call, and matrix_minor keeps each shifted entry in its memo
+    shifts = []
+    shift = Series.shift
+
+    def counted(s, c):
+        shifts.append(c)
+        return shift(s, c)
+
+    monkeypatch.setattr(Series, "shift", counted)
+    ctx = Context(3, 2)
+    t = rtt.t_matrix(ctx, 2)
+    full = (1, 2, 3)
+    rtt.minor_by_permutations(t, full, full)
+    assert len(shifts) == 6  # three rows at positions 1 and 2
+    star = rtt.t_star_matrix(ctx, 2)
+    memo = {}
+    del shifts[:]
+    rtt.matrix_minor(star, full, full, memo)
+    # rows 1..3 in column b at position b - 1
+    assert len(shifts) == len([k for k in memo if len(k) == 3]) == 9
+    rtt.matrix_minor(star, full, full, memo)
+    rtt.matrix_minor(star, (2, 3), (1, 2), memo)
+    assert len(shifts) == 9
+
+
 @pytest.mark.parametrize("sorted_first", [True, False])
 def test_minor_cache_signs_permuted_and_repeated_rows(monkeypatch,
                                                       sorted_first):
