@@ -245,6 +245,16 @@ def _reduce_raw(ctx, raw):
             if c and word_degree(w) <= ctx.max_degree}
 
 
+def _foreign(other):
+    """The result of a sum, difference or product with an operand of
+    another type: the context mismatch for an element or tensor (their
+    arities differ), else NotImplemented, so that Python tries the
+    reflected operator and then raises TypeError."""
+    if isinstance(other, LinearCombination):
+        raise ValueError("context mismatch")
+    return NotImplemented
+
+
 class LinearCombination:
     """Linear combination of keys with exact coefficients over a context.
 
@@ -273,6 +283,8 @@ class LinearCombination:
     def __add__(self, other):
         if type(other) in _SCALARS:
             other = self._unit() * other
+        elif type(other) is not type(self):
+            return _foreign(other)
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
         out = dict(self.terms)
@@ -293,6 +305,8 @@ class LinearCombination:
     def __sub__(self, other):
         if type(other) in _SCALARS:
             other = self._unit() * other
+        elif type(other) is not type(self):
+            return _foreign(other)
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
         out = dict(self.terms)
@@ -305,6 +319,8 @@ class LinearCombination:
         return self._like(out)
 
     def __rsub__(self, other):
+        if type(other) not in _SCALARS:
+            return NotImplemented
         return (self._unit() * other).__sub__(self)
 
     def _scale(self, c):
@@ -366,6 +382,8 @@ class Element(LinearCombination):
     def __mul__(self, other):
         if type(other) in _SCALARS:
             return self._scale(other)
+        if type(other) is not Element:
+            return _foreign(other)
         if self.ctx != other.ctx:
             raise ValueError("context mismatch")
         raw = {}
@@ -600,6 +618,8 @@ class Tensor(LinearCombination):
     def __mul__(self, other):
         if type(other) in _SCALARS:
             return self._scale(other)
+        if type(other) is not Tensor:
+            return _foreign(other)
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
         out = {}

@@ -8,6 +8,12 @@ adjoint operators built from degree-one root vectors, their composites,
 closed coproduct/antipode formulas for the currents, and checkers that
 compare each formula against the transported (pullback) maps.
 
+The word maps accumulate on integer numerators.  The images of words
+have int coefficients, while the current modes carry the denominators
+of their recentring, so a map scales its input by the common
+denominator D of its coefficients, sums products of ints, and divides
+each surviving term by D once (`_numerators`, `_over`).
+
 Each composite of root actions is data, a chain spec (side, alpha,
 steps).  A step (kind, low, high, offset) is a root action "e" (raising)
 or "f" (lowering) on the root (low, high), or a diagonal step "d", at the
@@ -19,6 +25,7 @@ and `chain` alone turns a spec into an operator.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 import random
 
 from .algebra import (
@@ -80,20 +87,54 @@ def _delta_word(ctx, word):
     return _delta_word(ctx, word[:-1]) * _delta_symbol(ctx, word[-1])
 
 
+def _numerators(terms):
+    """(D, scaled): the coefficients of terms times their common
+    denominator D, the lcm of their Fraction denominators.
+
+    Every scaled coefficient is an int.  When every coefficient already
+    is one, D is 1 and terms comes back as it is.
+    """
+    d = 1
+    integral = True
+    for c in terms.values():
+        if type(c) is not int:
+            integral = False
+            if d % c.denominator:
+                d = lcm(d, c.denominator)
+    if integral:
+        return 1, terms
+    return d, {k: c * d if type(c) is int
+               else c.numerator * (d // c.denominator)
+               for k, c in terms.items()}
+
+
+def _over(s, d):
+    """The exact coefficient s / d of an int numerator s over the common
+    denominator d: an int when d divides s, else a reduced Fraction."""
+    q, r = divmod(s, d)
+    return Fraction(s, d) if r else q
+
+
 def _linear_extension(x, image):
     """Terms of sum_w c_w image(w) over the terms c_w w of x.
 
     Each image is already reduced and cut, and so is any sum of them:
     the terms add straight into one dict, dropping the keys that cancel.
+    The images have int coefficients (the structure constants are
+    integers), so the sum runs on the int numerators of x over their
+    common denominator D, and each surviving key is divided by D once.
     """
+    d, terms = _numerators(x.terms)
     out = {}
-    for w, c in x.terms.items():
+    for w, c in terms.items():
         for key, v in image(x.ctx, w).terms.items():
             s = out.get(key, ZERO) + c * v
             if s:
                 out[key] = s
             elif key in out:
                 del out[key]
+    if d != 1:
+        out = {key: _over(s, d) for key, s in out.items()}
     return out
 
 
@@ -151,17 +192,19 @@ def antipode_series(s):
 def _map_slot(t, slot, image, arity):
     """Replace one slot of every key by the slot tuples of image(word).
 
-    image maps the slot's word to (slot_tuple, coefficient) pairs; the
-    result has the given arity, and arity 1 gives an element.  Terms that
-    agree outside the mapped slot form one group, whose images add into
-    one dict keyed by the image's slot tuple; each result key is then
-    built once, from the group's head and tail and a slot tuple that
-    kept a nonzero sum.  The coproduct, antipode and counit of a word
-    never raise its degree, so no key of the result passes the bound
-    and the tensor is trusted.
+    image maps the slot's word to (slot_tuple, int coefficient) pairs;
+    the result has the given arity, and arity 1 gives an element.  Terms
+    that agree outside the mapped slot form one group, whose images add
+    into one dict keyed by the image's slot tuple; each result key is
+    then built once, from the group's head and tail and a slot tuple that
+    kept a nonzero sum.  The sums run on the int numerators of t over
+    their common denominator D, and each result key is divided by D once.
+    The coproduct, antipode and counit of a word never raise its degree,
+    so no key of the result passes the bound and the tensor is trusted.
     """
+    d, terms = _numerators(t.terms)
     groups = {}
-    for key, c in t.terms.items():
+    for key, c in terms.items():
         rest = key[:slot] + key[slot + 1:]
         sums = groups.get(rest)
         if sums is None:
@@ -176,7 +219,7 @@ def _map_slot(t, slot, image, arity):
         head, tail = rest[:slot], rest[slot:]
         for parts, c in sums.items():
             if c:
-                out[head + parts + tail] = c
+                out[head + parts + tail] = c if d == 1 else _over(c, d)
     if arity == 1:
         return Element._trusted(t.ctx, {k[0]: c for k, c in out.items()})
     return Tensor._trusted(t.ctx, arity, out)
@@ -201,14 +244,40 @@ def antipode_on_slot(t, slot):
         t.arity)
 
 
-def multiply_slots(t):
-    """Multiply the two slots of a tensor square into one element."""
+def multiply_slots(t, antipode=None):
+    """Multiply the two slots of a tensor square into one element.
+
+    With antipode=s, slot s is mapped by the antipode first, in the same
+    pass: the terms of S(w_s) go straight into the product words, so
+    m(S x id) and m(id x S) build no tensor between the two maps.  The
+    product words add on the int numerators of t, and the normal-ordered
+    result is divided by their common denominator once.
+    """
     if t.arity != 2:
         raise ValueError("tensor square expected")
+    if antipode not in (None, 0, 1):
+        raise ValueError("antipode slot must be 0 or 1")
+    ctx = t.ctx
+    d, terms = _numerators(t.terms)
     raw = {}
-    for (wl, wr), c in t.terms.items():
-        raw[wl + wr] = raw.get(wl + wr, ZERO) + c
-    return from_words(t.ctx, raw)
+    if antipode is None:
+        for (wl, wr), c in terms.items():
+            w = wl + wr
+            raw[w] = raw.get(w, ZERO) + c
+    elif antipode == 0:
+        for (wl, wr), c in terms.items():
+            for v, cv in _antipode_word(ctx, wl).terms.items():
+                w = v + wr
+                raw[w] = raw.get(w, ZERO) + c * cv
+    else:
+        for (wl, wr), c in terms.items():
+            for v, cv in _antipode_word(ctx, wr).terms.items():
+                w = wl + v
+                raw[w] = raw.get(w, ZERO) + c * cv
+    el = from_words(ctx, raw)
+    if d == 1:
+        return el
+    return Element._trusted(ctx, {w: _over(c, d) for w, c in el.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +319,8 @@ def hopf_axioms_check(n, order, mode=SL, include_currents=True):
         counit.check(label + ":left", counit_on_slot(d, 0), x)
         counit.check(label + ":right", counit_on_slot(d, 1), x)
         want = unit(ctx) * counit_element(x)
-        antipode.check(label + ":left",
-                       multiply_slots(antipode_on_slot(d, 0)), want)
-        antipode.check(label + ":right",
-                       multiply_slots(antipode_on_slot(d, 1)), want)
+        antipode.check(label + ":left", multiply_slots(d, antipode=0), want)
+        antipode.check(label + ":right", multiply_slots(d, antipode=1), want)
     return [coassoc, counit, antipode]
 
 

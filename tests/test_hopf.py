@@ -18,7 +18,13 @@ from yangian.algebra import (
 from yangian.drinfeld import current
 from yangian import hopf
 from yangian.rtt import t_entry, t_matrix
-from util import map_slot_per_term, random_element
+from util import (
+    antipode_product_two_pass,
+    linear_extension_fractions,
+    map_slot_per_term,
+    multiply_slots_fractions,
+    random_element,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +203,94 @@ def test_grouped_slot_maps_match_per_term_oracle(n, mode):
                 assert got.terms == want.terms, (fn.__name__, slot)
                 nonzero += bool(got.terms)
     assert fractions > 0 and nonzero > 0
+
+
+def _current_modes(ctx):
+    """Every mode e_i^(k), f_i^(k), h_i^(k) up to the degree bound."""
+    for i in range(1, ctx.n):
+        for kind in ("e", "f", "h"):
+            s = current(ctx, kind, i, ctx.max_degree)
+            for k in range(1, ctx.max_degree + 1):
+                yield s.coefficient(k)
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n,order", [(2, 5), (3, 3)])
+def test_common_denominator_maps_match_fraction_oracles(n, order, mode):
+    # the current modes carry the denominators of the (2 - i)/2 recentring
+    ctx = Context(n, order, mode)
+    fractions = 0
+    for x in _current_modes(ctx):
+        fractions += any(type(c) is Fraction for c in x.terms.values())
+        d = hopf.delta_element(x)
+        assert d.terms == linear_extension_fractions(x, hopf._delta_word)
+        assert hopf.antipode_element(x).terms == linear_extension_fractions(
+            x, hopf._antipode_word)
+        assert hopf.multiply_slots(d).terms == multiply_slots_fractions(
+            d).terms
+        for slot in (0, 1):
+            got = hopf.multiply_slots(d, antipode=slot)
+            assert got.terms == antipode_product_two_pass(d, slot).terms
+    assert fractions > 0
+
+
+def _hand_made_square(ctx):
+    """A tensor square with Fraction coefficients that is no coproduct."""
+    def g(i, j, k):
+        return generator(ctx, i, j, k)
+    one = unit(ctx)
+    return (Tensor.of_elements(g(1, 2, 1), g(2, 1, 1)) * Fraction(1, 2)
+            + Tensor.of_elements(g(1, 1, 2), one) * Fraction(2, 3)
+            + Tensor.of_elements(g(1, 2, 1) * g(2, 1, 1), g(2, 2, 1))
+            * Fraction(-5, 6)
+            + Tensor.of_elements(one, g(1, 1, 1) * g(1, 2, 1))
+            * Fraction(3, 4))
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+def test_one_pass_antipode_product_of_a_non_coproduct(mode):
+    # a coproduct collapses to its counit, so only a tensor that is no
+    # coproduct shows the residual terms of m(S x id) and m(id x S)
+    ctx = Context(2, 4, mode)
+    t = _hand_made_square(ctx)
+    assert hopf.multiply_slots(t).terms == multiply_slots_fractions(t).terms
+    for slot in (0, 1):
+        got = hopf.multiply_slots(t, antipode=slot)
+        assert got.terms == antipode_product_two_pass(t, slot).terms
+        assert any(w and type(c) is Fraction for w, c in got.terms.items())
+    with pytest.raises(ValueError):
+        hopf.multiply_slots(t, antipode=2)
+
+
+def _exact_coefficients(obj):
+    """An int while integral, a Fraction only with a denominator above 1."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in obj.terms.values())
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+def test_hopf_word_maps_store_int_while_integral(mode):
+    ctx = Context(2, 4, mode)
+    e12 = (1, 1, 2)
+    # delta(T12^(1) T12^(1)) holds 2 T12 (x) T12, so half of it holds 1
+    x = from_words(ctx, {(e12, e12): Fraction(1, 2), (e12,): Fraction(1, 3)})
+    c = hopf.delta_element(x).terms[((e12,), (e12,))]
+    assert c == 1 and type(c) is int
+    squares = [_hand_made_square(ctx)]
+    for y in [x, *_current_modes(ctx)]:
+        d = hopf.delta_element(y)
+        squares.append(d)
+        assert _exact_coefficients(d)
+        assert _exact_coefficients(hopf.antipode_element(y))
+    for d in squares:
+        outputs = [hopf.multiply_slots(d)]
+        for slot in (0, 1):
+            outputs += [hopf.delta_on_slot(d, slot),
+                        hopf.antipode_on_slot(d, slot),
+                        hopf.counit_on_slot(d, slot),
+                        hopf.multiply_slots(d, antipode=slot)]
+        for out in outputs:
+            assert _exact_coefficients(out)
 
 
 def test_hopf_axioms_check_takes_one_coproduct_per_target(monkeypatch):

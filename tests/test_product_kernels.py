@@ -8,6 +8,7 @@ one negated copy or one copied sum per step) as its reference.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -413,3 +414,28 @@ def test_context_mismatch_raises():
         commutator(t2, t3)
     with pytest.raises(ValueError):
         commutator(x, t2)
+
+
+def test_arity_mismatch_raises_context_mismatch():
+    x = generator(Context(2, 3, GL), 1, 2, 1)
+    t2 = Tensor.of_elements(x, x)
+    t3 = Tensor.of_elements(x, x, x)
+    for a, b in ((x, t2), (t2, x), (t2, t3), (t3, x)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="context mismatch"):
+                op(a, b)
+
+
+@pytest.mark.parametrize("other", [1.5, None, "x", [1], 1j])
+def test_unsupported_operands_are_not_implemented(other):
+    # Python then tries the reflected operator and raises TypeError
+    x = generator(Context(2, 3, GL), 1, 2, 1)
+    for el in (x, Tensor.of_elements(x, x)):
+        for name in ("add", "sub", "mul", "radd", "rsub", "rmul"):
+            assert getattr(el, "__%s__" % name)(other) is NotImplemented
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(el, other)
+            with pytest.raises(TypeError):
+                op(other, el)
+        assert el != other

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from yangian import hopf
 from yangian.algebra import Element, Tensor, commutator_words, from_words
 from yangian.series import SeriesMatrix
 
@@ -102,3 +103,40 @@ def map_slot_per_term(t, slot, image, arity):
     if arity == 1:
         return Element._trusted(t.ctx, {k[0]: c for k, c in out.items()})
     return Tensor._trusted(t.ctx, arity, out)
+
+
+def linear_extension_fractions(x, image):
+    """Terms of sum_w c_w image(w) over the terms c_w w of x, each product
+    taken on the coefficients as stored, Fractions included.  An oracle
+    for the common-denominator hopf._linear_extension, with the same
+    arguments."""
+    out = {}
+    for w, c in x.terms.items():
+        for key, v in image(x.ctx, w).terms.items():
+            s = out.get(key, 0) + c * v
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+def multiply_slots_fractions(t):
+    """The two slots of a tensor square multiplied into one element, the
+    product words summed on the coefficients as stored.  An oracle for
+    hopf.multiply_slots(t)."""
+    raw = {}
+    for (wl, wr), c in t.terms.items():
+        raw[wl + wr] = raw.get(wl + wr, 0) + c
+    return from_words(t.ctx, raw)
+
+
+def antipode_product_two_pass(t, slot):
+    """m(S x id) (slot 0) or m(id x S) (slot 1) of a tensor square in two
+    passes: the antipode of one slot as a whole tensor, term by term, then
+    the slot product.  An oracle for hopf.multiply_slots(t, antipode=slot).
+    """
+    def image(w):
+        return (((v,), c)
+                for v, c in hopf._antipode_word(t.ctx, w).terms.items())
+    return multiply_slots_fractions(map_slot_per_term(t, slot, image, 2))
