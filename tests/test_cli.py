@@ -340,6 +340,21 @@ def test_verify_hopf_axioms_n3_order_four_json_is_pinned(capsys):
     assert (code, digest) == HOPF_AXIOMS_N3_ORDER_FOUR_JSON
 
 
+# (exit code, sha256) of `verify sl2 --order 6 --format json`: the rank-one
+# closed coproducts past the default order 4, where each geometric sum
+# runs to a sixth power.  A change meant to alter that output updates it
+# and says why.
+SL2_ORDER_SIX_JSON = (
+    0, "d81084f895415442d427c78f4545b61d6089721357acaa164c35d92ee29eddd5")
+
+
+def test_verify_sl2_order_six_json_is_pinned(capsys):
+    code, out = run_cli(capsys, "verify", "sl2", "--order", "6",
+                        "--format", "json")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == SL2_ORDER_SIX_JSON
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("suite", sorted(SUITES) + ["all"])
 def test_verify_order_one_ends_in_a_report(capsys, suite, n):
