@@ -474,8 +474,13 @@ def commutator(a, b):
     """[a, b] = a b - b a, both products added into one raw dict.
 
     The SL elimination and the degree cut run once on the sum, not once
-    per product; both are linear, so the result is the same.
+    per product; both are linear, so the result is the same.  Operands
+    other than elements and tensors raise TypeError.
     """
+    if not (isinstance(a, LinearCombination)
+            and isinstance(b, LinearCombination)):
+        raise TypeError("commutator of %s and %s"
+                        % (type(a).__name__, type(b).__name__))
     if a.ctx != b.ctx or a.arity != b.arity:
         raise ValueError("context mismatch")
     raw = {}

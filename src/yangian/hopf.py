@@ -8,6 +8,13 @@ adjoint operators built from degree-one root vectors, their composites,
 closed coproduct/antipode formulas for the currents, and checkers that
 compare each formula against the transported (pullback) maps.
 
+Each map is built one way.  The word images are memoised: `_delta_word`
+splits one symbol as its base case, and `_antipode_word` reads the
+memoised T(u)^{-1} of `rtt`.  `_map_slot` applies a word image inside
+one slot, and takes an element as its one-slot view {(w,): c}, so the
+element and slot maps share that kernel; `multiply_slots` maps one slot
+by the antipode or the identity in its one product loop.
+
 The word maps accumulate on integer numerators.  The images of words
 have int coefficients, while the current modes carry the denominators
 of their recentring, so a map scales its input by the common
@@ -44,10 +51,10 @@ from .algebra import (
 )
 from .drinfeld import current, leading_block, root_element
 from .report import Report
-from .rtt import quantum_minor, reflected_minor, t_matrix, t_star_matrix
+from .rtt import (
+    inverse_matrix, quantum_minor, reflected_minor, t_entry, t_star_matrix,
+)
 from .series import Series, geometric_unit_sum, series_outer, slot_embed
-
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -55,36 +62,35 @@ HALF = Fraction(1, 2)
 
 
 @lru_cache(maxsize=None)
-def _delta_symbol(ctx, sym):
-    """Coproduct of one generator symbol as a tensor square."""
-    k, i, j = sym
+def _delta_word(ctx, word):
+    """Coproduct of a word, as a tensor square: a symbol T_ij^(k) is the
+    u^-k coefficient of Delta T_ij(u) = sum_a T_ia(u) (x) T_aj(u), and a
+    longer word the product of its prefix's image and its last symbol's.
+    """
+    if not word:
+        return Tensor.unit(ctx, 2)
+    if len(word) > 1:
+        return _delta_word(ctx, word[:-1]) * _delta_word(ctx, word[-1:])
+    k, i, j = word[0]
     total = Tensor.zero(ctx, 2)
     for a in range(1, ctx.n + 1):
+        left = t_entry(ctx, i, a, ctx.max_degree)
+        right = t_entry(ctx, a, j, ctx.max_degree)
         for p in range(k + 1):
-            q = k - p
-            if p == 0:
-                if a != i:
-                    continue
-                left = unit(ctx)
-            else:
-                left = generator(ctx, i, a, p)
-            if q == 0:
-                if a != j:
-                    continue
-                right = unit(ctx)
-            else:
-                right = generator(ctx, a, j, q)
-            total = total + Tensor.of_elements(left, right)
+            total = total + Tensor.of_elements(left.coefficient(p),
+                                               right.coefficient(k - p))
     return total
 
 
 @lru_cache(maxsize=None)
-def _delta_word(ctx, word):
+def _antipode_word(ctx, word):
+    """Antipode of a word: the product, in reverse order, of the
+    coefficients of T(u)^{-1} at its symbols."""
     if not word:
-        return Tensor.unit(ctx, 2)
-    if len(word) == 1:
-        return _delta_symbol(ctx, word[0])
-    return _delta_word(ctx, word[:-1]) * _delta_symbol(ctx, word[-1])
+        return unit(ctx)
+    k, i, j = word[-1]
+    image = inverse_matrix(ctx, ctx.max_degree).entry(i, j).coefficient(k)
+    return image * _antipode_word(ctx, word[:-1])
 
 
 def _numerators(terms):
@@ -115,59 +121,29 @@ def _over(s, d):
     return Fraction(s, d) if r else q
 
 
-def _linear_extension(x, image):
-    """Terms of sum_w c_w image(w) over the terms c_w w of x.
+def _delta_image(ctx):
+    """The slot image of the coproduct: a word to its (left, right) terms."""
+    return lambda w: _delta_word(ctx, w).terms.items()
 
-    Each image is already reduced and cut, and so is any sum of them:
-    the terms add straight into one dict, dropping the keys that cancel.
-    The images have int coefficients (the structure constants are
-    integers), so the sum runs on the int numerators of x over their
-    common denominator D, and each surviving key is divided by D once.
-    """
-    d, terms = _numerators(x.terms)
-    out = {}
-    for w, c in terms.items():
-        for key, v in image(x.ctx, w).terms.items():
-            s = out.get(key, ZERO) + c * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    if d != 1:
-        out = {key: _over(s, d) for key, s in out.items()}
-    return out
+
+def _antipode_image(ctx):
+    """The slot image of the antipode: a word to its one-word terms."""
+    return lambda w: (((v,), c)
+                      for v, c in _antipode_word(ctx, w).terms.items())
 
 
 def delta_element(x):
-    """Coproduct of an element, as a tensor square.
-
-    The linear extension of the memoised word coproducts, summed into one
-    terms dict: no intermediate tensor is built or copied.
-    """
-    return Tensor._trusted(x.ctx, 2, _linear_extension(x, _delta_word))
-
-
-@lru_cache(maxsize=None)
-def _inverse_matrix(ctx):
-    return t_matrix(ctx, ctx.max_degree).inverse()
-
-
-@lru_cache(maxsize=None)
-def _antipode_word(ctx, word):
-    if not word:
-        return unit(ctx)
-    k, i, j = word[-1]
-    image = _inverse_matrix(ctx).entry(i, j).coefficient(k)
-    return image * _antipode_word(ctx, word[:-1])
+    """Coproduct of an element, as a tensor square: the slot map of the
+    word coproducts on the element's one-slot view {(w,): c}."""
+    view = {(w,): c for w, c in x.terms.items()}
+    return _map_slot(x.ctx, view, 0, _delta_image(x.ctx), 2)
 
 
 def antipode_element(x):
-    """Antipode of an element (an anti-morphism on products).
-
-    Like delta_element, the memoised word images are summed into one
-    terms dict.
-    """
-    return Element._trusted(x.ctx, _linear_extension(x, _antipode_word))
+    """Antipode of an element (an anti-morphism on products): the slot
+    map of the word antipodes on the element's one-slot view."""
+    view = {(w,): c for w, c in x.terms.items()}
+    return _map_slot(x.ctx, view, 0, _antipode_image(x.ctx), 1)
 
 
 def counit_element(x):
@@ -189,20 +165,21 @@ def antipode_series(s):
 # slot maps on tensor squares / cubes
 
 
-def _map_slot(t, slot, image, arity):
-    """Replace one slot of every key by the slot tuples of image(word).
+def _map_slot(ctx, terms, slot, image, arity):
+    """Replace one slot of every key of terms by the slot tuples of
+    image(word).
 
     image maps the slot's word to (slot_tuple, int coefficient) pairs;
     the result has the given arity, and arity 1 gives an element.  Terms
     that agree outside the mapped slot form one group, whose images add
     into one dict keyed by the image's slot tuple; each result key is
     then built once, from the group's head and tail and a slot tuple that
-    kept a nonzero sum.  The sums run on the int numerators of t over
+    kept a nonzero sum.  The sums run on the int numerators of terms over
     their common denominator D, and each result key is divided by D once.
     The coproduct, antipode and counit of a word never raise its degree,
     so no key of the result passes the bound and the tensor is trusted.
     """
-    d, terms = _numerators(t.terms)
+    d, terms = _numerators(terms)
     groups = {}
     for key, c in terms.items():
         rest = key[:slot] + key[slot + 1:]
@@ -221,59 +198,55 @@ def _map_slot(t, slot, image, arity):
             if c:
                 out[head + parts + tail] = c if d == 1 else _over(c, d)
     if arity == 1:
-        return Element._trusted(t.ctx, {k[0]: c for k, c in out.items()})
-    return Tensor._trusted(t.ctx, arity, out)
+        return Element._trusted(ctx, {k[0]: c for k, c in out.items()})
+    return Tensor._trusted(ctx, arity, out)
 
 
 def delta_on_slot(t, slot):
     """Apply the coproduct inside one slot, raising the arity by one."""
-    return _map_slot(t, slot, lambda w: _delta_word(t.ctx, w).terms.items(),
-                     t.arity + 1)
+    return _map_slot(t.ctx, t.terms, slot, _delta_image(t.ctx), t.arity + 1)
 
 
 def counit_on_slot(t, slot):
     """Contract one slot with the counit, lowering the arity by one."""
-    return _map_slot(t, slot, lambda w: () if w else (((), ONE),),
-                     t.arity - 1)
+    return _map_slot(t.ctx, t.terms, slot,
+                     lambda w: () if w else (((), ONE),), t.arity - 1)
 
 
 def antipode_on_slot(t, slot):
     """Apply the antipode inside one slot."""
-    return _map_slot(t, slot, lambda w: (
-        ((v,), c) for v, c in _antipode_word(t.ctx, w).terms.items()),
-        t.arity)
+    return _map_slot(t.ctx, t.terms, slot, _antipode_image(t.ctx), t.arity)
 
 
 def multiply_slots(t, antipode=None):
     """Multiply the two slots of a tensor square into one element.
 
-    With antipode=s, slot s is mapped by the antipode first, in the same
-    pass: the terms of S(w_s) go straight into the product words, so
-    m(S x id) and m(id x S) build no tensor between the two maps.  The
-    product words add on the int numerators of t, and the normal-ordered
-    result is divided by their common denominator once.
+    One slot's word goes through an image, the antipode for the slot
+    antipode=s and else the identity, and the image words multiply
+    straight into the product words: m(S x id) and m(id x S) build no
+    tensor between the two maps.  The product words add on the int
+    numerators of t, and the normal-ordered result is divided by their
+    common denominator once.
     """
     if t.arity != 2:
         raise ValueError("tensor square expected")
     if antipode not in (None, 0, 1):
         raise ValueError("antipode slot must be 0 or 1")
     ctx = t.ctx
+    if antipode is None:
+        slot, image = 1, lambda w: ((w, ONE),)
+    else:
+        slot = antipode
+        image = lambda w: _antipode_word(ctx, w).terms.items()
     d, terms = _numerators(t.terms)
     raw = {}
-    if antipode is None:
-        for (wl, wr), c in terms.items():
-            w = wl + wr
-            raw[w] = raw.get(w, ZERO) + c
-    elif antipode == 0:
-        for (wl, wr), c in terms.items():
-            for v, cv in _antipode_word(ctx, wl).terms.items():
-                w = v + wr
-                raw[w] = raw.get(w, ZERO) + c * cv
-    else:
-        for (wl, wr), c in terms.items():
-            for v, cv in _antipode_word(ctx, wr).terms.items():
-                w = wl + v
-                raw[w] = raw.get(w, ZERO) + c * cv
+    for key, c in terms.items():
+        # the product word is head + (image of the slot's word) + tail
+        head = key[0] if slot else ()
+        tail = () if slot else key[1]
+        for v, cv in image(key[slot]):
+            w = head + v + tail
+            raw[w] = raw.get(w, ZERO) + c * cv
     el = from_words(ctx, raw)
     if d == 1:
         return el
@@ -340,7 +313,10 @@ def _random_element(rng, ctx, terms, degree_cap):
     return total
 
 
-def structure_morphism_check(n, order, mode=SL, seed=0, samples=12):
+MORPHISM_SAMPLES = 12
+
+
+def structure_morphism_check(n, order, mode=SL, seed=0):
     """Coproduct/counit are morphisms, the antipode an anti-morphism.
 
     Factors are drawn so the combined degree stays within the context
@@ -353,7 +329,7 @@ def structure_morphism_check(n, order, mode=SL, seed=0, samples=12):
         rep.note("degree bound %d leaves no room for two factors of "
                  "degree >= 1; sampling skipped" % ctx.max_degree)
         return rep
-    for t in range(samples):
+    for t in range(MORPHISM_SAMPLES):
         cap = rng.randint(1, ctx.max_degree - 1)
         x = _random_element(rng, ctx, 2, cap)
         y = _random_element(rng, ctx, 2, ctx.max_degree - cap)
@@ -374,12 +350,11 @@ def _index_subsets(n, m):
     return list(combinations(range(1, n + 1), m))
 
 
-def minor_coproduct_check(n, order, mode=GL, max_size=None):
+def minor_coproduct_check(n, order, mode=GL):
     """The coproduct splits a minor along an intermediate index set."""
     ctx = Context(n, order, mode)
     rep = Report("minor-coproduct", n=n, order=order, mode=mode)
-    top = max_size or n
-    for m in range(1, top + 1):
+    for m in range(1, n + 1):
         for rows in _index_subsets(n, m):
             for cols in _index_subsets(n, m):
                 lhs = delta_series(quantum_minor(ctx, rows, cols, order))
@@ -1050,62 +1025,32 @@ SL2_DELTA_SLOTS = {
 
 
 def sl2_closed_delta(frame, kind, shifts=None):
-    """Rank-one coproducts in fully expanded geometric form."""
+    """Rank-one coproducts as geometric sums of X = e (x) f.
+
+    With G = sum_m (-X)^m: De = 1 (x) e + G (e (x) h),
+    Df = f (x) 1 + (h (x) f) G and Dh = (h (x) 1) G^2 (1 (x) h), since
+    the terms of G^2 are (k+1) (-X)^k.  Each current is read at its
+    spectral slot of SL2_DELTA_SLOTS, moved by shifts.
+    """
+    if kind not in SL2_DELTA_SLOTS:
+        raise ValueError("unknown current kind %r" % (kind,))
     s = dict(SL2_DELTA_SLOTS[kind])
     s.update(shifts or {})
-    e1 = frame.current("e", 1)
-    f1 = frame.current("f", 1)
-    h1 = frame.current("h", 1)
-    order = e1.order
+
+    def at(name, slot):
+        return frame.current(name, 1).shift(s[slot])
+
+    e = at("e", "pow_e")
+    geometric = geometric_unit_sum(-series_outer(e, at("f", "pow_f")))
     if kind == "e":
-        total = slot_embed(e1.shift(s["head_e"]), 2, 1)
-        left = e1.shift(s["pow_e"])
-        right_step = f1.shift(s["pow_f"])
-        lpow = left
-        rpow = h1.shift(s["tail_h"])
-        sign = 1
-        for _ in range(order + 1):
-            total = total + series_outer(lpow, rpow) * sign
-            lpow = lpow * left
-            rpow = right_step * rpow
-            sign = -sign
-            if lpow.is_zero():
-                break
-        return total
+        return (slot_embed(at("e", "head_e"), 2, 1)
+                + geometric * series_outer(e, at("h", "tail_h")))
     if kind == "f":
-        total = slot_embed(f1.shift(s["head_f"]), 2, 0)
-        right = f1.shift(s["pow_f"])
-        left_step = e1.shift(s["pow_e"])
-        rpow = right
-        lpow = h1.shift(s["head_h"])
-        sign = 1
-        for _ in range(order + 1):
-            total = total + series_outer(lpow, rpow) * sign
-            rpow = rpow * right
-            lpow = lpow * left_step
-            sign = -sign
-            if rpow.is_zero():
-                break
-        return total
-    if kind == "h":
-        total = None
-        he = h1.shift(s["head_h"])
-        ht = h1.shift(s["tail_h"])
-        le = e1.shift(s["pow_e"])
-        rf = f1.shift(s["pow_f"])
-        lpow = he
-        rpow = ht
-        k = 0
-        while True:
-            term = series_outer(lpow, rpow) * ((k + 1) * (-1) ** k)
-            total = term if total is None else total + term
-            k += 1
-            lpow = lpow * le
-            rpow = rf * rpow
-            if lpow.is_zero() or rpow.is_zero() or k > order:
-                break
-        return total
-    raise ValueError("unknown current kind %r" % (kind,))
+        return (slot_embed(at("f", "head_f"), 2, 0)
+                + series_outer(at("h", "head_h"), at("f", "pow_f"))
+                * geometric)
+    return (slot_embed(at("h", "head_h"), 2, 0) * geometric * geometric
+            * slot_embed(at("h", "tail_h"), 2, 1))
 
 
 def sl2_closed_antipode(frame, kind, subtraction="recentered"):
@@ -1191,50 +1136,37 @@ def sl2_mutation_check(order=4):
 # rank-two closed forms
 
 
-def _bracket_series(frame, kind, j, s):
-    return s.map_coeffs(_bracket_map(frame.root(kind, j, j + 1), 1))
-
-
 def sl3_closed_delta(frame, kind, i=1, head_e_shift=0):
-    """Rank-two coproducts with a single nearest-neighbour correction.
+    """Rank-two coproducts with a single nearest-neighbour correction:
+    each pair a (x) b of a formula is corrected by -[e_j, a] (x) [f_j, b]
+    at the other simple root j.
 
     head_e_shift moves the spectral argument of the raising current in
     the leading term of the diagonal formula (0 as written; 1 matches
     the general formula).
     """
+    if kind not in ("e", "f", "h"):
+        raise ValueError("unknown current kind %r" % (kind,))
     j = 3 - i
     e1 = frame.current("e", i)
     f1 = frame.current("f", i)
-    g1 = frame.g(i)
-    gt1 = frame.g_tilde(i)
 
-    def bre(s):
-        return _bracket_series(frame, "e", j, s)
-
-    def brf(s):
-        return _bracket_series(frame, "f", j, s)
+    def pair(a, b):
+        return series_outer(a, b) - series_outer(
+            a.map_coeffs(_bracket_map(frame.root("e", j, j + 1), 1)),
+            b.map_coeffs(_bracket_map(frame.root("f", j, j + 1), 1)))
 
     if kind == "e":
-        power = (series_outer(e1, f1.shift(1))
-                 - series_outer(bre(e1), brf(f1.shift(1))))
-        head = (slot_embed(e1, 2, 1) + series_outer(e1, gt1)
-                - series_outer(bre(e1), brf(gt1)))
-        return geometric_unit_sum(-power) * head
+        return (geometric_unit_sum(-pair(e1, f1.shift(1)))
+                * (slot_embed(e1, 2, 1) + pair(e1, frame.g_tilde(i))))
+    geometric = geometric_unit_sum(-pair(e1.shift(1), f1))
     if kind == "f":
-        head = (slot_embed(f1, 2, 0) + series_outer(g1, f1)
-                - series_outer(bre(g1), brf(f1)))
-        power = (series_outer(e1.shift(1), f1)
-                 - series_outer(bre(e1.shift(1)), brf(f1)))
-        return head * geometric_unit_sum(-power)
-    if kind == "h":
-        head = (series_outer(f1, e1.shift(head_e_shift))
-                + series_outer(g1, g1) - series_outer(bre(g1), brf(g1)))
-        power = (series_outer(e1.shift(1), f1)
-                 - series_outer(bre(e1.shift(1)), brf(f1)))
-        sub = (sl3_closed_delta(frame, "f", i)
-               * sl3_closed_delta(frame, "e", i).shift(1))
-        return head * geometric_unit_sum(-power) - sub
-    raise ValueError("unknown current kind %r" % (kind,))
+        return (slot_embed(f1, 2, 0) + pair(frame.g(i), f1)) * geometric
+    head = series_outer(f1, e1.shift(head_e_shift)) + pair(frame.g(i),
+                                                            frame.g(i))
+    sub = (sl3_closed_delta(frame, "f", i)
+           * sl3_closed_delta(frame, "e", i).shift(1))
+    return head * geometric - sub
 
 
 def sl3_diagonal_status(order=3):

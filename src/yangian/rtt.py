@@ -18,10 +18,11 @@ pass per index set checks the commutation of every entry with the minor
 and the centrality of the minor in its own indices: it looks the minor
 and its row- and column-replaced minors up once and forms each bracket
 of an entry coefficient with a minor coefficient once, for both reports.
-Entries T_ij(u), each shifted entry T_ij(u+c) and quantum minors are
-memoised per context and order; the minor cache answers a key exactly
-as given before it checks and sorts the rows.  A sweep over the minors
-of one reflected matrix shares one sub-minor memo.
+Entries T_ij(u), each shifted entry T_ij(u+c), quantum minors and the
+inverse T(u)^{-1} are memoised per context and order; the reflected
+matrix is that inverse read at -u.  The minor cache answers a key
+exactly as given before it checks and sorts the rows.  A sweep over the
+minors of one reflected matrix shares one sub-minor memo.
 """
 
 from fractions import Fraction
@@ -596,12 +597,17 @@ def k_sanity_checks(ctx, order):
 # ---------------------------------------------------------------------------
 # reflected matrix and inverse entries
 
+@lru_cache(maxsize=None)
+def inverse_matrix(ctx, order):
+    """T(u)^{-1}, inverted once per (ctx, order)."""
+    return t_matrix(ctx, order).inverse()
+
+
 def t_star_matrix(ctx, order):
-    """(T(-u))^{-1}: the entrywise-reflected generating matrix, inverted."""
-    n = ctx.n
-    neg = SeriesMatrix([[t_entry(ctx, i, j, order).negate_variable()
-                         for j in range(1, n + 1)] for i in range(1, n + 1)])
-    return neg.inverse()
+    """(T(-u))^{-1}, the inverse T(u)^{-1} read at -u: the inverse
+    recursion of T(-u) gives exactly (-1)^k S^(k) at u^-k."""
+    return SeriesMatrix([[s.negate_variable() for s in row]
+                         for row in inverse_matrix(ctx, order).rows])
 
 
 def matrix_minor(mat, rows, cols, memo=None):
@@ -694,7 +700,7 @@ def inverse_entries_check(ctx, order):
     if ctx.mode != SL:
         raise ValueError("SL context required")
     rep = Report("inverse-entry-minors", n=ctx.n, order=order)
-    inv = t_matrix(ctx, order).inverse()
+    inv = inverse_matrix(ctx, order)
     for i in range(1, ctx.n + 1):
         for j in range(1, ctx.n + 1):
             rep.check("entry %d,%d" % (i, j), inv.entry(i, j),

@@ -120,13 +120,11 @@ class Series:
 
     __hash__ = None
 
-    def _coerce(self, other):
-        if type(other) in _SCALARS:
-            return Series.constant(self.ctx, self.order, other, self.arity)
-        return other
-
     def __add__(self, other):
-        other = self._coerce(other)
+        if type(other) in _SCALARS:
+            other = Series.constant(self.ctx, self.order, other, self.arity)
+        elif type(other) is not Series:
+            return NotImplemented
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
         order = min(self.order, other.order)
@@ -145,7 +143,10 @@ class Series:
                                self.arity)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        if type(other) in _SCALARS:
+            other = Series.constant(self.ctx, self.order, other, self.arity)
+        elif type(other) is not Series:
+            return NotImplemented
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
         order = min(self.order, other.order)
@@ -156,7 +157,10 @@ class Series:
         return Series._trusted(self.ctx, order, out, self.arity)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        if type(other) not in _SCALARS:
+            return NotImplemented
+        return Series.constant(self.ctx, self.order, other,
+                               self.arity).__sub__(self)
 
     def __mul__(self, other):
         """Cauchy product, truncated at the smaller order.
@@ -169,6 +173,8 @@ class Series:
             return Series._trusted(
                 self.ctx, self.order,
                 {k: v * other for k, v in self.coeffs.items()}, self.arity)
+        if type(other) is not Series:
+            return NotImplemented
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
         order = min(self.order, other.order)

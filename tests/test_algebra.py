@@ -55,6 +55,13 @@ def test_mode_commutator_antisymmetry():
             assert (lhs + rhs).is_zero()
 
 
+def test_commutator_of_a_non_element_raises_type_error():
+    x = generator(Context(2, 3, GL), 1, 2, 1)
+    for a, b in ((x, 1.5), (1.5, x), (x, None), ("x", x)):
+        with pytest.raises(TypeError):
+            commutator(a, b)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_confluence_of_strategies(n):
     rng = random.Random(100 + n)

@@ -24,6 +24,7 @@ from util import (
     map_slot_per_term,
     multiply_slots_fractions,
     random_element,
+    sl2_closed_delta_expanded,
 )
 
 
@@ -655,6 +656,29 @@ def test_sl2_closed_forms():
     assert any("degree 3" in note for note in h.notes)
 
 
+def _sl2_shift_variants():
+    """No shift, then every single spectral slot of each kind at +-1."""
+    for kind, slots in hopf.SL2_DELTA_SLOTS.items():
+        yield kind, None
+        for name, val in slots.items():
+            for delta in (1, -1):
+                yield kind, {name: val + delta}
+
+
+@pytest.mark.parametrize("order", [4, 5, 6])
+def test_sl2_geometric_coproducts_match_expanded_sums(order):
+    # the geometric-sum form against the power-by-power expansion, term
+    # for term, as written and under every single-slot perturbation
+    frame = hopf.CurrentFrame(Context(2, order, SL), order)
+    for kind, shifts in _sl2_shift_variants():
+        got = hopf.sl2_closed_delta(frame, kind, shifts)
+        want = sl2_closed_delta_expanded(frame, kind, shifts)
+        assert got.order == want.order == order
+        assert sorted(got.coeffs) == sorted(want.coeffs), (kind, shifts)
+        for k, c in want.coeffs.items():
+            assert got.coeffs[k].terms == c.terms, (kind, shifts, k)
+
+
 def test_sl2_mutation_sensitivity():
     rep = hopf.sl2_mutation_check(4)
     assert rep.passed, rep.as_dict()
@@ -694,6 +718,10 @@ def test_unknown_current_kind_raises():
         hopf.formula_antipode(frame, "x", 1)
     with pytest.raises(ValueError):
         hopf.sl2_closed_antipode(frame, "x")
+    with pytest.raises(ValueError):
+        hopf.sl2_closed_delta(frame, "x")
+    with pytest.raises(ValueError):
+        hopf.sl3_closed_delta(hopf.CurrentFrame(Context(3, 2, SL), 2), "x")
 
 
 def test_geometric_sum_rejects_units():

@@ -9,7 +9,8 @@ import pytest
 from yangian.algebra import Context, GL, SL, generator, unit, zero
 from yangian.report import Report
 from yangian.series import Series, SeriesMatrix
-from yangian import rtt
+from yangian import hopf, rtt
+from util import reflected_inverse
 
 
 def random_points(seed, count, pairs=False):
@@ -555,6 +556,35 @@ def test_star_minor_identities(n):
 def test_inverse_entries_via_minors(n):
     ctx = Context(n, 2, SL)
     assert rtt.inverse_entries_check(ctx, 2).passed
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n, order", [(2, 5), (3, 3), (4, 2)])
+def test_star_matrix_matches_reflected_inverse(n, order, mode):
+    # the memoised inverse read at -u against a second inversion, of the
+    # entrywise-reflected matrix
+    ctx = Context(n, order, mode)
+    assert rtt.t_star_matrix(ctx, order) == reflected_inverse(ctx, order)
+
+
+def test_one_inverse_per_context(monkeypatch):
+    # the antipode words, the reflected minors and the inverse entries of
+    # one SL context all read one memoised T(u)^{-1}
+    calls = []
+    inverse = SeriesMatrix.inverse
+
+    def spy(mat):
+        calls.append(mat.size)
+        return inverse(mat)
+
+    monkeypatch.setattr(SeriesMatrix, "inverse", spy)
+    rtt.inverse_matrix.cache_clear()
+    hopf._antipode_word.cache_clear()
+    ctx = Context(3, 2, SL)
+    assert all(r.passed for r in hopf.hopf_axioms_check(3, 2, SL))
+    assert rtt.star_minor_identities_check(ctx, 2).passed
+    assert rtt.inverse_entries_check(ctx, 2).passed
+    assert calls == [3]
 
 
 def test_star_matrix_leading_coefficients():

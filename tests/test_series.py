@@ -1,5 +1,6 @@
 """Series arithmetic: shifts, inversion, products, matrix inverses."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -116,6 +117,38 @@ def test_coefficient_degree_invariant_enforced():
         s.map_coeffs(lambda c: c * g2)
     with pytest.raises(ValueError):
         s.map_coeffs(lambda c: c + g2)
+
+
+@pytest.mark.parametrize("other", [1.5, None, "x", [1], 1j])
+def test_unsupported_operands_are_not_implemented(other):
+    # Python then tries the reflected operator and raises TypeError
+    ctx = Context(2, 3, GL)
+    s = gen_series(ctx, 1, 2, 3)
+    for name in ("add", "sub", "mul", "radd", "rsub", "rmul"):
+        assert getattr(s, "__%s__" % name)(other) is NotImplemented
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(s, other)
+        with pytest.raises(TypeError):
+            op(other, s)
+
+
+def test_series_and_element_operands_raise_type_error():
+    ctx = Context(2, 3, GL)
+    s = gen_series(ctx, 1, 2, 3)
+    g = generator(ctx, 1, 2, 1)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(s, g)
+        with pytest.raises(TypeError):
+            op(g, s)
+    # two series of different contexts or arities stay a mismatch
+    other = gen_series(Context(3, 3, GL), 1, 2, 3)
+    square = series_outer(s, s)
+    for b in (other, square):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="context mismatch"):
+                op(s, b)
 
 
 def _rand_graded_series(rng, ctx, order, arity=1):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 from yangian import hopf
 from yangian.algebra import Element, Tensor, commutator_words, from_words
-from yangian.series import SeriesMatrix
+from yangian.rtt import t_entry
+from yangian.series import SeriesMatrix, series_outer, slot_embed
 
 
 def random_word(rng, n, max_len=4, max_mode=2):
@@ -89,7 +90,8 @@ def geometric_inverse(mat):
 def map_slot_per_term(t, slot, image, arity):
     """One slot of every key replaced by the slot tuples of image(word),
     term by term: each (term, image term) pair builds its own result key.
-    An oracle for the grouped hopf._map_slot, with the same arguments."""
+    An oracle for the grouped hopf._map_slot, which takes t.ctx and
+    t.terms in place of t."""
     out = {}
     for key, c in t.terms.items():
         head, tail = key[:slot], key[slot + 1:]
@@ -108,8 +110,9 @@ def map_slot_per_term(t, slot, image, arity):
 def linear_extension_fractions(x, image):
     """Terms of sum_w c_w image(w) over the terms c_w w of x, each product
     taken on the coefficients as stored, Fractions included.  An oracle
-    for the common-denominator hopf._linear_extension, with the same
-    arguments."""
+    for hopf.delta_element (image hopf._delta_word) and
+    hopf.antipode_element (image hopf._antipode_word), the
+    common-denominator slot map on the element's one-slot view."""
     out = {}
     for w, c in x.terms.items():
         for key, v in image(x.ctx, w).terms.items():
@@ -140,3 +143,73 @@ def antipode_product_two_pass(t, slot):
         return (((v,), c)
                 for v, c in hopf._antipode_word(t.ctx, w).terms.items())
     return multiply_slots_fractions(map_slot_per_term(t, slot, image, 2))
+
+
+def reflected_inverse(ctx, order):
+    """(T(-u))^{-1} as the inverse of the entrywise-reflected generating
+    matrix.  An oracle for rtt.t_star_matrix, which reads the memoised
+    T(u)^{-1} at -u instead of inverting a second matrix."""
+    n = ctx.n
+    neg = SeriesMatrix([[t_entry(ctx, i, j, order).negate_variable()
+                         for j in range(1, n + 1)] for i in range(1, n + 1)])
+    return neg.inverse()
+
+
+def sl2_closed_delta_expanded(frame, kind, shifts=None):
+    """Rank-one coproducts in fully expanded form: each power of the
+    geometric sum multiplied out term by term, (-1)^k e^(k+1) (x) f^k h
+    for e, (-1)^k h e^k (x) f^(k+1) for f and (k+1) (-1)^k h e^k (x) f^k h
+    for h, each current at its hopf.SL2_DELTA_SLOTS spectral slot moved
+    by shifts.  An oracle for hopf.sl2_closed_delta, with the same
+    arguments."""
+    s = dict(hopf.SL2_DELTA_SLOTS[kind])
+    s.update(shifts or {})
+    e1 = frame.current("e", 1)
+    f1 = frame.current("f", 1)
+    h1 = frame.current("h", 1)
+    order = e1.order
+    if kind == "e":
+        total = slot_embed(e1.shift(s["head_e"]), 2, 1)
+        left = e1.shift(s["pow_e"])
+        right_step = f1.shift(s["pow_f"])
+        lpow = left
+        rpow = h1.shift(s["tail_h"])
+        sign = 1
+        for _ in range(order + 1):
+            total = total + series_outer(lpow, rpow) * sign
+            lpow = lpow * left
+            rpow = right_step * rpow
+            sign = -sign
+            if lpow.is_zero():
+                break
+        return total
+    if kind == "f":
+        total = slot_embed(f1.shift(s["head_f"]), 2, 0)
+        right = f1.shift(s["pow_f"])
+        left_step = e1.shift(s["pow_e"])
+        rpow = right
+        lpow = h1.shift(s["head_h"])
+        sign = 1
+        for _ in range(order + 1):
+            total = total + series_outer(lpow, rpow) * sign
+            rpow = rpow * right
+            lpow = lpow * left_step
+            sign = -sign
+            if rpow.is_zero():
+                break
+        return total
+    total = None
+    lpow = h1.shift(s["head_h"])
+    rpow = h1.shift(s["tail_h"])
+    le = e1.shift(s["pow_e"])
+    rf = f1.shift(s["pow_f"])
+    k = 0
+    while True:
+        term = series_outer(lpow, rpow) * ((k + 1) * (-1) ** k)
+        total = term if total is None else total + term
+        k += 1
+        lpow = lpow * le
+        rpow = rf * rpow
+        if lpow.is_zero() or rpow.is_zero() or k > order:
+            break
+    return total
