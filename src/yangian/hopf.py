@@ -122,28 +122,28 @@ def _over(s, d):
 
 
 def _delta_image(ctx):
-    """The slot image of the coproduct: a word to its (left, right) terms."""
+    """A word to the (left, right) terms of its coproduct."""
     return lambda w: _delta_word(ctx, w).terms.items()
 
 
 def _antipode_image(ctx):
-    """The slot image of the antipode: a word to its one-word terms."""
-    return lambda w: (((v,), c)
-                      for v, c in _antipode_word(ctx, w).terms.items())
+    """A word to the (word, coefficient) terms of its antipode."""
+    return lambda w: _antipode_word(ctx, w).terms.items()
 
 
 def delta_element(x):
-    """Coproduct of an element, as a tensor square: the slot map of the
-    word coproducts on the element's one-slot view {(w,): c}."""
+    """Coproduct of an element, as a tensor square: the word coproducts
+    mapped over the element's one-slot view {(w,): c}."""
     view = {(w,): c for w, c in x.terms.items()}
-    return _map_slot(x.ctx, view, 0, _delta_image(x.ctx), 2)
+    return Tensor._trusted(x.ctx, 2, _map_slot(view, 0, _delta_image(x.ctx)))
 
 
 def antipode_element(x):
-    """Antipode of an element (an anti-morphism on products): the slot
-    map of the word antipodes on the element's one-slot view."""
+    """Antipode of an element (an anti-morphism on products): the word
+    antipodes mapped over the element's one-slot view, whose empty head
+    and tail make each antipode word a result key as it stands."""
     view = {(w,): c for w, c in x.terms.items()}
-    return _map_slot(x.ctx, view, 0, _antipode_image(x.ctx), 1)
+    return Element._trusted(x.ctx, _map_slot(view, 0, _antipode_image(x.ctx)))
 
 
 def counit_element(x):
@@ -165,19 +165,19 @@ def antipode_series(s):
 # slot maps on tensor squares / cubes
 
 
-def _map_slot(ctx, terms, slot, image, arity):
-    """Replace one slot of every key of terms by the slot tuples of
-    image(word).
+def _map_slot(terms, slot, image):
+    """The terms of a map applied inside one slot of every key of terms.
 
-    image maps the slot's word to (slot_tuple, int coefficient) pairs;
-    the result has the given arity, and arity 1 gives an element.  Terms
+    image maps the slot's word to (piece, int coefficient) pairs, and a
+    result key is the key with its slot replaced by the piece: a tuple of
+    slot words, none for the counit and two for the coproduct.  Terms
     that agree outside the mapped slot form one group, whose images add
-    into one dict keyed by the image's slot tuple; each result key is
-    then built once, from the group's head and tail and a slot tuple that
-    kept a nonzero sum.  The sums run on the int numerators of terms over
-    their common denominator D, and each result key is divided by D once.
-    The coproduct, antipode and counit of a word never raise its degree,
-    so no key of the result passes the bound and the tensor is trusted.
+    into one dict keyed by the piece; each result key is then built once,
+    from the group's head and tail and a piece that kept a nonzero sum.
+    The sums run on the int numerators of terms over their common
+    denominator D, and each result key is divided by D once.  The
+    coproduct, antipode and counit of a word never raise its degree, so
+    no result key passes the bound and the callers trust the terms.
     """
     d, terms = _numerators(terms)
     groups = {}
@@ -197,25 +197,28 @@ def _map_slot(ctx, terms, slot, image, arity):
         for parts, c in sums.items():
             if c:
                 out[head + parts + tail] = c if d == 1 else _over(c, d)
-    if arity == 1:
-        return Element._trusted(ctx, {k[0]: c for k, c in out.items()})
-    return Tensor._trusted(ctx, arity, out)
+    return out
 
 
 def delta_on_slot(t, slot):
     """Apply the coproduct inside one slot, raising the arity by one."""
-    return _map_slot(t.ctx, t.terms, slot, _delta_image(t.ctx), t.arity + 1)
+    return Tensor._trusted(t.ctx, t.arity + 1,
+                           _map_slot(t.terms, slot, _delta_image(t.ctx)))
 
 
 def counit_on_slot(t, slot):
     """Contract one slot with the counit, lowering the arity by one."""
-    return _map_slot(t.ctx, t.terms, slot,
-                     lambda w: () if w else (((), ONE),), t.arity - 1)
+    out = _map_slot(t.terms, slot, lambda w: () if w else (((), ONE),))
+    if t.arity == 2:
+        return Element._trusted(t.ctx, {k[0]: c for k, c in out.items()})
+    return Tensor._trusted(t.ctx, t.arity - 1, out)
 
 
 def antipode_on_slot(t, slot):
     """Apply the antipode inside one slot."""
-    return _map_slot(t.ctx, t.terms, slot, _antipode_image(t.ctx), t.arity)
+    image = _antipode_image(t.ctx)
+    return Tensor._trusted(t.ctx, t.arity, _map_slot(
+        t.terms, slot, lambda w: (((v,), c) for v, c in image(w))))
 
 
 def multiply_slots(t, antipode=None):
@@ -236,8 +239,7 @@ def multiply_slots(t, antipode=None):
     if antipode is None:
         slot, image = 1, lambda w: ((w, ONE),)
     else:
-        slot = antipode
-        image = lambda w: _antipode_word(ctx, w).terms.items()
+        slot, image = antipode, _antipode_image(ctx)
     d, terms = _numerators(t.terms)
     raw = {}
     for key, c in terms.items():

@@ -157,10 +157,7 @@ class Series:
         return Series._trusted(self.ctx, order, out, self.arity)
 
     def __rsub__(self, other):
-        if type(other) not in _SCALARS:
-            return NotImplemented
-        return Series.constant(self.ctx, self.order, other,
-                               self.arity).__sub__(self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         """Cauchy product, truncated at the smaller order.

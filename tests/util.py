@@ -90,8 +90,8 @@ def geometric_inverse(mat):
 def map_slot_per_term(t, slot, image, arity):
     """One slot of every key replaced by the slot tuples of image(word),
     term by term: each (term, image term) pair builds its own result key.
-    An oracle for the grouped hopf._map_slot, which takes t.ctx and
-    t.terms in place of t."""
+    An oracle for the grouped hopf._map_slot behind hopf.delta_on_slot,
+    hopf.antipode_on_slot and hopf.counit_on_slot."""
     out = {}
     for key, c in t.terms.items():
         head, tail = key[:slot], key[slot + 1:]
