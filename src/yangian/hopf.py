@@ -168,12 +168,12 @@ def antipode_series(s):
 def _map_slot(terms, slot, image):
     """The terms of a map applied inside one slot of every key of terms.
 
-    image maps the slot's word to (piece, int coefficient) pairs, and a
-    result key is the key with its slot replaced by the piece: a tuple of
+    image maps the slot's word to (parts, int coefficient) pairs, and a
+    result key is the key with its slot replaced by parts: a tuple of
     slot words, none for the counit and two for the coproduct.  Terms
     that agree outside the mapped slot form one group, whose images add
-    into one dict keyed by the piece; each result key is then built once,
-    from the group's head and tail and a piece that kept a nonzero sum.
+    into one dict keyed by parts; each result key is then built once,
+    from the group's head and tail and parts that kept a nonzero sum.
     The sums run on the int numerators of terms over their common
     denominator D, and each result key is divided by D once.  The
     coproduct, antipode and counit of a word never raise its degree, so
