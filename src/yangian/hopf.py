@@ -451,8 +451,8 @@ class CurrentFrame:
     A frame memoises, each under a key that names every input it reads:
     the pairing series g and g~, the spectral corrections of the root
     actions, applied chain specs, the inverted antipode denominators and
-    the whole current formulas.  A diagnosis that moves one spectral slot
-    therefore rebuilds only the pieces reading that slot.
+    the whole current formulas.  A declared deviation that moves one
+    spectral slot therefore rebuilds only the pieces reading that slot.
 
     A frame lives for one check function and is dropped with it; nothing
     it holds outlives the check.  Sharing the stored results is safe
@@ -717,18 +717,56 @@ def diagonal_ratio_check(n, order, gate="printed"):
     return rep
 
 
-# probes of a failing hat composite: name, operator shift, argument
-# shift and spec transform (None keeps the printed chain)
-HAT_VARIANTS = (("op-1", -1, 0, None), ("arg-1", 0, -1, None),
-                ("uniform-shift-pattern", 0, 0, uniform_shifts))
+def _first_mismatch(lhs, rhs, upto):
+    for k in range(upto + 1):
+        a, b = lhs.coefficient(k), rhs.coefficient(k)
+        if a != b and not (a - b).is_zero():
+            return k
+    return None
 
 
-def hat_ratio_check(n, order, gate="printed", diagnose=True):
+def deviations(n):
+    """The deviations from the printed formulas at rank n that a verdict
+    may name, in the order it lists them: (report kind, name, shifts).
+
+    The kind is "ratio-hat" or a formula family and current, as
+    "antipode-f"; the shifts go to that check's formula in place of the
+    printed ones.  The uniform shift pattern is the identity on a raising
+    hat, so only a lowering hat can be repaired by it.  The recentered
+    subtractions read the subtracted antipodes at u + n/2 rather than u.
+    """
+    half_n = Fraction(n, 2)
+    recentered = {"e_shift": 1 + half_n, "f_shift": half_n}
+    return (
+        ("ratio-hat", "op-1", {"op": -1}),
+        ("ratio-hat", "uniform-shift-pattern", {"hat_pattern": 1}),
+        ("antipode-f", "op-1", {"op": -1}),
+        ("antipode-f", "uniform-hat-shifts", {"hat_pattern": 1}),
+        ("antipode-h", "recentered-subtraction", recentered),
+        ("antipode-h", "own-index-recentered-subtraction",
+         dict(recentered, sub_index=1)),
+    )
+
+
+def _declared_repairs(rep, n, kind, build, target, upto, prefix=""):
+    """The names of the declared deviations of kind at rank n whose
+    build(shifts) matches target through upto, noted on rep after
+    prefix."""
+    repaired = [name for k, name, shifts in deviations(n) if k == kind
+                and _first_mismatch(build(shifts), target, upto) is None]
+    rep.note(prefix + ("repaired by: " + ", ".join(repaired) if repaired
+                       else "no declared repair holds"))
+    return repaired
+
+
+def hat_ratio_check(n, order, gate="printed"):
     """One-sided corner minor ratios against the hat composites.
 
-    When a written form misses, spectral-shift and shift-pattern variants
-    of the hat composite are probed; an exact repair downgrades the
-    mismatch to a documented deviation.
+    When the printed form misses, the declared "ratio-hat" deviations
+    are checked in its place; one that matches exactly downgrades the
+    mismatch to a documented deviation.  A deviation's op moves the
+    hat's operator shift, and its hat_pattern puts the chain in the
+    uniform shift pattern.
     """
     ctx = Context(n, order, SL)
     frame = CurrentFrame(ctx, order)
@@ -742,26 +780,19 @@ def hat_ratio_check(n, order, gate="printed", diagnose=True):
         down = quantum_minor(ctx, (i + 1,) + tail, (i,) + tail, order)
         for kind, label, lhs in (("e", "raise,i=%d" % i, up * inv),
                                  ("f", "lower,i=%d" % i, inv * down)):
-            def image(d_op=0, d_arg=0, transform=None):
+            def image(shifts):
                 spec = hat_spec(n, kind, m)
-                return frame.apply_chain(
-                    transform(spec) if transform else spec, c + d_op, gate,
-                    (kind, m, c + 1 + d_arg))
-            got = image()
+                if shifts.get("hat_pattern"):
+                    spec = uniform_shifts(spec)
+                return frame.apply_chain(spec, c + shifts.get("op", 0), gate,
+                                         (kind, m, c + 1))
+            got = image({})
             bad = _first_mismatch(got, lhs, order)
             repaired = []
             if bad is not None:
                 rep.note("%s: earliest failing degree %d" % (label, bad))
-                if diagnose:
-                    for name, d_op, d_arg, transform in HAT_VARIANTS:
-                        # the raising hat has a single shift pattern, so
-                        # the uniform one reproduces its failure
-                        cand = image(d_op, d_arg, transform)
-                        if _first_mismatch(cand, lhs, order) is None:
-                            repaired.append(name)
-                    rep.note("%s: %s" % (
-                        label, "repaired by: " + ", ".join(repaired)
-                        if repaired else "no shift repair found"))
+                repaired = _declared_repairs(rep, n, "ratio-hat", image,
+                                             lhs, order, label + ": ")
             _series_match(rep, label, got, lhs, order,
                           documented=bool(repaired))
     return rep
@@ -786,27 +817,22 @@ def _proper_subsets(n, i):
             if a != tuple(range(1, i + 1))]
 
 
-def formula_delta(frame, kind, i, shifts=None, gate="printed",
-                  f_head_pairing="g"):
+def formula_delta(frame, kind, i, shifts=None, gate="printed"):
     """Coproduct of a current from the closed operator formula.
 
-    The shifts mapping perturbs individual spectral parameters around
-    their written defaults, which the diagnosis helpers use to locate
-    misprints.  f_head_pairing selects which pairing series feeds the
-    head of the lowering-current formula.  The frame keeps each result,
-    so the diagonal formula and repeated probes look the raising and
-    lowering ones up.
+    The shifts mapping moves individual spectral parameters off their
+    printed defaults in DELTA_SLOTS.  The frame keeps each result, so
+    the diagonal formula looks the raising and lowering ones up.
     """
     if kind not in DELTA_SLOTS:
         raise ValueError("unknown current kind %r" % (kind,))
     s = dict(DELTA_SLOTS[kind])
     s.update(shifts or {})
-    return frame.memo(
-        ("delta", kind, i, tuple(sorted(s.items())), gate, f_head_pairing),
-        lambda: _build_delta(frame, kind, i, s, gate, f_head_pairing))
+    return frame.memo(("delta", kind, i, tuple(sorted(s.items())), gate),
+                      lambda: _build_delta(frame, kind, i, s, gate))
 
 
-def _build_delta(frame, kind, i, s, gate, f_head_pairing):
+def _build_delta(frame, kind, i, s, gate):
     n = frame.ctx.n
     subsets = _proper_subsets(n, i)
     ei = frame.current("e", i)
@@ -822,8 +848,7 @@ def _build_delta(frame, kind, i, s, gate, f_head_pairing):
         # mirror pair: "e" acts from the left and puts the current in the
         # right slot, "f" acts from the right and fills the left slot
         side = "L" if kind == "e" else "R"
-        pairing = (frame.g(i) if kind == "f" and f_head_pairing == "g"
-                   else frame.g_tilde(i))
+        pairing = frame.g(i) if kind == "f" else frame.g_tilde(i)
         pair = pairing.shift(s["arg_pair"])
         own = (ei if kind == "e" else fi).shift(s["head_arg"])
         head = slot_embed(own, 2, 1 if kind == "e" else 0)
@@ -852,41 +877,11 @@ def _build_delta(frame, kind, i, s, gate, f_head_pairing):
     return base - sub
 
 
-def _first_mismatch(lhs, rhs, upto):
-    for k in range(upto + 1):
-        a, b = lhs.coefficient(k), rhs.coefficient(k)
-        if a != b and not (a - b).is_zero():
-            return k
-    return None
-
-
-def _diagnose(rep, build, target, upto, slots, extra=None):
-    """Try single spectral-shift perturbations and gate variants."""
-    repaired = []
-    for name in slots:
-        for delta in (1, -1):
-            cand = build({name: slots[name] + delta}, "printed")
-            if _first_mismatch(cand, target, upto) is None:
-                repaired.append("%s%+d" % (name, delta))
-    for name, shifts in (extra or {}).items():
-        if _first_mismatch(build(shifts, "printed"), target, upto) is None:
-            repaired.append(name)
-    cand = build({}, "narrow")
-    if _first_mismatch(cand, target, upto) is None:
-        repaired.append("narrow-gate")
-    if repaired:
-        rep.note("repaired by: " + ", ".join(repaired))
-    else:
-        rep.note("no single-shift repair found")
-    return repaired
-
-
-def _formula_check(n, order, gate, diagnose, family, formula, transport,
-                   slots, extras):
+def _formula_check(n, order, gate, family, formula, transport):
     """Closed current formulas against a transported structure map.
 
-    One report per current; a mismatch is probed by _diagnose with the
-    formula's spectral slots and the per-kind extra variants.
+    One report per current; a mismatch checks the declared deviations of
+    its family and kind.
     """
     ctx = Context(n, order, SL)
     frame = CurrentFrame(ctx, order)
@@ -901,22 +896,21 @@ def _formula_check(n, order, gate, diagnose, family, formula, transport,
             repaired = []
             if bad is not None:
                 rep.note("earliest failing tensor degree: %d" % bad)
-                if diagnose:
-                    def build(shifts, g, _kind=kind, _i=i):
-                        return formula(frame, _kind, _i, shifts=shifts,
-                                       gate=g)
-                    repaired = _diagnose(rep, build, target, order,
-                                         slots[kind], extras.get(kind))
+                repaired = _declared_repairs(
+                    rep, n, "%s-%s" % (family, kind),
+                    lambda shifts: formula(frame, kind, i, shifts=shifts,
+                                           gate=gate),
+                    target, order)
             _series_match(rep, "%s%d" % (kind, i), got, target, order,
                           documented=bool(repaired))
             reports.append(rep)
     return reports
 
 
-def coproduct_formula_check(n, order, gate="printed", diagnose=True):
+def coproduct_formula_check(n, order, gate="printed"):
     """Closed coproduct formulas against the transported coproduct."""
-    return _formula_check(n, order, gate, diagnose, "coproduct",
-                          formula_delta, delta_series, DELTA_SLOTS, {})
+    return _formula_check(n, order, gate, "coproduct", formula_delta,
+                          delta_series)
 
 
 # ---------------------------------------------------------------------------
@@ -934,9 +928,13 @@ ANTIPODE_SLOTS = {
 def formula_antipode(frame, kind, i, shifts=None, gate="printed"):
     """Antipode of a current, centered at u + n/2, from the hat formulas.
 
-    The frame keeps the result, and inside it the denominator and each
-    applied chain under the slots they read, so a probe that moves one
-    slot rebuilds only the piece reading it.
+    The shifts mapping moves spectral slots off their printed defaults
+    in ANTIPODE_SLOTS, and two flags of the declared deviations change
+    the form: hat_pattern puts the hat in the uniform shift pattern, and
+    sub_index takes the diagonal formula's subtracted antipodes at index
+    i rather than n - i.  The frame keeps the result, and inside it the
+    denominator and each applied chain under the slots they read, so a
+    deviation rebuilds only the pieces it changes.
     """
     if kind not in ANTIPODE_SLOTS:
         raise ValueError("unknown current kind %r" % (kind,))
@@ -974,28 +972,11 @@ def _build_antipode(frame, kind, i, s, gate):
     return den * num - se * sf
 
 
-def antipode_extras(n):
-    """Per-kind named variants the antipode diagnosis probes beyond the
-    single-slot shifts: recentered subtractions and the uniform hat."""
-    half_n = Fraction(n, 2)
-    return {
-        "h": {
-            "recentered-subtraction":
-                {"e_shift": 1 + half_n, "f_shift": half_n},
-            "own-index-recentered-subtraction":
-                {"sub_index": 1, "e_shift": 1 + half_n, "f_shift": half_n},
-        },
-        "f": {"uniform-hat-shifts": {"hat_pattern": 1}},
-    }
-
-
-def antipode_formula_check(n, order, gate="printed", diagnose=True):
+def antipode_formula_check(n, order, gate="printed"):
     """Closed antipode formulas against the transported antipode."""
     half_n = Fraction(n, 2)
-    return _formula_check(n, order, gate, diagnose, "antipode",
-                          formula_antipode,
-                          lambda s: antipode_series(s).shift(half_n),
-                          ANTIPODE_SLOTS, antipode_extras(n))
+    return _formula_check(n, order, gate, "antipode", formula_antipode,
+                          lambda s: antipode_series(s).shift(half_n))
 
 
 def counit_formula_check(n, order, mode=SL):

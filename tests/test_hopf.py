@@ -18,12 +18,15 @@ from yangian.algebra import (
 from yangian.drinfeld import current
 from yangian import hopf
 from yangian.rtt import t_entry, t_matrix
+from yangian.suites import default_order
 from util import (
     antipode_product_two_pass,
+    formula_probes,
     linear_extension_fractions,
     map_slot_per_term,
     multiply_slots_fractions,
     random_element,
+    repair_search,
     sl2_closed_delta_expanded,
 )
 
@@ -396,8 +399,8 @@ def test_hat_ratio_identities_rank_two_documented():
 
 def test_narrow_gate_window_breaks_hat_ratios():
     # adjudicates the two printed gate windows: the wide one is correct
-    assert hopf.hat_ratio_check(3, 2, gate="printed", diagnose=False).passed
-    narrow = hopf.hat_ratio_check(3, 2, gate="narrow", diagnose=False)
+    assert hopf.hat_ratio_check(3, 2, gate="printed").passed
+    narrow = hopf.hat_ratio_check(3, 2, gate="narrow")
     assert not narrow.passed
 
 
@@ -406,8 +409,8 @@ def test_narrow_gate_window_breaks_hat_ratios():
 
 
 def test_chain_specs_of_the_checks_stay_in_range(monkeypatch):
-    # every spec the ratio and formula checks interpret, diagnosis probes
-    # included, has its roots inside 1..n
+    # every spec the ratio and formula checks interpret, declared
+    # deviations included, has its roots inside 1..n
     seen = []
     interpret = hopf.chain
 
@@ -451,7 +454,7 @@ def test_uniform_shifts_moves_offsets_only(n):
 
 @pytest.mark.parametrize("n,order", [(2, 3), (3, 2), (3, 3)])
 def test_coproduct_formulas_match_pullback(n, order):
-    for rep in hopf.coproduct_formula_check(n, order, diagnose=False):
+    for rep in hopf.coproduct_formula_check(n, order):
         assert rep.status == "pass", rep.as_dict()
 
 
@@ -480,40 +483,122 @@ def test_antipode_formulas_rank_two():
                    for note in h.notes)
 
 
+def _verdicts(reports):
+    """{where: names} of every printed form the reports found to miss,
+    read off their notes: the names a "repaired by" note lists, or none
+    where no declared repair holds.  where is a formula report's
+    identity, or "ratio-hat:" and the hat's case label."""
+    out = {}
+    for rep in reports:
+        for note in rep.notes:
+            where, sep, names = note.partition("repaired by: ")
+            if not sep:
+                where, sep, _ = note.partition("no declared repair holds")
+                if not sep:
+                    continue
+            key = rep.identity + (":" + where[:-2] if where else "")
+            out[key] = names.split(", ") if names else []
+    return out
+
+
+def _formula_verdicts(n, order):
+    return _verdicts([hopf.hat_ratio_check(n, order)]
+                     + hopf.coproduct_formula_check(n, order)
+                     + hopf.antipode_formula_check(n, order))
+
+
+# the default order at n=2..6, the h1 failure at (3, 4), operator shifts
+# at n >= 4 from order 3, and (5, 3), where only the uniform hat repairs
+# f2 and the lowering hat at i=2
+@pytest.mark.parametrize("n, order",
+                         [(n, default_order(n)) for n in range(2, 7)]
+                         + [(3, 4), (4, 3), (5, 3)])
+def test_repair_search_finds_exactly_the_declared_repairs(n, order):
+    # the search's slot, gate and named probes name no repair that the
+    # declared deviations miss, and each miss they report is its miss too
+    assert repair_search(n, order) == _formula_verdicts(n, order)
+
+
+def _declared_kind(where):
+    family, _, current = where.partition("-formula-")
+    return "%s-%s" % (family, current[0]) if current else "ratio-hat"
+
+
+# (kind, name) of each declared deviation, a pinned configuration and
+# place where it holds, and whether it is the one repair that holds
+# there.  op-1 always holds beside the uniform shift pattern, and the
+# recentered subtraction only at n=2, where it is the own-index one.
+@pytest.mark.parametrize("kind, name, n, order, where, only", [
+    ("antipode-f", "uniform-hat-shifts", 5, 3, "antipode-formula-f2", True),
+    ("antipode-h", "own-index-recentered-subtraction", 3, 3,
+     "antipode-formula-h1", True),
+    ("ratio-hat", "uniform-shift-pattern", 5, 3, "ratio-hat:lower,i=2",
+     True),
+    ("antipode-f", "op-1", 3, 3, "antipode-formula-f1", False),
+    ("ratio-hat", "op-1", 3, 3, "ratio-hat:lower,i=1", False),
+    ("antipode-h", "recentered-subtraction", 2, 4, "antipode-formula-h1",
+     False),
+])
+def test_each_declared_deviation_is_load_bearing(monkeypatch, kind, name, n,
+                                                 order, where, only):
+    def run():
+        reports = ([hopf.hat_ratio_check(n, order)]
+                   + hopf.antipode_formula_check(n, order))
+        return _verdicts(reports), {r.identity: r for r in reports}
+
+    verdicts, reports = run()
+    declared = hopf.deviations
+    monkeypatch.setattr(hopf, "deviations", lambda rank: tuple(
+        d for d in declared(rank) if d[:2] != (kind, name)))
+    without, reports_without = run()
+    # removing the deviation drops its name from the verdicts of its
+    # kind, and changes nothing else
+    assert name in verdicts[where]
+    assert without == {
+        place: [x for x in names if (_declared_kind(place), x) != (kind, name)]
+        for place, names in verdicts.items()}
+    assert (not without[where]) == only
+    if only:
+        # with its one repair gone, the cases it documented fail
+        identity = where.partition(":")[0]
+        old, new = reports[identity], reports_without[identity]
+        still = {label for label, _ in new.documented}
+        moved = {label for label, _ in old.documented} - still
+        assert moved and moved <= {label for label, _ in new.residuals}
+        assert new.status == "fail"
+        if identity != "ratio-hat":
+            assert old.status == "documented"
+
+
 @pytest.mark.parametrize("n,order", [(2, 3), (3, 3)])
 def test_counit_of_currents(n, order):
     assert hopf.counit_formula_check(n, order).passed
 
 
 # ---------------------------------------------------------------------------
-# the frame memo under the diagnosis probes
+# the frame memo under the repair search
 
 
-def _diagnosis_builds(n):
-    """(formula, kind, i, keywords) of every build _formula_check and
-    _diagnose make, in their order: the written formula, each spectral
-    slot at +1 and -1, the named extras and the narrow gate.  The
-    lowering coproduct is also built with its other head pairing."""
-    families = ((hopf.formula_antipode, hopf.ANTIPODE_SLOTS,
-                 hopf.antipode_extras(n)),
-                (hopf.formula_delta, hopf.DELTA_SLOTS, {}))
+def _search_builds(n):
+    """(formula, kind, i, keywords) of every build the formula checks and
+    the repair search make, in their order: the printed formula, the
+    search's probes and the declared deviations.  The lowering coproduct
+    is also built with the raising formula's slot values."""
+    families = (("antipode", hopf.formula_antipode, hopf.ANTIPODE_SLOTS),
+                ("coproduct", hopf.formula_delta, hopf.DELTA_SLOTS))
     builds = []
-    for formula, slots, extras in families:
+    for family, formula, slots in families:
         for i in range(1, n):
             for kind in ("e", "f", "h"):
                 builds.append((formula, kind, i, {}))
-                for name, value in slots[kind].items():
-                    for delta in (1, -1):
-                        builds.append((formula, kind, i,
-                                       {"shifts": {name: value + delta}}))
-                for shifts in extras.get(kind, {}).values():
-                    builds.append((formula, kind, i, {"shifts": shifts}))
-                builds.append((formula, kind, i, {"gate": "narrow"}))
+                builds += [(formula, kind, i, keywords) for _, keywords
+                           in formula_probes(family, kind, n)]
+                builds += [(formula, kind, i, {"shifts": shifts})
+                           for where, _, shifts in hopf.deviations(n)
+                           if where == "%s-%s" % (family, kind)]
                 if formula is hopf.formula_delta and kind == "f":
-                    # the other head pairing, and the raising formula's
-                    # slot values, which the lowering one shares by name
-                    builds.append((formula, kind, i,
-                                   {"f_head_pairing": "g~"}))
+                    # the slot values of the raising formula, which the
+                    # lowering one shares by name
                     builds.append((formula, kind, i,
                                    {"shifts": dict(slots["e"])}))
     return builds
@@ -525,11 +610,11 @@ def _diagnosis_builds(n):
 # spectral correction only from n=5.
 @pytest.mark.parametrize("n, order", [(3, 2), (4, 2), (5, 2), (4, 3), (2, 5)])
 def test_frame_memo_matches_fresh_builds(n, order):
-    # every probe built on one shared frame, in the diagnosis order and
-    # reversed, equals the same build on a fresh frame: no memo key may
-    # leave out an input its piece reads
+    # every build on one shared frame, in the search order and reversed,
+    # equals the same build on a fresh frame: no memo key may leave out
+    # an input its piece reads
     ctx = Context(n, order, SL)
-    builds = _diagnosis_builds(n)
+    builds = _search_builds(n)
     fresh = [formula(hopf.CurrentFrame(ctx, order), kind, i, **keywords)
              for formula, kind, i, keywords in builds]
     for sequence in (list(range(len(builds))),
@@ -543,7 +628,7 @@ def test_frame_memo_matches_fresh_builds(n, order):
 
 def test_frame_memo_root_actions_match_fresh_builds():
     # every root action with a correction, on one shared frame, equals
-    # the same action on a fresh frame: the diagnosis never asks for two
+    # the same action on a fresh frame: the formula checks never ask for two
     # corrections that differ only in the root's low end, this does
     n, order = 4, 2
     ctx = Context(n, order, SL)
@@ -584,7 +669,7 @@ def test_frame_memo_builds_once():
 
 
 # ---------------------------------------------------------------------------
-# pairing series identities behind the antipode diagnosis
+# pairing series identities behind the antipode formulas
 
 
 def test_antipode_swaps_the_two_pairing_series_rank_one():

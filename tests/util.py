@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 from yangian import hopf
-from yangian.algebra import Element, Tensor, commutator_words, from_words
-from yangian.rtt import t_entry
+from yangian.algebra import (
+    SL, Context, Element, Tensor, commutator_words, from_words,
+)
+from yangian.drinfeld import leading_block
+from yangian.rtt import quantum_minor, t_entry
 from yangian.series import SeriesMatrix, series_outer, slot_embed
 
 
@@ -213,3 +216,90 @@ def sl2_closed_delta_expanded(frame, kind, shifts=None):
         if lpow.is_zero() or rpow.is_zero() or k > order:
             break
     return total
+
+
+# ---------------------------------------------------------------------------
+# the repair search behind hopf.deviations
+
+
+def formula_probes(family, kind, n):
+    """(name, keywords) of every variant the repair search builds for a
+    current formula of family "coproduct" or "antipode": each spectral
+    slot of the printed formula moved by +1 and by -1, the named
+    antipode variants, and the narrow gate.  The named variants are
+    written out here rather than read from hopf.deviations, so that the
+    search stays a reference for the table."""
+    slots = (hopf.DELTA_SLOTS if family == "coproduct"
+             else hopf.ANTIPODE_SLOTS)[kind]
+    probes = [("%s%+d" % (name, delta), {"shifts": {name: value + delta}})
+              for name, value in slots.items() for delta in (1, -1)]
+    if family == "antipode":
+        half_n = Fraction(n, 2)
+        named = {
+            "f": {"uniform-hat-shifts": {"hat_pattern": 1}},
+            "h": {"recentered-subtraction":
+                      {"e_shift": 1 + half_n, "f_shift": half_n},
+                  "own-index-recentered-subtraction":
+                      {"sub_index": 1, "e_shift": 1 + half_n,
+                       "f_shift": half_n}},
+        }
+        probes += [(name, {"shifts": shifts})
+                   for name, shifts in named.get(kind, {}).items()]
+    return probes + [("narrow-gate", {"gate": "narrow"})]
+
+
+# variants of a hat composite: name, operator shift, argument shift and
+# spec transform (None keeps the printed chain)
+HAT_PROBES = (("op-1", -1, 0, None), ("arg-1", 0, -1, None),
+              ("uniform-shift-pattern", 0, 0, hopf.uniform_shifts))
+
+
+def repair_search(n, order):
+    """{where: names} of every printed hat composite and current formula
+    that misses its target at (n, order), with the names of the search's
+    variants that match the target exactly, in probe order.  where is
+    "ratio-hat:<label>" or a formula report's identity.
+
+    The search that proposed hopf.deviations: the checks now try only
+    the declared deviations, and a test holds the two to the same
+    verdicts.
+    """
+    ctx = Context(n, order, SL)
+    frame = hopf.CurrentFrame(ctx, order)
+    found = {}
+
+    def holds(got, target):
+        return hopf._first_mismatch(got, target, order) is None
+
+    for i in range(1, n):
+        m = n - i
+        c = Fraction(m - 2, 2)
+        inv = leading_block(ctx, m, order).invert()
+        tail = tuple(range(i + 2, n + 1))
+        up = quantum_minor(ctx, (i,) + tail, (i + 1,) + tail, order)
+        down = quantum_minor(ctx, (i + 1,) + tail, (i,) + tail, order)
+        for kind, label, lhs in (("e", "raise,i=%d" % i, up * inv),
+                                 ("f", "lower,i=%d" % i, inv * down)):
+            spec = hopf.hat_spec(n, kind, m)
+            if holds(frame.apply_chain(spec, c, "printed", (kind, m, c + 1)),
+                     lhs):
+                continue
+            found["ratio-hat:" + label] = [
+                name for name, d_op, d_arg, transform in HAT_PROBES
+                if holds(frame.apply_chain(
+                    transform(spec) if transform else spec, c + d_op,
+                    "printed", (kind, m, c + 1 + d_arg)), lhs)]
+    half_n = Fraction(n, 2)
+    for family, formula, transport in (
+            ("coproduct", hopf.formula_delta, hopf.delta_series),
+            ("antipode", hopf.formula_antipode,
+             lambda s: hopf.antipode_series(s).shift(half_n))):
+        for i in range(1, n):
+            for kind in ("e", "f", "h"):
+                target = transport(frame.current(kind, i))
+                if holds(formula(frame, kind, i), target):
+                    continue
+                found["%s-formula-%s%d" % (family, kind, i)] = [
+                    name for name, keywords in formula_probes(family, kind, n)
+                    if holds(formula(frame, kind, i, **keywords), target)]
+    return found
