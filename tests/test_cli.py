@@ -246,6 +246,21 @@ def test_verify_minors_order_three_json_is_pinned(capsys):
     assert digest == MINORS_ORDER_THREE_JSON_SHA256
 
 
+# (exit code, sha256) of `verify all --n 4 --order 3 --seed 0 --format
+# json`: every suite one order past the n=4 default, where words of
+# degree 3 meet the SL elimination of T_44.  A change meant to alter that
+# output updates it and says why.
+ALL_N4_ORDER_THREE_JSON = (
+    1, "ca9bf684ed0811111c1d91da56a45105638c5fa1c927b5a45607d847fb3ccc41")
+
+
+def test_verify_all_n4_order_three_json_is_pinned(capsys):
+    code, out = run_cli(capsys, "verify", "all", "--n", "4", "--order", "3",
+                        "--seed", "0", "--format", "json")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == ALL_N4_ORDER_THREE_JSON
+
+
 # (exit code, sha256) of `verify SUITE --n 5 --seed 0 --format json` for
 # the suites built on brackets and coefficient differences.  At n=5 the
 # antipode formulas f3 and h3 fail, so that suite exits 1.  A change
