@@ -1,9 +1,17 @@
 """Exact noncommutative algebra of truncated Yangian generators.
 
-Generators are symbols T_{i,j}^{(k)} (matrix slot i,j and mode k >= 1),
-represented as triples (k, i, j) so that plain tuple comparison gives the
-monomial order used for normal words: (k, i, j) lexicographic ascending.
-Mode 0 is never stored; it is the scalar delta_{ij}.
+Generators are symbols T_{i,j}^{(k)} (matrix slot i,j and mode k >= 1).
+A symbol is the one code point (k << 8) | (i << 4) | j, and a word is the
+str of its symbols, "" the empty word.  Code-point order is then the
+monomial order used for normal words, (k, i, j) lexicographic ascending,
+and str order extends it to words as tuple order would.  A str caches its
+hash, so a word is hashed once however many memos look it up, and a
+tensor key, a tuple of words, hashes from those cached hashes.  Four bits
+for i and j and eight for k bound n by 15 and the degree by 255
+(`Context` checks both), which keeps every symbol below U+10000.
+`encode_word` and `decode_word` convert from and to (k, i, j) triples, the
+spelling of words at the input (`from_words`, `normal_order`) and output
+(`render`) edges.  Mode 0 is never stored; it is the scalar delta_{ij}.
 
 Elements are linear combinations of normal words, truncated by total
 filtration degree (the sum of the modes in a word).  Multiplication
@@ -55,44 +63,82 @@ class TruncationError(ValueError):
     """A requested object does not fit under the context degree bound."""
 
 
+# the largest matrix size and degree bound whose symbols encode: i and j
+# take four bits, k eight
+MAX_N = 15
+MAX_DEGREE = 255
+
+
+def symbol(k, i, j):
+    """The one-symbol word T_{i,j}^{(k)}."""
+    return chr(k << 8 | i << 4 | j)
+
+
+def decode_symbol(sym):
+    """The (k, i, j) triple of a one-symbol word."""
+    c = ord(sym)
+    return c >> 8, c >> 4 & 15, c & 15
+
+
+def encode_word(triples):
+    """The word of a sequence of (k, i, j) triples."""
+    out = []
+    for k, i, j in triples:
+        if not (1 <= k <= MAX_DEGREE and 1 <= i <= MAX_N
+                and 1 <= j <= MAX_N):
+            raise ValueError("symbol (%r, %r, %r) out of range" % (k, i, j))
+        out.append(symbol(k, i, j))
+    return "".join(out)
+
+
+def decode_word(word):
+    """The (k, i, j) triples of a word, in order."""
+    return tuple(decode_symbol(sym) for sym in word)
+
+
 class Context:
-    """Ambient algebra: matrix size n, degree bound, GL or SL quotient."""
+    """Ambient algebra: matrix size n, degree bound, GL or SL quotient.
+
+    One instance per (n, max_degree, mode): the arguments are validated
+    when a key is first built, and contexts compare and hash by identity.
+    """
 
     __slots__ = ("n", "max_degree", "mode")
 
-    def __init__(self, n, max_degree, mode=GL):
-        if n < 2:
-            raise ValueError("matrix size must be at least 2")
-        if max_degree < 1:
-            raise ValueError("degree bound must be at least 1")
+    _instances = {}
+
+    def __new__(cls, n, max_degree, mode=GL):
+        key = (n, max_degree, mode)
+        ctx = cls._instances.get(key)
+        if ctx is not None:
+            return ctx
+        if not 2 <= n <= MAX_N:
+            raise ValueError("matrix size must lie in 2..%d" % MAX_N)
+        if not 1 <= max_degree <= MAX_DEGREE:
+            raise ValueError("degree bound must lie in 1..%d" % MAX_DEGREE)
         if mode not in (GL, SL):
             raise ValueError("mode must be GL or SL")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "mode", mode)
+        ctx = object.__new__(cls)
+        object.__setattr__(ctx, "n", n)
+        object.__setattr__(ctx, "max_degree", max_degree)
+        object.__setattr__(ctx, "mode", mode)
+        # setdefault is atomic: threads racing on one key share the winner
+        return cls._instances.setdefault(key, ctx)
 
     def __setattr__(self, name, value):
         raise AttributeError("contexts are immutable")
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Context)
-            and (self.n, self.max_degree, self.mode)
-            == (other.n, other.max_degree, other.mode))
-
-    def __hash__(self):
-        return hash((self.n, self.max_degree, self.mode))
 
     def __repr__(self):
         return "Context(n=%d, max_degree=%d, mode=%s)" % (
             self.n, self.max_degree, self.mode)
 
 
+@lru_cache(maxsize=None)
 def word_degree(word):
-    # a plain loop: about three times faster than sum() over a generator
+    """Total degree of a word: the sum of its modes, memoised per word."""
     d = 0
     for sym in word:
-        d += sym[0]
+        d += ord(sym) >> 8
     return d
 
 
@@ -100,8 +146,7 @@ def _key_degree(key):
     """Total degree of a tensor key: the sum of its slot degrees."""
     d = 0
     for word in key:
-        for sym in word:
-            d += sym[0]
+        d += word_degree(word)
     return d
 
 
@@ -113,15 +158,15 @@ def _two_symbol_terms(a, b, m1, c, d, m2, sign, out):
     if m1 == 0:
         if a != b:
             return
-        word = () if m2 == 0 and c == d else ((m2, c, d),)
+        word = "" if m2 == 0 and c == d else symbol(m2, c, d)
         if m2 == 0 and c != d:
             return
     elif m2 == 0:
         if c != d:
             return
-        word = ((m1, a, b),)
+        word = symbol(m1, a, b)
     else:
-        word = ((m1, a, b), (m2, c, d))
+        word = symbol(m1, a, b) + symbol(m2, c, d)
     out[word] = out.get(word, 0) + sign
 
 
@@ -159,9 +204,9 @@ def normal_form_word(word):
     x, y = word[t], word[t + 1]
     prefix, suffix = word[:t], word[t + 2:]
     out = {}
-    for w, c in normal_form_word(prefix + (y, x) + suffix):
+    for w, c in normal_form_word(prefix + y + x + suffix):
         out[w] = out.get(w, 0) + c
-    (rx, ix, jx), (ry, ky, ly) = x, y
+    (rx, ix, jx), (ry, ky, ly) = decode_symbol(x), decode_symbol(y)
     for mid, c0 in commutator_words(ix, jx, rx, ky, ly, ry):
         for w, c in normal_form_word(prefix + mid + suffix):
             out[w] = out.get(w, 0) + c0 * c
@@ -184,7 +229,7 @@ def _sl_elimination(n, k):
     coeffs = qdet(Context(n, k, GL), k).coefficient(k).terms
     raw = {w: int(c) for w, c in coeffs.items()}
     assert raw == coeffs, "qdet coefficient is not integral"
-    lead = raw.pop(((k, n, n),), 0)
+    lead = raw.pop(symbol(k, n, n), 0)
     assert lead == 1, "qdet coefficient is not monic in T_nn"
     out = {}
     for word, coeff in raw.items():
@@ -200,11 +245,13 @@ def _sl_word_nf(n, word):
     Substitutes the first T_{n,n}^{(m)} symbol and renormalizes; any
     reintroduced T_{n,n} has strictly lower degree, so this terminates.
     """
-    for t, (m, i, j) in enumerate(word):
-        if i == n and j == n:
+    nn = n << 4 | n
+    for t, sym in enumerate(word):
+        if ord(sym) & 255 == nn:
             break
     else:
         return ((word, 1),)
+    m = ord(sym) >> 8
     prefix, suffix = word[:t], word[t + 1:]
     out = {}
     for w_sub, c_sub in _sl_elimination(n, m):
@@ -219,9 +266,10 @@ def _sl_word_nf(n, word):
 
 def _mentions_tnn(raw, n):
     """Whether some word of raw holds a T_nn symbol."""
+    nn = n << 4 | n
     for w in raw:
-        for _, i, j in w:
-            if i == n and j == n:
+        for sym in w:
+            if ord(sym) & 255 == nn:
                 return True
     return False
 
@@ -367,7 +415,7 @@ class Element(LinearCombination):
 
     def constant(self):
         """Coefficient of the empty word."""
-        return self.terms.get((), ZERO)
+        return self.terms.get("", ZERO)
 
     def _mul_into(self, other, raw, sign=1):
         """Add sign * (the GL normal form of self * other) into raw, uncut."""
@@ -395,7 +443,8 @@ class Element(LinearCombination):
             return "0"
         bits = []
         for w, c in self.items_sorted():
-            mono = "*".join("T%d%d_%d" % (i, j, k) for (k, i, j) in w) or "1"
+            mono = "*".join("T%d%d_%d" % (i, j, k)
+                            for (k, i, j) in decode_word(w)) or "1"
             bits.append("%s%s" % ("" if c == 1 and w else "%s*" % c, mono))
         return " + ".join(bits)
 
@@ -405,7 +454,7 @@ def zero(ctx):
 
 
 def unit(ctx):
-    return Element._trusted(ctx, {(): ONE})
+    return Element._trusted(ctx, {"": ONE})
 
 
 def generator(ctx, i, j, k):
@@ -418,19 +467,24 @@ def generator(ctx, i, j, k):
         raise TruncationError("mode %d exceeds degree bound %d"
                               % (k, ctx.max_degree))
     if ctx.mode == SL and i == j == ctx.n:
-        return Element(ctx, {((k, i, j),): ONE})
+        return Element(ctx, {symbol(k, i, j): ONE})
     # one symbol is a normal word within the bound: nothing to reduce
-    return Element._trusted(ctx, {((k, i, j),): ONE})
+    return Element._trusted(ctx, {symbol(k, i, j): ONE})
 
 
 def from_words(ctx, raw):
-    """Element from a {word: coefficient} map (words need not be normal)."""
+    """Element from a {word: coefficient} map (words need not be normal).
+
+    A word is a str or a sequence of (k, i, j) triples, which is encoded.
+    """
     exact = {}
     for word, coeff in raw.items():
         coeff = _exact(coeff)
         if not coeff:
             continue
-        for w, c in normal_form_word(tuple(word)):
+        if type(word) is not str:
+            word = encode_word(word)
+        for w, c in normal_form_word(word):
             exact[w] = exact.get(w, ZERO) + coeff * c
     return Element(ctx, exact)
 
@@ -438,9 +492,11 @@ def from_words(ctx, raw):
 def normal_order(ctx, word):
     """Normal form of one word as an element.
 
-    The input word may be arbitrary but must respect the degree bound.
+    The input word, a str or a sequence of (k, i, j) triples, may be
+    arbitrary but must respect the degree bound.
     """
-    word = tuple(word)
+    if type(word) is not str:
+        word = encode_word(word)
     if word_degree(word) > ctx.max_degree:
         raise TruncationError("word degree exceeds the context bound")
     return from_words(ctx, {word: ONE})
@@ -561,7 +617,7 @@ class Tensor(LinearCombination):
 
     @classmethod
     def unit(cls, ctx, arity=2):
-        return cls._trusted(ctx, arity, {((),) * arity: ONE})
+        return cls._trusted(ctx, arity, {("",) * arity: ONE})
 
     @classmethod
     def zero(cls, ctx, arity=2):
@@ -588,37 +644,52 @@ class Tensor(LinearCombination):
         return max((_key_degree(key) for key in self.terms), default=0)
 
     def _mul_into(self, other, out, sign=1):
-        """Add sign times the slotwise product self * other into out, cut."""
+        """Add sign times the slotwise product self * other into out, cut.
+
+        The last two slots run as one nested loop that builds each result
+        key once; a cube first extends partial keys (head, coefficient,
+        degree sum) over its leading slot.
+        """
         n, mode, bound = self.ctx.n, self.ctx.mode, self.ctx.max_degree
         table = _SLOT_TABLES.setdefault((n, mode), {})
+        lead = self.arity - 2
         for k1, c1 in self.terms.items():
             if sign < 0:
                 c1 = -c1
             for k2, c2 in other.terms.items():
-                slots = []
-                for pair in zip(k1, k2):
+                heads = (((), c1 * c2, 0),)
+                for s in range(lead):
+                    pair = k1[s], k2[s]
                     terms = table.get(pair)
                     if terms is None:
                         terms = table[pair] = _slot_product(n, mode, *pair)
-                    slots.append(terms)
-                # partial keys over all but the last slot, with degree sums
-                partial = [((), c1 * c2, 0)]
-                for terms in slots[:-1]:
-                    partial = [(key + (w,), c * cw, d + dw)
-                               for key, c, d in partial
-                               for w, cw, dw in terms
-                               if d + dw <= bound]
-                for head, c, d in partial:
-                    room = bound - d
-                    for w, cw, dw in slots[-1]:
-                        if dw > room:
+                    heads = [(head + (w,), c * cw, d + dw)
+                             for head, c, d in heads
+                             for w, cw, dw in terms
+                             if d + dw <= bound]
+                pair = k1[lead], k2[lead]
+                left = table.get(pair)
+                if left is None:
+                    left = table[pair] = _slot_product(n, mode, *pair)
+                pair = k1[lead + 1], k2[lead + 1]
+                right = table.get(pair)
+                if right is None:
+                    right = table[pair] = _slot_product(n, mode, *pair)
+                for head, c, d in heads:
+                    for wa, ca, da in left:
+                        room = bound - d - da
+                        if room < 0:
                             continue
-                        key = head + (w,)
-                        v = out.get(key, ZERO) + c * cw
-                        if v:
-                            out[key] = v
-                        elif key in out:
-                            del out[key]
+                        ca *= c
+                        for wb, cb, db in right:
+                            if db > room:
+                                continue
+                            key = head + (wa, wb)
+                            v = out.get(key, ZERO) + ca * cb
+                            if v:
+                                out[key] = v
+                            elif key in out:
+                                del out[key]
 
     def __mul__(self, other):
         if type(other) in _SCALARS:
@@ -637,7 +708,8 @@ class Tensor(LinearCombination):
         bits = []
         for key, c in self.items_sorted():
             slot = " (x) ".join(
-                "*".join("T%d%d_%d" % (i, j, k) for (k, i, j) in w) or "1"
+                "*".join("T%d%d_%d" % (i, j, k)
+                         for (k, i, j) in decode_word(w)) or "1"
                 for w in key)
             bits.append("%s[%s]" % ("" if c == 1 else "%s*" % c, slot))
         return " + ".join(bits)

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .algebra import Context, GL, SL
+from .algebra import MAX_DEGREE, Context, GL, SL
 from . import drinfeld, hopf, render, rtt
 from .suites import SUITES, default_order, run_suite
 
@@ -25,6 +25,10 @@ CURRENT_TARGETS = {
 }
 
 MATRIX_TARGETS = ("qdet", "minor", "gauss")
+
+# the largest --order: the drinfeld suite works one degree above it, and
+# every context's degree bound must encode
+MAX_ORDER = MAX_DEGREE - 1
 
 EXPAND_TARGETS = sorted(CURRENT_TARGETS) + list(MATRIX_TARGETS)
 
@@ -83,8 +87,8 @@ def _validate_common(parser, args):
         parser.error("--n must be between 2 and 6")
     if args.order is None:
         args.order = default_order(args.n)
-    if args.order < 1:
-        parser.error("--order must be at least 1")
+    if not 1 <= args.order <= MAX_ORDER:
+        parser.error("--order must be between 1 and %d" % MAX_ORDER)
 
 
 def _expand_object(parser, args):

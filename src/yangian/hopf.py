@@ -10,10 +10,14 @@ compare each formula against the transported (pullback) maps.
 
 Each map is built one way.  The word images are memoised: `_delta_word`
 splits one symbol as its base case, and `_antipode_word` reads the
-memoised T(u)^{-1} of `rtt`.  `_map_slot` applies a word image inside
-one slot, and takes an element as its one-slot view {(w,): c}, so the
-element and slot maps share that kernel; `multiply_slots` maps one slot
-by the antipode or the identity in its one product loop.
+memoised T(u)^{-1} of `rtt`.  A word is the str of `algebra`'s one-code-
+point symbols, so both maps split it by slicing and decode only the one
+symbol they map, and a memo lookup hashes the interned context by
+identity and the word by its cached hash.  `_map_slot` applies a word
+image inside one slot, and takes an element as its one-slot view
+{(w,): c}, so the element and slot maps share that kernel;
+`multiply_slots` maps one slot by the antipode or the identity in its
+one product loop, joining head, image and tail words as strs.
 
 The word maps accumulate on integer numerators.  The images of words
 have int coefficients, while the current modes carry the denominators
@@ -44,8 +48,10 @@ from .algebra import (
     ONE,
     ZERO,
     commutator,
+    decode_symbol,
     from_words,
     generator,
+    symbol,
     unit,
     zero,
 )
@@ -71,7 +77,7 @@ def _delta_word(ctx, word):
         return Tensor.unit(ctx, 2)
     if len(word) > 1:
         return _delta_word(ctx, word[:-1]) * _delta_word(ctx, word[-1:])
-    k, i, j = word[0]
+    k, i, j = decode_symbol(word)
     total = Tensor.zero(ctx, 2)
     for a in range(1, ctx.n + 1):
         left = t_entry(ctx, i, a, ctx.max_degree)
@@ -88,7 +94,7 @@ def _antipode_word(ctx, word):
     coefficients of T(u)^{-1} at its symbols."""
     if not word:
         return unit(ctx)
-    k, i, j = word[-1]
+    k, i, j = decode_symbol(word[-1])
     image = inverse_matrix(ctx, ctx.max_degree).entry(i, j).coefficient(k)
     return image * _antipode_word(ctx, word[:-1])
 
@@ -140,8 +146,8 @@ def delta_element(x):
 
 def antipode_element(x):
     """Antipode of an element (an anti-morphism on products): the word
-    antipodes mapped over the element's one-slot view, whose empty head
-    and tail make each antipode word a result key as it stands."""
+    antipodes mapped over the element's one-slot view, where each
+    antipode word is a result key as it stands."""
     view = {(w,): c for w, c in x.terms.items()}
     return Element._trusted(x.ctx, _map_slot(view, 0, _antipode_image(x.ctx)))
 
@@ -170,7 +176,10 @@ def _map_slot(terms, slot, image):
 
     image maps the slot's word to (parts, int coefficient) pairs, and a
     result key is the key with its slot replaced by parts: a tuple of
-    slot words, none for the counit and two for the coproduct.  Terms
+    slot words, none for the counit and two for the coproduct.  A key of
+    one slot, an element's view {(w,): c}, has nothing around its slot,
+    so parts is the result key as it stands: a word for the antipode of
+    an element, a (left, right) key for its coproduct.  Terms
     that agree outside the mapped slot form one group, whose images add
     into one dict keyed by parts; each result key is then built once,
     from the group's head and tail and parts that kept a nonzero sum.
@@ -196,7 +205,8 @@ def _map_slot(terms, slot, image):
         head, tail = rest[:slot], rest[slot:]
         for parts, c in sums.items():
             if c:
-                out[head + parts + tail] = c if d == 1 else _over(c, d)
+                key = head + parts + tail if rest else parts
+                out[key] = c if d == 1 else _over(c, d)
     return out
 
 
@@ -244,8 +254,8 @@ def multiply_slots(t, antipode=None):
     raw = {}
     for key, c in terms.items():
         # the product word is head + (image of the slot's word) + tail
-        head = key[0] if slot else ()
-        tail = () if slot else key[1]
+        head = key[0] if slot else ""
+        tail = "" if slot else key[1]
         for v, cv in image(key[slot]):
             w = head + v + tail
             raw[w] = raw.get(w, ZERO) + c * cv
@@ -302,7 +312,7 @@ def hopf_axioms_check(n, order, mode=SL, include_currents=True):
 def _random_element(rng, ctx, terms, degree_cap):
     total = zero(ctx)
     for _ in range(terms):
-        word = []
+        word = ""
         degree = 0
         for _ in range(rng.randint(1, max(1, degree_cap))):
             room = degree_cap - degree
@@ -310,8 +320,8 @@ def _random_element(rng, ctx, terms, degree_cap):
                 break
             k = rng.randint(1, room)
             degree += k
-            word.append((k, rng.randint(1, ctx.n), rng.randint(1, ctx.n)))
-        total = total + from_words(ctx, {tuple(word): rng.randint(-3, 3)})
+            word += symbol(k, rng.randint(1, ctx.n), rng.randint(1, ctx.n))
+        total = total + from_words(ctx, {word: rng.randint(-3, 3)})
     return total
 
 

@@ -2,6 +2,7 @@
 
 from collections import namedtuple
 
+from .algebra import decode_word
 from .series import Series, scalar_of
 
 _SLOT_NAMES = {1: ("word",), 2: ("left", "right"),
@@ -42,7 +43,7 @@ def _terms_payload(coeff):
     for slots, c in _slotted(coeff):
         item = {"coeff": _frac_text(c)}
         for name, w in zip(names, slots):
-            item[name] = [[i, j, k] for (k, i, j) in w]
+            item[name] = [[i, j, k] for (k, i, j) in decode_word(w)]
         out.append(item)
     return out
 
@@ -83,7 +84,7 @@ def terms(coeff, style):
             term = style.frac(c)
         else:
             body = style.tensor.join(
-                " ".join(style.symbol % sym for sym in w) or "1"
+                " ".join(style.symbol % sym for sym in decode_word(w)) or "1"
                 for w in slots)
             if c == 1:
                 term = body

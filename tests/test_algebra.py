@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from yangian import cli
 from yangian.algebra import (
-    Context, Element, Tensor, TruncationError, GL, SL,
-    commutator, from_words, generator, mode_commutator, normal_order,
-    normal_form_word, sl_reduce, unit, word_degree, zero,
+    MAX_DEGREE, MAX_N, Context, Element, Tensor, TruncationError, GL, SL,
+    commutator, decode_word, encode_word, from_words, generator,
+    mode_commutator, normal_order, normal_form_word, sl_reduce, unit,
+    word_degree, zero,
 )
 from util import (
     normal_order_strategy, project, random_element, random_word,
@@ -67,11 +69,12 @@ def test_confluence_of_strategies(n):
     rng = random.Random(100 + n)
     for _ in range(220):
         word = random_word(rng, n, max_len=4, max_mode=2)
-        while word_degree(word) > 4:
+        while word_degree(encode_word(word)) > 4:
             word = word[:-1]
         left = normal_order_strategy(word, "left")
         right = normal_order_strategy(word, "right")
-        ref = {w: Fraction(c) for w, c in normal_form_word(word)}
+        ref = {decode_word(w): Fraction(c)
+               for w, c in normal_form_word(encode_word(word))}
         assert left == ref
         assert right == ref
 
@@ -144,7 +147,7 @@ def test_sl_mode_stores_no_corner_generator():
         for _ in range(60):
             el = random_element(rng, ctx, max_len=3, max_mode=2)
             for w in el.terms:
-                assert all((i, j) != (n, n) for (_, i, j) in w)
+                assert all((i, j) != (n, n) for (_, i, j) in decode_word(w))
 
 
 def test_sl_reduce_examples_and_morphism():
@@ -234,3 +237,67 @@ def test_generator_rejects_overflow_and_bad_indices():
         generator(ctx, 0, 1, 1)
     with pytest.raises(ValueError):
         normal_order(ctx, [(4, 1, 1)])
+
+
+# ---------------------------------------------------------------------------
+# word encoding and contexts
+
+
+def test_symbols_encode_and_decode_for_every_rank_and_mode():
+    for n in range(2, 7):
+        for k in range(1, 9):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    word = encode_word([(k, i, j)])
+                    assert len(word) == 1
+                    assert decode_word(word) == ((k, i, j),)
+    triples = ((3, 1, 2), (1, 6, 6), (8, 2, 5))
+    assert decode_word(encode_word(triples)) == triples
+    assert encode_word(()) == "" and decode_word("") == ()
+
+
+def test_word_order_is_the_triple_order():
+    rng = random.Random(31)
+    for _ in range(2000):
+        a = random_word(rng, 6, max_len=4, max_mode=8)
+        if rng.random() < 0.3:
+            b = a[:rng.randint(0, len(a) - 1)]  # a proper prefix
+        else:
+            b = random_word(rng, 6, max_len=4, max_mode=8)
+        if rng.random() < 0.5:
+            a, b = b, a
+        assert (a < b) == (encode_word(a) < encode_word(b))
+        assert (a == b) == (encode_word(a) == encode_word(b))
+
+
+def test_context_is_one_instance_per_key():
+    assert Context(3, 2, SL) is Context(3, 2, SL)
+    assert Context(3, 2) is Context(3, 2, GL)
+    assert Context(3, 2, SL) is not Context(3, 2, GL)
+    ctx = Context(3, 2, SL)
+    assert repr(ctx) == "Context(n=3, max_degree=2, mode=SL)"
+    with pytest.raises(AttributeError):
+        ctx.n = 4
+    for args in ((1, 2), (3, 0), (3, 2, "XL")):
+        with pytest.raises(ValueError):
+            Context(*args)
+
+
+def test_context_rejects_what_symbols_cannot_encode():
+    assert Context(MAX_N, MAX_DEGREE).max_degree == MAX_DEGREE
+    with pytest.raises(ValueError):
+        Context(MAX_N + 1, 2)
+    with pytest.raises(ValueError):
+        Context(2, MAX_DEGREE + 1)
+    with pytest.raises(ValueError):
+        encode_word([(MAX_DEGREE + 1, 1, 1)])
+
+
+def test_cli_order_past_the_encodable_bound_is_a_usage_error(monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "sl2", "--order", str(cli.MAX_ORDER + 1)])
+    assert err.value.code == 2

@@ -11,6 +11,7 @@ from yangian.algebra import (
     GL,
     SL,
     Tensor,
+    encode_word,
     from_words,
     generator,
     unit,
@@ -278,7 +279,8 @@ def test_hopf_word_maps_store_int_while_integral(mode):
     e12 = (1, 1, 2)
     # delta(T12^(1) T12^(1)) holds 2 T12 (x) T12, so half of it holds 1
     x = from_words(ctx, {(e12, e12): Fraction(1, 2), (e12,): Fraction(1, 3)})
-    c = hopf.delta_element(x).terms[((e12,), (e12,))]
+    c = hopf.delta_element(x).terms[(encode_word((e12,)),
+                                     encode_word((e12,)))]
     assert c == 1 and type(c) is int
     squares = [_hand_made_square(ctx)]
     for y in [x, *_current_modes(ctx)]:

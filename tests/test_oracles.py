@@ -17,13 +17,18 @@ import pytest
 
 from yangian import algebra, hopf, rtt
 from yangian.algebra import (
-    Context, Element, GL, SL, commutator_words, generator, mode_commutator,
-    unit, zero,
+    Context, Element, GL, SL, commutator_words, decode_word, generator,
+    mode_commutator, unit, zero,
 )
 from yangian.drinfeld import current
 
 # ---------------------------------------------------------------------------
 # free-algebra model: words are tuples of (mode, row, col), no relations
+
+
+def decoded(terms):
+    """{triple word: coefficient} of (engine word, coefficient) pairs."""
+    return {decode_word(w): c for w, c in terms}
 
 
 def free_add(acc, word, coeff):
@@ -85,23 +90,23 @@ def test_bracket_table_matches_solved_relation(n):
             assert table.get((a, 0), {}) == {}
         for r in range(1, cutoff + 1):
             for s in range(1, cutoff + 1):
-                got = dict(commutator_words(i, j, r, k, l, s))
+                got = decoded(commutator_words(i, j, r, k, l, s))
                 assert got == table[(r, s)], (i, j, r, k, l, s)
 
 
 def test_bracket_frozen_values():
     # [T_12^(1), T_21^(1)] = T_22^(1) - T_11^(1)
-    assert dict(commutator_words(1, 2, 1, 2, 1, 1)) == {
+    assert decoded(commutator_words(1, 2, 1, 2, 1, 1)) == {
         ((1, 2, 2),): 1, ((1, 1, 1),): -1}
     # [T_12^(1), T_12^(1)] = 0
     assert commutator_words(1, 2, 1, 1, 2, 1) == ()
     # [T_12^(1), T_11^(1)] = T_12^(1)
-    assert dict(commutator_words(1, 2, 1, 1, 1, 1)) == {((1, 1, 2),): 1}
+    assert decoded(commutator_words(1, 2, 1, 1, 1, 1)) == {((1, 1, 2),): 1}
     # [T_11^(2), T_12^(1)] = -T_12^(2)
-    assert dict(commutator_words(1, 1, 2, 1, 2, 1)) == {((2, 1, 2),): -1}
+    assert decoded(commutator_words(1, 1, 2, 1, 2, 1)) == {((2, 1, 2),): -1}
     # [T_12^(2), T_21^(2)] = T_22^(3) - T_11^(3)
     #                        + T_22^(2) T_11^(1) - T_22^(1) T_11^(2)
-    assert dict(commutator_words(1, 2, 2, 2, 1, 2)) == {
+    assert decoded(commutator_words(1, 2, 2, 2, 1, 2)) == {
         ((3, 2, 2),): 1, ((3, 1, 1),): -1,
         ((2, 2, 2), (1, 1, 1)): 1, ((1, 2, 2), (2, 1, 1)): -1}
 
@@ -145,7 +150,7 @@ def evaluate_word(tword):
 def evaluate_element(el):
     out = {}
     for word, coeff in el.terms.items():
-        hit = evaluate_word(word)
+        hit = evaluate_word(decode_word(word))
         if hit is None:
             continue
         u_normal(hit[0], coeff * hit[1], out)
@@ -160,7 +165,7 @@ def test_evaluation_respects_brackets(n):
         for r, s in [(1, 1), (1, 2), (2, 1), (2, 2)]:
             lhs = {}
             for word, c in commutator_words(i, j, r, k, l, s):
-                hit = evaluate_word(word)
+                hit = evaluate_word(decode_word(word))
                 if hit is not None:
                     u_normal(hit[0], Fraction(c) * hit[1], lhs)
             rhs = {}
@@ -192,10 +197,10 @@ def test_evaluation_of_normal_forms(n):
 
 def test_sl_elimination_frozen_n2():
     # T_22^(1) -> -T_11^(1)
-    assert dict(algebra._sl_elimination(2, 1)) == {((1, 1, 1),): -1}
+    assert decoded(algebra._sl_elimination(2, 1)) == {((1, 1, 1),): -1}
     # T_22^(2) -> -T_11^(2) + T_11^(1) + T_11^(1) T_11^(1)
     #             + T_12^(1) T_21^(1)
-    assert dict(algebra._sl_elimination(2, 2)) == {
+    assert decoded(algebra._sl_elimination(2, 2)) == {
         ((2, 1, 1),): -1,
         ((1, 1, 1),): 1,
         ((1, 1, 1), (1, 1, 1)): 1,
@@ -222,7 +227,7 @@ def test_sl_elimination_kills_determinant_coefficients(n):
 
 def test_determinant_coefficient_n2_frozen():
     # u^-1 coefficient of the n=2 determinant: T_11^(1) + T_22^(1)
-    assert determinant_coefficient(2, 1) == {
+    assert decoded(determinant_coefficient(2, 1).items()) == {
         ((1, 1, 1),): 1, ((1, 2, 2),): 1}
 
 
@@ -295,7 +300,8 @@ def unit_chain(n, spec, x):
 
 def engine_units(el):
     """An element of degree one as matrix units."""
-    assert all(len(w) == 1 and w[0][0] == 1 for w in el.terms), el
+    words = [decode_word(w) for w in el.terms]
+    assert all(len(w) == 1 and w[0][0] == 1 for w in words), el
     return {w[0]: c for w, c in evaluate_element(el).items()}
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from yangian import hopf
 from yangian.algebra import (
-    SL, Context, Element, Tensor, commutator_words, from_words,
+    SL, Context, Element, Tensor, commutator_words, decode_word, from_words,
 )
 from yangian.drinfeld import leading_block
 from yangian.rtt import quantum_minor, t_entry
@@ -57,7 +57,7 @@ def _bubble_pass(terms, reverse):
         swapped = prefix + (y, x) + suffix
         out[swapped] = out.get(swapped, 0) + coeff
         for mid, c0 in commutator_words(x[1], x[2], x[0], y[1], y[2], y[0]):
-            w = prefix + mid + suffix
+            w = prefix + decode_word(mid) + suffix
             out[w] = out.get(w, 0) + coeff * c0
     return {w: c for w, c in out.items() if c}, changed
 
