@@ -28,6 +28,15 @@ table of (word, coefficient, degree) triples and drop a partial key as
 soon as its slot degrees pass the bound; slot degrees are nonnegative,
 so that is the same cut, made earlier.
 
+Memo values share their parts.  `shared` maps a tuple to the one stored
+object equal to it, from one table for every kind of part: the (word,
+coefficient) pairs of `normal_form_word` and `_sl_word_nf`, the (word,
+coefficient, degree) triples of the slot tables and the (left, right)
+keys of `hopf._delta_word`.  Parts of different shapes never compare
+equal, so the kinds do not mix.  Only memo misses fill the table, and a
+value keeps its parts' values and order: sharing changes object
+identity, never a result.
+
 Coefficients are exact rationals: an int while integral, a Fraction only
 once a denominator appears.  The structure constants are integers, and
 2 == Fraction(2) with equal hashes, so the choice changes speed only.
@@ -122,8 +131,8 @@ class Context:
         object.__setattr__(ctx, "n", n)
         object.__setattr__(ctx, "max_degree", max_degree)
         object.__setattr__(ctx, "mode", mode)
-        # setdefault is atomic: threads racing on one key share the winner
-        return cls._instances.setdefault(key, ctx)
+        cls._instances[key] = ctx
+        return ctx
 
     def __setattr__(self, name, value):
         raise AttributeError("contexts are immutable")
@@ -140,6 +149,15 @@ def word_degree(word):
     for sym in word:
         d += ord(sym) >> 8
     return d
+
+
+# each part of a memo value, mapped to the one object that stands for it
+_SHARED = {}
+
+
+def shared(part):
+    """The one stored tuple equal to part, stored on first sight."""
+    return _SHARED.setdefault(part, part)
 
 
 def _key_degree(key):
@@ -200,7 +218,7 @@ def normal_form_word(word):
         if word[t] > word[t + 1]:
             break
     else:
-        return ((word, 1),)
+        return (shared((word, 1)),)
     x, y = word[t], word[t + 1]
     prefix, suffix = word[:t], word[t + 2:]
     out = {}
@@ -210,7 +228,7 @@ def normal_form_word(word):
     for mid, c0 in commutator_words(ix, jx, rx, ky, ly, ry):
         for w, c in normal_form_word(prefix + mid + suffix):
             out[w] = out.get(w, 0) + c0 * c
-    return tuple(sorted((w, c) for w, c in out.items() if c))
+    return tuple(sorted(shared((w, c)) for w, c in out.items() if c))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +268,7 @@ def _sl_word_nf(n, word):
         if ord(sym) & 255 == nn:
             break
     else:
-        return ((word, 1),)
+        return (shared((word, 1)),)
     m = ord(sym) >> 8
     prefix, suffix = word[:t], word[t + 1:]
     out = {}
@@ -258,7 +276,7 @@ def _sl_word_nf(n, word):
         for w_nf, c_nf in normal_form_word(prefix + w_sub + suffix):
             for w_fin, c_fin in _sl_word_nf(n, w_nf):
                 out[w_fin] = out.get(w_fin, 0) + c_sub * c_nf * c_fin
-    return tuple(sorted((w, c) for w, c in out.items() if c))
+    return tuple(sorted(shared((w, c)) for w, c in out.items() if c))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +592,7 @@ def _slot_product(n, mode, w1, w2):
                 out[v] = out.get(v, 0) + c * cv
         else:
             out[w] = out.get(w, 0) + c
-    return tuple((w, c, word_degree(w)) for w, c in out.items() if c)
+    return tuple(shared((w, c, word_degree(w))) for w, c in out.items() if c)
 
 
 class Tensor(LinearCombination):

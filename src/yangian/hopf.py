@@ -13,7 +13,9 @@ splits one symbol as its base case, and `_antipode_word` reads the
 memoised T(u)^{-1} of `rtt`.  A word is the str of `algebra`'s one-code-
 point symbols, so both maps split it by slicing and decode only the one
 symbol they map, and a memo lookup hashes the interned context by
-identity and the word by its cached hash.  `_map_slot` applies a word
+identity and the word by its cached hash.  The (left, right) keys of
+`_delta_word`'s values go through `algebra.shared`, so each key value is
+one object across every word's coproduct.  `_map_slot` applies a word
 image inside one slot, and takes an element as its one-slot view
 {(w,): c}, so the element and slot maps share that kernel;
 `multiply_slots` maps one slot by the antipode or the identity in its
@@ -51,6 +53,7 @@ from .algebra import (
     decode_symbol,
     from_words,
     generator,
+    shared,
     symbol,
     unit,
     zero,
@@ -74,18 +77,20 @@ def _delta_word(ctx, word):
     longer word the product of its prefix's image and its last symbol's.
     """
     if not word:
-        return Tensor.unit(ctx, 2)
-    if len(word) > 1:
-        return _delta_word(ctx, word[:-1]) * _delta_word(ctx, word[-1:])
-    k, i, j = decode_symbol(word)
-    total = Tensor.zero(ctx, 2)
-    for a in range(1, ctx.n + 1):
-        left = t_entry(ctx, i, a, ctx.max_degree)
-        right = t_entry(ctx, a, j, ctx.max_degree)
-        for p in range(k + 1):
-            total = total + Tensor.of_elements(left.coefficient(p),
-                                               right.coefficient(k - p))
-    return total
+        total = Tensor.unit(ctx, 2)
+    elif len(word) > 1:
+        total = _delta_word(ctx, word[:-1]) * _delta_word(ctx, word[-1:])
+    else:
+        k, i, j = decode_symbol(word)
+        total = Tensor.zero(ctx, 2)
+        for a in range(1, ctx.n + 1):
+            left = t_entry(ctx, i, a, ctx.max_degree)
+            right = t_entry(ctx, a, j, ctx.max_degree)
+            for p in range(k + 1):
+                total = total + Tensor.of_elements(left.coefficient(p),
+                                                   right.coefficient(k - p))
+    return Tensor._trusted(ctx, 2, {shared(key): c
+                                    for key, c in total.terms.items()})
 
 
 @lru_cache(maxsize=None)

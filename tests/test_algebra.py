@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from yangian import cli
+from yangian import algebra, cli
 from yangian.algebra import (
     MAX_DEGREE, MAX_N, Context, Element, Tensor, TruncationError, GL, SL,
     commutator, decode_word, encode_word, from_words, generator,
@@ -281,6 +281,30 @@ def test_context_is_one_instance_per_key():
     for args in ((1, 2), (3, 0), (3, 2, "XL")):
         with pytest.raises(ValueError):
             Context(*args)
+
+
+def assert_one_object_per_value(parts):
+    """Equal parts are one object: as many ids as distinct values."""
+    assert len({id(part) for part in parts}) == len(set(parts))
+
+
+def test_memo_values_share_equal_pairs_and_triples():
+    rng = random.Random(19)
+    words = [encode_word(random_word(rng, 3, max_len=4, max_mode=3))
+             for _ in range(300)]
+    pairs = [pair for word in words for pair in normal_form_word(word)]
+    assert len(pairs) > len(set(pairs))
+    assert_one_object_per_value(pairs)
+    for mode in (GL, SL):
+        ctx = Context(3, 4, mode)
+        for _ in range(5):
+            x = random_element(rng, ctx, terms=3, max_len=2, max_mode=2)
+            y = random_element(rng, ctx, terms=3, max_len=2, max_mode=2)
+            Tensor.of_elements(x, y) * Tensor.of_elements(y, x)
+    triples = [triple for table in algebra._SLOT_TABLES.values()
+               for terms in table.values() for triple in terms]
+    assert len(triples) > len(set(triples))
+    assert_one_object_per_value(triples)
 
 
 def test_context_rejects_what_symbols_cannot_encode():

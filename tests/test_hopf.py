@@ -36,6 +36,15 @@ from util import (
 # structural maps on single generators
 
 
+def test_word_coproducts_share_equal_keys():
+    hopf.hopf_axioms_check(2, 4)
+    ctx = Context(2, 4, SL)
+    keys = [key for _, x in hopf._axiom_targets(ctx, 4) for w in x.terms
+            for key in hopf._delta_word(ctx, w).terms]
+    assert len(keys) > len(set(keys))
+    assert len({id(key) for key in keys}) == len(set(keys))
+
+
 def test_coproduct_on_first_mode_is_primitive_up_to_matrix_part():
     ctx = Context(2, 3, GL)
     got = hopf.delta_element(generator(ctx, 1, 2, 1))
