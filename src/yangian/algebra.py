@@ -35,7 +35,10 @@ coefficient, degree) triples of the slot tables and the (left, right)
 keys of `hopf._delta_word`.  Parts of different shapes never compare
 equal, so the kinds do not mix.  Only memo misses fill the table, and a
 value keeps its parts' values and order: sharing changes object
-identity, never a result.
+identity, never a result.  Sharing holds within one scope:
+`clear_word_layer` empties the table together with the four memos that
+hold its parts, the word layer, and `suites.run_suite` calls it at the
+start of each suite, so a run of many suites peaks at its largest.
 
 Coefficients are exact rationals: an int while integral, a Fraction only
 once a denominator appears.  The structure constants are integers, and
@@ -581,6 +584,31 @@ def sl_reduce(el, ctx=None):
 
 # per (n, mode): {(w1, w2): ((word, coeff, degree), ...)} for one slot
 _SLOT_TABLES = {}
+
+# The word layer: the share table and every memo whose values hold its
+# parts, as their clear methods.  `hopf`, which imports this module,
+# adds `_delta_word` through `word_layer_memo`.
+_WORD_LAYER = [_SHARED.clear, normal_form_word.cache_clear,
+               _sl_word_nf.cache_clear, _SLOT_TABLES.clear]
+
+
+def word_layer_memo(memo):
+    """Add an lru_cache memo whose values hold shared parts to the word
+    layer, so that `clear_word_layer` empties it; returns memo itself."""
+    _WORD_LAYER.append(memo.cache_clear)
+    return memo
+
+
+def clear_word_layer():
+    """Empty the share table together with every memo holding its parts.
+
+    Emptying the table alone would leave memo values holding parts that
+    later misses store again as new objects; emptied together, equal
+    parts stay one object.  The other memos hold no shared parts and
+    are left as they are.
+    """
+    for clear in _WORD_LAYER:
+        clear()
 
 
 def _slot_product(n, mode, w1, w2):

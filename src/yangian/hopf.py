@@ -15,9 +15,11 @@ point symbols, so both maps split it by slicing and decode only the one
 symbol they map, and a memo lookup hashes the interned context by
 identity and the word by its cached hash.  The (left, right) keys of
 `_delta_word`'s values go through `algebra.shared`, so each key value is
-one object across every word's coproduct.  `_map_slot` applies a word
-image inside one slot, and takes an element as its one-slot view
-{(w,): c}, so the element and slot maps share that kernel;
+one object across every word's coproduct of one scope; `_delta_word`
+belongs to `algebra`'s word layer, which `clear_word_layer` empties
+together with the share table.  `_map_slot` applies a word image inside
+one slot, and takes an element as its one-slot view {(w,): c}, so the
+element and slot maps share that kernel;
 `multiply_slots` maps one slot by the antipode or the identity in its
 one product loop, joining head, image and tail words as strs.
 
@@ -56,6 +58,7 @@ from .algebra import (
     shared,
     symbol,
     unit,
+    word_layer_memo,
     zero,
 )
 from .drinfeld import current, leading_block, root_element
@@ -70,6 +73,7 @@ from .series import Series, geometric_unit_sum, series_outer, slot_embed
 # structural maps on elements
 
 
+@word_layer_memo
 @lru_cache(maxsize=None)
 def _delta_word(ctx, word):
     """Coproduct of a word, as a tensor square: a symbol T_ij^(k) is the

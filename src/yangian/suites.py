@@ -3,13 +3,18 @@
 Each suite resolves to a fixed list of jobs, run one after another in
 the calling thread; their reports are concatenated in that fixed order,
 so the output stream is deterministic.
+
+Each suite starts with an empty word layer: `run_suite` calls
+`algebra.clear_word_layer` first, so the normal forms, slot products and
+word coproducts a suite builds, and their shared parts, last until the
+next suite starts.  The other memos persist for the process.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Context, GL, SL
+from .algebra import Context, GL, SL, clear_word_layer
 from .report import Report
 from . import drinfeld, hopf, rtt
 
@@ -183,6 +188,7 @@ def run_suite(name, n=2, order=None, seed=0):
         raise KeyError(name)
     out = []
     for sub in names:
+        clear_word_layer()
         rank = RANK_FIXED.get(sub, n)
         ordr = order if order is not None else default_order(rank)
         out.extend(SUITES[sub](rank, ordr, seed))

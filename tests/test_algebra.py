@@ -1,18 +1,20 @@
 """Core rewriting engine: normal forms, products, quotients, tensors."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from yangian import algebra, cli
+from yangian import algebra, cli, hopf
 from yangian.algebra import (
     MAX_DEGREE, MAX_N, Context, Element, Tensor, TruncationError, GL, SL,
     commutator, decode_word, encode_word, from_words, generator,
     mode_commutator, normal_order, normal_form_word, sl_reduce, unit,
     word_degree, zero,
 )
+from yangian.suites import run_suite
 from util import (
     normal_order_strategy, project, random_element, random_word,
 )
@@ -288,23 +290,65 @@ def assert_one_object_per_value(parts):
     assert len({id(part) for part in parts}) == len(set(parts))
 
 
-def test_memo_values_share_equal_pairs_and_triples():
-    rng = random.Random(19)
-    words = [encode_word(random_word(rng, 3, max_len=4, max_mode=3))
-             for _ in range(300)]
-    pairs = [pair for word in words for pair in normal_form_word(word)]
-    assert len(pairs) > len(set(pairs))
-    assert_one_object_per_value(pairs)
+def _fill_slot_tables(rng):
     for mode in (GL, SL):
         ctx = Context(3, 4, mode)
         for _ in range(5):
             x = random_element(rng, ctx, terms=3, max_len=2, max_mode=2)
             y = random_element(rng, ctx, terms=3, max_len=2, max_mode=2)
             Tensor.of_elements(x, y) * Tensor.of_elements(y, x)
+
+
+def test_memo_values_share_equal_pairs_and_triples():
+    rng = random.Random(19)
+    # slot tables filled before a suite starts, then more after it: the
+    # suite's scope boundary must not split equal triples into two objects
+    _fill_slot_tables(rng)
+    run_suite("gauss", 2)
+    words = [encode_word(random_word(rng, 3, max_len=4, max_mode=3))
+             for _ in range(300)]
+    pairs = [pair for word in words for pair in normal_form_word(word)]
+    assert len(pairs) > len(set(pairs))
+    assert_one_object_per_value(pairs)
+    _fill_slot_tables(rng)
     triples = [triple for table in algebra._SLOT_TABLES.values()
                for terms in table.values() for triple in terms]
     assert len(triples) > len(set(triples))
     assert_one_object_per_value(triples)
+
+
+def memo_keys(memo):
+    """The keys a memo holds: a dict's own, or those of the cache dict of
+    an lru_cache, which CPython's lru_cache lists among its referents."""
+    if isinstance(memo, dict):
+        return set(memo)
+    (cache,) = [ref for ref in gc.get_referents(memo)
+                if type(ref) is dict and ref is not memo.__dict__]
+    return set(cache)
+
+
+def word_layer_keys():
+    return [memo_keys(memo) for memo in (
+        normal_form_word, algebra._sl_word_nf, algebra._SLOT_TABLES,
+        hopf._delta_word)]
+
+
+@pytest.mark.parametrize("first, second, n, order", [
+    ("drinfeld", "gauss", 3, None),
+    ("sl3", "hopf-axioms", 2, 3),
+])
+def test_each_suite_starts_with_an_empty_word_layer(first, second, n,
+                                                    order):
+    # the first run fills the memos no suite clears, so that the two runs
+    # compared below meet the same ones
+    run_suite(second, n, order)
+    algebra.clear_word_layer()
+    run_suite(second, n, order)
+    alone = word_layer_keys()
+    assert alone[0]
+    run_suite(first, n, order)
+    run_suite(second, n, order)
+    assert word_layer_keys() == alone
 
 
 def test_context_rejects_what_symbols_cannot_encode():
