@@ -301,6 +301,22 @@ def test_verify_diagnosed_antipode_json_is_pinned(capsys, n):
     assert (code, digest) == DIAGNOSED_ANTIPODE_JSON_SHA256[n]
 
 
+# (exit code, sha256) of `verify antipode-formulas --n 3 --order 4 --seed 0
+# --format json`: rank two above its default order, where the printed
+# antipode-formula-h1 misses and no declared deviation holds, so the
+# verdict notes end in "no declared repair holds".  A change meant to
+# alter that output updates it and says why.
+ANTIPODE_N3_ORDER_FOUR_JSON = (
+    1, "eeb166db5b848ba86ee7be319d919e0fa0690b5d1c50d26ddf4664c986cfb4d8")
+
+
+def test_verify_antipode_n3_order_four_json_is_pinned(capsys):
+    code, out = run_cli(capsys, "verify", "antipode-formulas", "--n", "3",
+                        "--order", "4", "--seed", "0", "--format", "json")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == ANTIPODE_N3_ORDER_FOUR_JSON
+
+
 # sha256 of `verify hopf-axioms --n 2 --order 7 --format json` at CLI
 # seeds 0..3: long words and big tensor squares and cubes, the command
 # the hopf-deep-n2o7 benchmark workload runs.  A change meant to alter
