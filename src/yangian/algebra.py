@@ -341,6 +341,12 @@ class LinearCombination:
     def items_sorted(self):
         return sorted(self.terms.items())
 
+    def __repr__(self):
+        """The terms as render's text style spells them."""
+        # imported here because render imports this module
+        from . import render
+        return render.terms(self, render.TEXT)
+
     def __eq__(self, other):
         if type(other) in _SCALARS:
             other = self._unit() * other
@@ -458,16 +464,6 @@ class Element(LinearCombination):
         raw = {}
         self._mul_into(other, raw)
         return Element(self.ctx, raw)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in self.items_sorted():
-            mono = "*".join("T%d%d_%d" % (i, j, k)
-                            for (k, i, j) in decode_word(w)) or "1"
-            bits.append("%s%s" % ("" if c == 1 and w else "%s*" % c, mono))
-        return " + ".join(bits)
 
 
 def zero(ctx):
@@ -747,15 +743,3 @@ class Tensor(LinearCombination):
         out = {}
         self._mul_into(other, out)
         return self._like(out)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key, c in self.items_sorted():
-            slot = " (x) ".join(
-                "*".join("T%d%d_%d" % (i, j, k)
-                         for (k, i, j) in decode_word(w)) or "1"
-                for w in key)
-            bits.append("%s[%s]" % ("" if c == 1 else "%s*" % c, slot))
-        return " + ".join(bits)

@@ -134,15 +134,16 @@ def root_element(ctx, kind, low, high):
     raise ValueError("root elements exist for kinds 'e' and 'f' only")
 
 
-def nested_root_element(ctx, kind, low, high, order=1):
-    """Root vector for low < high as nested brackets of simple modes.
+def nested_root_element(ctx, kind, low, high):
+    """Root vector for low < high as nested brackets of simple modes,
+    read off the order-one currents.
 
     Raising vectors nest to the left starting from the top index,
     lowering vectors nest to the right starting from the bottom one.
     """
     if not 1 <= low < high <= ctx.n:
         raise ValueError("need 1 <= low < high <= n")
-    modes = {a: _mode(ctx, kind, a, 0, order) for a in range(low, high)}
+    modes = {a: _mode(ctx, kind, a, 0, 1) for a in range(low, high)}
     if kind == "e":
         acc = modes[high - 1]
         for a in range(high - 2, low - 1, -1):
@@ -270,11 +271,11 @@ def relations_check(n, degree, mode=SL):
     return reports
 
 
-def h_variants_check(n, degree, mode=SL):
+def h_variants_check(n, degree):
     """All three diagonal-current routes must give the same series."""
-    ctx = _relation_context(n, degree, mode)
+    ctx = _relation_context(n, degree, SL)
     order = degree + 1
-    rep = Report("diagonal-current-variants", n=n, degree=degree, mode=mode)
+    rep = Report("diagonal-current-variants", n=n, degree=degree, mode=SL)
     for i in range(1, n):
         first = current(ctx, "h", i, order)
         for variant in (2, 3):
@@ -285,10 +286,10 @@ def h_variants_check(n, degree, mode=SL):
     return rep
 
 
-def root_vectors_check(n, mode=SL):
+def root_vectors_check(n):
     """Nested-bracket root vectors equal the degree-one generators."""
-    ctx = Context(n, 2, mode)
-    rep = Report("root-vectors", n=n, mode=mode)
+    ctx = Context(n, 2, SL)
+    rep = Report("root-vectors", n=n, mode=SL)
     for low in range(1, n):
         for high in range(low + 1, n + 1):
             for kind in ("e", "f"):
@@ -298,11 +299,11 @@ def root_vectors_check(n, mode=SL):
     return rep
 
 
-def currents_constant_check(n, degree, mode=SL):
+def currents_constant_check(n, degree):
     """Raising/lowering currents vanish at infinity, diagonal tends to 1."""
-    ctx = _relation_context(n, degree, mode)
+    ctx = _relation_context(n, degree, SL)
     order = degree + 1
-    rep = Report("current-constants", n=n, degree=degree, mode=mode)
+    rep = Report("current-constants", n=n, degree=degree, mode=SL)
     for i in range(1, n):
         for kind in ("e", "f"):
             rep.check("%s%d" % (kind, i),

@@ -20,8 +20,8 @@ belongs to `algebra`'s word layer, which `clear_word_layer` empties
 together with the share table.  `_map_slot` applies a word image inside
 one slot, and takes an element as its one-slot view {(w,): c}, so the
 element and slot maps share that kernel;
-`multiply_slots` maps one slot by the antipode or the identity in its
-one product loop, joining head, image and tail words as strs.
+`multiply_slots` maps one slot by the antipode in its one product loop,
+joining head, image and tail words as strs.
 
 The word maps accumulate on integer numerators.  The images of words
 have int coefficients, while the current modes carry the denominators
@@ -34,7 +34,9 @@ steps).  A step (kind, low, high, offset) is a root action "e" (raising)
 or "f" (lowering) on the root (low, high), or a diagonal step "d", at the
 chain's base shift plus offset; steps act right to left, as the printed
 product reads.  `composite_spec` and `hat_spec` write the printed chains,
-and `chain` alone turns a spec into an operator.
+and `chain` alone turns a spec into an operator.  A root step on (low,
+high) carries the spectral correction of the current at alpha exactly in
+the printed window low <= alpha < high.
 """
 
 from fractions import Fraction
@@ -240,32 +242,28 @@ def antipode_on_slot(t, slot):
         t.terms, slot, lambda w: (((v,), c) for v, c in image(w))))
 
 
-def multiply_slots(t, antipode=None):
-    """Multiply the two slots of a tensor square into one element.
+def multiply_slots(t, antipode):
+    """m(S x id) (antipode=0) or m(id x S) (antipode=1) of a tensor square.
 
-    One slot's word goes through an image, the antipode for the slot
-    antipode=s and else the identity, and the image words multiply
-    straight into the product words: m(S x id) and m(id x S) build no
-    tensor between the two maps.  The product words add on the int
+    The antipode slot's word goes through its antipode, and the image
+    words multiply straight into the product words: no tensor is built
+    between the two maps.  The product words add on the int
     numerators of t, and the normal-ordered result is divided by their
     common denominator once.
     """
     if t.arity != 2:
         raise ValueError("tensor square expected")
-    if antipode not in (None, 0, 1):
+    if antipode not in (0, 1):
         raise ValueError("antipode slot must be 0 or 1")
     ctx = t.ctx
-    if antipode is None:
-        slot, image = 1, lambda w: ((w, ONE),)
-    else:
-        slot, image = antipode, _antipode_image(ctx)
+    image = _antipode_image(ctx)
     d, terms = _numerators(t.terms)
     raw = {}
     for key, c in terms.items():
         # the product word is head + (image of the slot's word) + tail
-        head = key[0] if slot else ""
-        tail = "" if slot else key[1]
-        for v, cv in image(key[slot]):
+        head = key[0] if antipode else ""
+        tail = "" if antipode else key[1]
+        for v, cv in image(key[antipode]):
             w = head + v + tail
             raw[w] = raw.get(w, ZERO) + c * cv
     el = from_words(ctx, raw)
@@ -337,15 +335,15 @@ def _random_element(rng, ctx, terms, degree_cap):
 MORPHISM_SAMPLES = 12
 
 
-def structure_morphism_check(n, order, mode=SL, seed=0):
+def structure_morphism_check(n, order, seed=0):
     """Coproduct/counit are morphisms, the antipode an anti-morphism.
 
     Factors are drawn so the combined degree stays within the context
     bound, where the truncated product agrees with the exact one.
     """
-    ctx = Context(n, order, mode)
+    ctx = Context(n, order, SL)
     rng = random.Random(seed)
-    rep = Report("structure-morphisms", n=n, order=order, mode=mode, seed=seed)
+    rep = Report("structure-morphisms", n=n, order=order, mode=SL, seed=seed)
     if ctx.max_degree < 2:
         rep.note("degree bound %d leaves no room for two factors of "
                  "degree >= 1; sampling skipped" % ctx.max_degree)
@@ -371,10 +369,10 @@ def _index_subsets(n, m):
     return list(combinations(range(1, n + 1), m))
 
 
-def minor_coproduct_check(n, order, mode=GL):
+def minor_coproduct_check(n, order):
     """The coproduct splits a minor along an intermediate index set."""
-    ctx = Context(n, order, mode)
-    rep = Report("minor-coproduct", n=n, order=order, mode=mode)
+    ctx = Context(n, order, GL)
+    rep = Report("minor-coproduct", n=n, order=order, mode=GL)
     for m in range(1, n + 1):
         for rows in _index_subsets(n, m):
             for cols in _index_subsets(n, m):
@@ -390,10 +388,10 @@ def minor_coproduct_check(n, order, mode=GL):
     return rep
 
 
-def minor_counit_check(n, order, mode=GL):
+def minor_counit_check(n, order):
     """The counit of a minor is 1 on equal index sets, else 0."""
-    ctx = Context(n, order, mode)
-    rep = Report("minor-counit", n=n, order=order, mode=mode)
+    ctx = Context(n, order, GL)
+    rep = Report("minor-counit", n=n, order=order, mode=GL)
     for m in range(1, n + 1):
         for rows in _index_subsets(n, m):
             for cols in _index_subsets(n, m):
@@ -421,15 +419,15 @@ def qdet_grouplike_check(n, order):
     return rep
 
 
-def minor_antipode_sign_check(n, order, mode=GL):
+def minor_antipode_sign_check(n, order):
     """Empirical sign relating S(minor) to the reflected-matrix minor.
 
     The antipode of an m x m minor agrees with the reflected minor up
     to an overall sign depending only on m; the report records the
     observed exponent pattern.
     """
-    ctx = Context(n, order, mode)
-    rep = Report("minor-antipode-sign", n=n, order=order, mode=mode)
+    ctx = Context(n, order, GL)
+    rep = Report("minor-antipode-sign", n=n, order=order, mode=GL)
     star = t_star_matrix(ctx, order)
     # one sub-minor memo for every reflected minor of this sweep
     memo = {}
@@ -513,23 +511,20 @@ class CurrentFrame:
     def constant_one(self, model):
         return Series.constant(self.ctx, model.order, arity=model.arity)
 
-    def apply_chain(self, spec, shift, gate, arg):
+    def apply_chain(self, spec, shift, arg):
         """A chain spec at a shift applied to arg = (name, index, shift):
         the current "e", "f" or "h", or the pairing series "g" or "gt"."""
         def build():
             name, i, at = arg
             series = (self.g(i) if name == "g" else self.g_tilde(i)
                       if name == "gt" else self.current(name, i))
-            return chain(self, spec, shift, gate)(series.shift(at))
-        return self.memo(("chain", spec, shift, gate, arg), build)
+            return chain(self, spec, shift)(series.shift(at))
+        return self.memo(("chain", spec, shift, arg), build)
 
 
-def _gate_fires(alpha, i, j, gate):
-    if gate == "printed":
-        return i <= alpha < j
-    if gate == "narrow":
-        return i <= alpha < j - 1
-    raise ValueError("unknown gate variant %r" % (gate,))
+def _gate_fires(alpha, i, j):
+    """Whether a root step on (i, j) carries the correction at alpha."""
+    return i <= alpha < j
 
 
 def _bracket_map(root, sign):
@@ -552,23 +547,22 @@ def _root_correction(frame, kind, alpha, low, high, shift):
     return corr
 
 
-def elementary_root(frame, kind, side, alpha, low, high, shift,
-                    gate="printed"):
+def elementary_root(frame, kind, side, alpha, low, high, shift):
     """Adjoint action of the root vector (low, high), with spectral correction.
 
     kind "e" raises and kind "f" lowers: the lowering action is the
     raising one with every bracket sign reversed.  side "L" multiplies
     the correction current from the left of the argument, side "R" from
-    the right.  The correction switches on for low <= alpha < high
-    ("printed") or low <= alpha < high-1 ("narrow"); the correction itself
-    depends on neither side nor gate, and the frame builds it once.
+    the right.  The correction switches on in the printed window
+    low <= alpha < high; it does not depend on side, and the frame
+    builds it once.
     """
     if low > high:
         raise ValueError("root operator needs low <= high")
     sign = 1 if kind == "e" else -1
     root = None if low == high else frame.root(kind, low, high)
     corr = None
-    if _gate_fires(alpha, low, high, gate):
+    if _gate_fires(alpha, low, high):
         corr = frame.memo(("corr", kind, alpha, low, high, shift),
                           lambda: _root_correction(frame, kind, alpha, low,
                                                    high, shift))
@@ -582,15 +576,15 @@ def elementary_root(frame, kind, side, alpha, low, high, shift,
     return act
 
 
-def elementary_diagonal(frame, side, alpha, i, j, shift, gate="printed"):
+def elementary_diagonal(frame, side, alpha, i, j, shift):
     """Unit plus raising-after-lowering step used by diagonal composites."""
     if i > j:
         return frame.constant_one
     if i == j:
         return lambda x: x
     up, down = (shift, shift + 1) if side == "L" else (shift + 1, shift)
-    e_op = elementary_root(frame, "e", side, alpha, i, j, up, gate)
-    f_op = elementary_root(frame, "f", side, alpha, i, j, down, gate)
+    e_op = elementary_root(frame, "e", side, alpha, i, j, up)
+    f_op = elementary_root(frame, "f", side, alpha, i, j, down)
     return lambda x: x + e_op(f_op(x))
 
 
@@ -636,16 +630,16 @@ def uniform_shifts(spec):
         for kind, low, high, offset in steps)
 
 
-def chain(frame, spec, shift, gate="printed"):
+def chain(frame, spec, shift):
     """The operator of a chain spec at a base spectral shift; an empty
     chain maps every argument to the constant series 1."""
     side, alpha, steps = spec
     if not steps:
         return frame.constant_one
-    ops = [elementary_diagonal(frame, side, alpha, low, high, shift + offset,
-                               gate) if kind == "d"
+    ops = [elementary_diagonal(frame, side, alpha, low, high, shift + offset)
+           if kind == "d"
            else elementary_root(frame, kind, side, alpha, low, high,
-                                shift + offset, gate)
+                                shift + offset)
            for kind, low, high, offset in reversed(steps)]
 
     def act(x):
@@ -676,7 +670,7 @@ RATIO_FAMILIES = ("raise-left", "raise-right", "lower-left", "lower-right",
                   "pair-lower-right")
 
 
-def ratio_identities_check(n, order, gate="printed"):
+def ratio_identities_check(n, order):
     """Minor ratios against composite raising/lowering images.
 
     Eight families: each pairs a one-sided minor ratio with a composite
@@ -689,7 +683,7 @@ def ratio_identities_check(n, order, gate="printed"):
         sector, _, hand = fam.rpartition("-")
         kind = "e" if sector.endswith("raise") else "f"
         side = "L" if hand == "left" else "R"
-        rep = Report("ratio-" + fam, n=n, order=order, gate=gate)
+        rep = Report("ratio-" + fam, n=n, order=order, gate="printed")
         for i in range(1, n):
             inv = leading_block(ctx, i, order).invert()
             low = Fraction(i - 2, 2)
@@ -708,18 +702,17 @@ def ratio_identities_check(n, order, gate="printed"):
                 minor = (quantum_minor(ctx, top, a, order) if kind == "e"
                          else quantum_minor(ctx, a, top, order))
                 lhs = inv * minor if side == "L" else minor * inv
-                rhs = chain(frame, composite_spec(kind, side, i, a), shift,
-                            gate)(arg)
+                rhs = chain(frame, composite_spec(kind, side, i, a), shift)(arg)
                 _series_match(rep, "i=%d,a=%s" % (i, a), lhs, rhs, order)
         reports.append(rep)
     return reports
 
 
-def diagonal_ratio_check(n, order, gate="printed"):
+def diagonal_ratio_check(n, order):
     """Two-sided diagonal minor ratios against diagonal composites."""
     ctx = Context(n, order, SL)
     frame = CurrentFrame(ctx, order)
-    rep = Report("ratio-diagonal", n=n, order=order, gate=gate)
+    rep = Report("ratio-diagonal", n=n, order=order, gate="printed")
     for i in range(1, n):
         m = n - i
         c = Fraction(m - 2, 2)
@@ -727,10 +720,10 @@ def diagonal_ratio_check(n, order, gate="printed"):
         for j in range(1, i + 2):
             ks = (j,) + tuple(range(i + 2, n + 1))
             block = quantum_minor(ctx, ks, ks, order)
-            op_r = chain(frame, composite_spec("h", "R", m, ks), c, gate)
+            op_r = chain(frame, composite_spec("h", "R", m, ks), c)
             _series_match(rep, "right,i=%d,j=%d" % (i, j),
                           block * inv, op_r(frame.g(m).shift(c)), order)
-            op_l = chain(frame, composite_spec("h", "L", m, ks), c, gate)
+            op_l = chain(frame, composite_spec("h", "L", m, ks), c)
             _series_match(rep, "left,i=%d,j=%d" % (i, j),
                           inv * block, op_l(frame.g_tilde(m).shift(c)), order)
     return rep
@@ -767,29 +760,38 @@ def deviations(n):
     )
 
 
-def _declared_repairs(rep, n, kind, build, target, upto, prefix=""):
-    """The names of the declared deviations of kind at rank n whose
-    build(shifts) matches target through upto, noted on rep after
-    prefix."""
-    repaired = [name for k, name, shifts in deviations(n) if k == kind
-                and _first_mismatch(build(shifts), target, upto) is None]
-    rep.note(prefix + ("repaired by: " + ", ".join(repaired) if repaired
-                       else "no declared repair holds"))
-    return repaired
+def _verdict(rep, label, kind, build, target, upto, miss, prefix=""):
+    """Match the printed form build({}) against target through upto.
+
+    When it misses, rep notes miss at the earliest failing degree, then,
+    after prefix, the declared deviations of kind at rank rep.params["n"]
+    whose build(shifts) matches target exactly.  One that holds
+    downgrades the mismatch to a documented deviation.
+    """
+    got = build({})
+    bad = _first_mismatch(got, target, upto)
+    repaired = []
+    if bad is not None:
+        rep.note(miss % bad)
+        repaired = [name for k, name, shifts in deviations(rep.params["n"])
+                    if k == kind
+                    and _first_mismatch(build(shifts), target, upto) is None]
+        rep.note(prefix + ("repaired by: " + ", ".join(repaired) if repaired
+                           else "no declared repair holds"))
+    _series_match(rep, label, got, target, upto, documented=bool(repaired))
 
 
-def hat_ratio_check(n, order, gate="printed"):
+def hat_ratio_check(n, order):
     """One-sided corner minor ratios against the hat composites.
 
-    When the printed form misses, the declared "ratio-hat" deviations
-    are checked in its place; one that matches exactly downgrades the
-    mismatch to a documented deviation.  A deviation's op moves the
-    hat's operator shift, and its hat_pattern puts the chain in the
-    uniform shift pattern.
+    A printed form that misses gets the verdict of the declared
+    "ratio-hat" deviations: a deviation's op moves the hat's operator
+    shift, and its hat_pattern puts the chain in the uniform shift
+    pattern.
     """
     ctx = Context(n, order, SL)
     frame = CurrentFrame(ctx, order)
-    rep = Report("ratio-hat", n=n, order=order, gate=gate)
+    rep = Report("ratio-hat", n=n, order=order, gate="printed")
     for i in range(1, n):
         m = n - i
         c = Fraction(m - 2, 2)
@@ -803,17 +805,10 @@ def hat_ratio_check(n, order, gate="printed"):
                 spec = hat_spec(n, kind, m)
                 if shifts.get("hat_pattern"):
                     spec = uniform_shifts(spec)
-                return frame.apply_chain(spec, c + shifts.get("op", 0), gate,
+                return frame.apply_chain(spec, c + shifts.get("op", 0),
                                          (kind, m, c + 1))
-            got = image({})
-            bad = _first_mismatch(got, lhs, order)
-            repaired = []
-            if bad is not None:
-                rep.note("%s: earliest failing degree %d" % (label, bad))
-                repaired = _declared_repairs(rep, n, "ratio-hat", image,
-                                             lhs, order, label + ": ")
-            _series_match(rep, label, got, lhs, order,
-                          documented=bool(repaired))
+            _verdict(rep, label, "ratio-hat", image, lhs, order,
+                     label + ": earliest failing degree %d", label + ": ")
     return rep
 
 
@@ -836,7 +831,7 @@ def _proper_subsets(n, i):
             if a != tuple(range(1, i + 1))]
 
 
-def formula_delta(frame, kind, i, shifts=None, gate="printed"):
+def formula_delta(frame, kind, i, shifts=None):
     """Coproduct of a current from the closed operator formula.
 
     The shifts mapping moves individual spectral parameters off their
@@ -847,11 +842,11 @@ def formula_delta(frame, kind, i, shifts=None, gate="printed"):
         raise ValueError("unknown current kind %r" % (kind,))
     s = dict(DELTA_SLOTS[kind])
     s.update(shifts or {})
-    return frame.memo(("delta", kind, i, tuple(sorted(s.items())), gate),
-                      lambda: _build_delta(frame, kind, i, s, gate))
+    return frame.memo(("delta", kind, i, tuple(sorted(s.items()))),
+                      lambda: _build_delta(frame, kind, i, s))
 
 
-def _build_delta(frame, kind, i, s, gate):
+def _build_delta(frame, kind, i, s):
     n = frame.ctx.n
     subsets = _proper_subsets(n, i)
     ei = frame.current("e", i)
@@ -861,7 +856,7 @@ def _build_delta(frame, kind, i, s, gate):
     power = None
 
     def op(sector, a, slot, side="R"):
-        return chain(frame, composite_spec(sector, side, i, a), s[slot], gate)
+        return chain(frame, composite_spec(sector, side, i, a), s[slot])
 
     if kind in ("e", "f"):
         # mirror pair: "e" acts from the left and puts the current in the
@@ -891,12 +886,12 @@ def _build_delta(frame, kind, i, s, gate):
         power = term if power is None else power + term
         head = head + series_outer(eop(pair), op("f", a, "op_f_head")(pair))
     base = head * geometric_unit_sum(-power)
-    sub = (formula_delta(frame, "f", i, gate=gate)
-           * formula_delta(frame, "e", i, gate=gate).shift(s["sub_shift"]))
+    sub = (formula_delta(frame, "f", i)
+           * formula_delta(frame, "e", i).shift(s["sub_shift"]))
     return base - sub
 
 
-def _formula_check(n, order, gate, family, formula, transport):
+def _formula_check(n, order, family, formula, transport):
     """Closed current formulas against a transported structure map.
 
     One report per current; a mismatch checks the declared deviations of
@@ -908,28 +903,18 @@ def _formula_check(n, order, gate, family, formula, transport):
     for i in range(1, n):
         for kind in ("e", "f", "h"):
             rep = Report("%s-formula-%s%d" % (family, kind, i),
-                         n=n, order=order, gate=gate)
-            target = transport(frame.current(kind, i))
-            got = formula(frame, kind, i, gate=gate)
-            bad = _first_mismatch(got, target, order)
-            repaired = []
-            if bad is not None:
-                rep.note("earliest failing tensor degree: %d" % bad)
-                repaired = _declared_repairs(
-                    rep, n, "%s-%s" % (family, kind),
-                    lambda shifts: formula(frame, kind, i, shifts=shifts,
-                                           gate=gate),
-                    target, order)
-            _series_match(rep, "%s%d" % (kind, i), got, target, order,
-                          documented=bool(repaired))
+                         n=n, order=order, gate="printed")
+            _verdict(rep, "%s%d" % (kind, i), "%s-%s" % (family, kind),
+                     lambda shifts: formula(frame, kind, i, shifts=shifts),
+                     transport(frame.current(kind, i)), order,
+                     "earliest failing tensor degree: %d")
             reports.append(rep)
     return reports
 
 
-def coproduct_formula_check(n, order, gate="printed"):
+def coproduct_formula_check(n, order):
     """Closed coproduct formulas against the transported coproduct."""
-    return _formula_check(n, order, gate, "coproduct", formula_delta,
-                          delta_series)
+    return _formula_check(n, order, "coproduct", formula_delta, delta_series)
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +929,7 @@ ANTIPODE_SLOTS = {
 }
 
 
-def formula_antipode(frame, kind, i, shifts=None, gate="printed"):
+def formula_antipode(frame, kind, i, shifts=None):
     """Antipode of a current, centered at u + n/2, from the hat formulas.
 
     The shifts mapping moves spectral slots off their printed defaults
@@ -959,11 +944,11 @@ def formula_antipode(frame, kind, i, shifts=None, gate="printed"):
         raise ValueError("unknown current kind %r" % (kind,))
     s = dict(ANTIPODE_SLOTS[kind])
     s.update(shifts or {})
-    return frame.memo(("antipode", kind, i, tuple(sorted(s.items())), gate),
-                      lambda: _build_antipode(frame, kind, i, s, gate))
+    return frame.memo(("antipode", kind, i, tuple(sorted(s.items()))),
+                      lambda: _build_antipode(frame, kind, i, s))
 
 
-def _build_antipode(frame, kind, i, s, gate):
+def _build_antipode(frame, kind, i, s):
     n = frame.ctx.n
     m = n - i
     # the e formula divides on the right by the g series, the f and h
@@ -972,36 +957,35 @@ def _build_antipode(frame, kind, i, s, gate):
     den_spec = composite_spec("h", side, m, tuple(range(i + 1, n + 1)))
     den_arg = (pairing, m, s["den_arg"])
     den = frame.memo(
-        ("den", den_spec, s["den_op"], gate, den_arg),
-        lambda: frame.apply_chain(den_spec, s["den_op"], gate,
-                                  den_arg).invert())
+        ("den", den_spec, s["den_op"], den_arg),
+        lambda: frame.apply_chain(den_spec, s["den_op"], den_arg).invert())
     if kind in ("e", "f"):
         spec = hat_spec(n, kind, m)
         if s.get("hat_pattern"):
             spec = uniform_shifts(spec)
-        num = frame.apply_chain(spec, s["op"], gate, (kind, m, s["arg"]))
+        num = frame.apply_chain(spec, s["op"], (kind, m, s["arg"]))
         return -(num * den) if kind == "e" else -(den * num)
     num = frame.apply_chain(
         composite_spec("h", "L", m, (i,) + tuple(range(i + 2, n + 1))),
-        s["num_op"], gate, (pairing, m, s["num_arg"]))
+        s["num_op"], (pairing, m, s["num_arg"]))
     half_n = Fraction(n, 2)
     idx = i if s.get("sub_index") else m
-    se = formula_antipode(frame, "e", idx, gate=gate).shift(s["e_shift"] - half_n)
-    sf = formula_antipode(frame, "f", idx, gate=gate).shift(s["f_shift"] - half_n)
+    se = formula_antipode(frame, "e", idx).shift(s["e_shift"] - half_n)
+    sf = formula_antipode(frame, "f", idx).shift(s["f_shift"] - half_n)
     return den * num - se * sf
 
 
-def antipode_formula_check(n, order, gate="printed"):
+def antipode_formula_check(n, order):
     """Closed antipode formulas against the transported antipode."""
     half_n = Fraction(n, 2)
-    return _formula_check(n, order, gate, "antipode", formula_antipode,
+    return _formula_check(n, order, "antipode", formula_antipode,
                           lambda s: antipode_series(s).shift(half_n))
 
 
-def counit_formula_check(n, order, mode=SL):
+def counit_formula_check(n, order):
     """Counit of currents: raising/lowering vanish, diagonal is 1."""
-    ctx = Context(n, order, mode)
-    rep = Report("counit-currents", n=n, order=order, mode=mode)
+    ctx = Context(n, order, SL)
+    rep = Report("counit-currents", n=n, order=order, mode=SL)
     for i in range(1, n):
         for kind in ("e", "f", "h"):
             s = current(ctx, kind, i, order)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from yangian import algebra, cli, hopf
+from yangian import algebra, cli, hopf, render
 from yangian.algebra import (
     MAX_DEGREE, MAX_N, Context, Element, Tensor, TruncationError, GL, SL,
     commutator, decode_word, encode_word, from_words, generator,
@@ -283,6 +283,16 @@ def test_context_is_one_instance_per_key():
     for args in ((1, 2), (3, 0), (3, 2, "XL")):
         with pytest.raises(ValueError):
             Context(*args)
+
+
+def test_repr_spells_terms_as_render_text():
+    ctx = Context(2, 3, GL)
+    x = (generator(ctx, 1, 2, 1) * generator(ctx, 2, 1, 2) * 3
+         - generator(ctx, 1, 1, 1) * Fraction(1, 2) + 2)
+    square = Tensor.of_elements(x, x)
+    for obj in (x, square, zero(ctx)):
+        assert repr(obj) == render.plain(obj)[0]
+    assert repr(zero(ctx)) == "0"
 
 
 def assert_one_object_per_value(parts):

@@ -25,7 +25,7 @@ from util import (
     formula_probes,
     linear_extension_fractions,
     map_slot_per_term,
-    multiply_slots_fractions,
+    narrow_gate,
     random_element,
     repair_search,
     sl2_closed_delta_expanded,
@@ -248,8 +248,6 @@ def test_common_denominator_maps_match_fraction_oracles(n, order, mode):
         assert d.terms == linear_extension_fractions(x, hopf._delta_word)
         assert hopf.antipode_element(x).terms == linear_extension_fractions(
             x, hopf._antipode_word)
-        assert hopf.multiply_slots(d).terms == multiply_slots_fractions(
-            d).terms
         for slot in (0, 1):
             got = hopf.multiply_slots(d, antipode=slot)
             assert got.terms == antipode_product_two_pass(d, slot).terms
@@ -275,7 +273,6 @@ def test_one_pass_antipode_product_of_a_non_coproduct(mode):
     # coproduct shows the residual terms of m(S x id) and m(id x S)
     ctx = Context(2, 4, mode)
     t = _hand_made_square(ctx)
-    assert hopf.multiply_slots(t).terms == multiply_slots_fractions(t).terms
     for slot in (0, 1):
         got = hopf.multiply_slots(t, antipode=slot)
         assert got.terms == antipode_product_two_pass(t, slot).terms
@@ -306,7 +303,7 @@ def test_hopf_word_maps_store_int_while_integral(mode):
         assert _exact_coefficients(d)
         assert _exact_coefficients(hopf.antipode_element(y))
     for d in squares:
-        outputs = [hopf.multiply_slots(d)]
+        outputs = []
         for slot in (0, 1):
             outputs += [hopf.delta_on_slot(d, slot),
                         hopf.antipode_on_slot(d, slot),
@@ -416,11 +413,31 @@ def test_hat_ratio_identities_rank_two_documented():
                for note in rep.notes)
 
 
-def test_narrow_gate_window_breaks_hat_ratios():
+def test_narrow_gate_window_breaks_hat_ratios(monkeypatch):
     # adjudicates the two printed gate windows: the wide one is correct
-    assert hopf.hat_ratio_check(3, 2, gate="printed").passed
-    narrow = hopf.hat_ratio_check(3, 2, gate="narrow")
+    assert hopf.hat_ratio_check(3, 2).passed
+    monkeypatch.setattr(hopf, "_gate_fires", narrow_gate)
+    narrow = hopf.hat_ratio_check(3, 2)
     assert not narrow.passed
+
+
+def test_narrow_gate_window_breaks_the_operator_layer(monkeypatch):
+    # every ratio family and the rank-three coproduct formulas read a
+    # root step whose correction only the printed window switches on
+    def reports():
+        out = (hopf.ratio_identities_check(4, 2)
+               + [hopf.diagonal_ratio_check(4, 2)]
+               + [rep for rep in hopf.coproduct_formula_check(4, 3)
+                  if rep.identity.endswith("2")])
+        return {rep.identity: rep.passed for rep in out}
+
+    printed = reports()
+    assert len(printed) == len(hopf.RATIO_FAMILIES) + 1 + 3
+    assert all(printed.values()), printed
+    monkeypatch.setattr(hopf, "_gate_fires", narrow_gate)
+    narrow = reports()
+    assert narrow.keys() == printed.keys()
+    assert not any(narrow.values()), narrow
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +450,9 @@ def test_chain_specs_of_the_checks_stay_in_range(monkeypatch):
     seen = []
     interpret = hopf.chain
 
-    def spy(frame, spec, shift, gate="printed"):
+    def spy(frame, spec, shift):
         seen.append((frame.ctx.n, spec))
-        return interpret(frame, spec, shift, gate)
+        return interpret(frame, spec, shift)
 
     monkeypatch.setattr(hopf, "chain", spy)
     for n in range(2, 7):
@@ -624,9 +641,8 @@ def _search_builds(n):
 
 
 # Each size separates some pieces that agree at the others: operator
-# shifts and the narrow coproduct gate first act at order 3, the two
-# pairing series differ from u^-4 on, and the h numerator meets a
-# spectral correction only from n=5.
+# shifts first act at order 3, the two pairing series differ from u^-4
+# on, and the h numerator meets a spectral correction only from n=5.
 @pytest.mark.parametrize("n, order", [(3, 2), (4, 2), (5, 2), (4, 3), (2, 5)])
 def test_frame_memo_matches_fresh_builds(n, order):
     # every build on one shared frame, in the search order and reversed,
@@ -681,8 +697,8 @@ def test_frame_memo_builds_once():
     assert calls == [1]
     assert frame.g(1) is frame.g(1)
     spec = hopf.hat_spec(3, "f", 2)
-    assert (frame.apply_chain(spec, 0, "printed", ("f", 2, 1))
-            is frame.apply_chain(spec, 0, "printed", ("f", 2, 1)))
+    assert (frame.apply_chain(spec, 0, ("f", 2, 1))
+            is frame.apply_chain(spec, 0, ("f", 2, 1)))
     assert (hopf.formula_antipode(frame, "h", 1)
             is hopf.formula_antipode(frame, "h", 1, shifts={"den_op": 0}))
 

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
+from unittest import mock
 
 from yangian import hopf
 from yangian.algebra import (
@@ -129,8 +130,8 @@ def linear_extension_fractions(x, image):
 
 def multiply_slots_fractions(t):
     """The two slots of a tensor square multiplied into one element, the
-    product words summed on the coefficients as stored.  An oracle for
-    hopf.multiply_slots(t)."""
+    product words summed on the coefficients as stored: the slot product
+    of antipode_product_two_pass."""
     raw = {}
     for (wl, wr), c in t.terms.items():
         raw[wl + wr] = raw.get(wl + wr, 0) + c
@@ -222,13 +223,21 @@ def sl2_closed_delta_expanded(frame, kind, shifts=None):
 # the repair search behind hopf.deviations
 
 
+def narrow_gate(alpha, i, j):
+    """The narrow correction window i <= alpha < j - 1, a reading of the
+    printed one that fails.  Patched over hopf._gate_fires as a negative
+    control; the patched maps must be built on a fresh hopf.CurrentFrame,
+    since no frame memo key names the window."""
+    return i <= alpha < j - 1
+
+
 def formula_probes(family, kind, n):
     """(name, keywords) of every variant the repair search builds for a
-    current formula of family "coproduct" or "antipode": each spectral
-    slot of the printed formula moved by +1 and by -1, the named
-    antipode variants, and the narrow gate.  The named variants are
-    written out here rather than read from hopf.deviations, so that the
-    search stays a reference for the table."""
+    current formula of family "coproduct" or "antipode" on its shared
+    frame: each spectral slot of the printed formula moved by +1 and by
+    -1, and the named antipode variants.  The named variants are written
+    out here rather than read from hopf.deviations, so that the search
+    stays a reference for the table."""
     slots = (hopf.DELTA_SLOTS if family == "coproduct"
              else hopf.ANTIPODE_SLOTS)[kind]
     probes = [("%s%+d" % (name, delta), {"shifts": {name: value + delta}})
@@ -245,7 +254,7 @@ def formula_probes(family, kind, n):
         }
         probes += [(name, {"shifts": shifts})
                    for name, shifts in named.get(kind, {}).items()]
-    return probes + [("narrow-gate", {"gate": "narrow"})]
+    return probes
 
 
 # variants of a hat composite: name, operator shift, argument shift and
@@ -258,7 +267,9 @@ def repair_search(n, order):
     """{where: names} of every printed hat composite and current formula
     that misses its target at (n, order), with the names of the search's
     variants that match the target exactly, in probe order.  where is
-    "ratio-hat:<label>" or a formula report's identity.
+    "ratio-hat:<label>" or a formula report's identity.  A formula's last
+    probe, "narrow-gate", builds the printed formula under narrow_gate on
+    a frame of its own.
 
     The search that proposed hopf.deviations: the checks now try only
     the declared deviations, and a test holds the two to the same
@@ -281,14 +292,13 @@ def repair_search(n, order):
         for kind, label, lhs in (("e", "raise,i=%d" % i, up * inv),
                                  ("f", "lower,i=%d" % i, inv * down)):
             spec = hopf.hat_spec(n, kind, m)
-            if holds(frame.apply_chain(spec, c, "printed", (kind, m, c + 1)),
-                     lhs):
+            if holds(frame.apply_chain(spec, c, (kind, m, c + 1)), lhs):
                 continue
             found["ratio-hat:" + label] = [
                 name for name, d_op, d_arg, transform in HAT_PROBES
                 if holds(frame.apply_chain(
                     transform(spec) if transform else spec, c + d_op,
-                    "printed", (kind, m, c + 1 + d_arg)), lhs)]
+                    (kind, m, c + 1 + d_arg)), lhs)]
     half_n = Fraction(n, 2)
     for family, formula, transport in (
             ("coproduct", hopf.formula_delta, hopf.delta_series),
@@ -299,7 +309,12 @@ def repair_search(n, order):
                 target = transport(frame.current(kind, i))
                 if holds(formula(frame, kind, i), target):
                     continue
-                found["%s-formula-%s%d" % (family, kind, i)] = [
+                names = [
                     name for name, keywords in formula_probes(family, kind, n)
                     if holds(formula(frame, kind, i, **keywords), target)]
+                with mock.patch.object(hopf, "_gate_fires", narrow_gate):
+                    narrow = formula(hopf.CurrentFrame(ctx, order), kind, i)
+                if holds(narrow, target):
+                    names.append("narrow-gate")
+                found["%s-formula-%s%d" % (family, kind, i)] = names
     return found
