@@ -247,7 +247,7 @@ def _sl_elimination(n, k):
     # imported here because rtt imports this module
     from .rtt import qdet
 
-    coeffs = qdet(Context(n, k, GL), k).coefficient(k).terms
+    coeffs = qdet(Context(n, k, GL)).coefficient(k).terms
     raw = {w: int(c) for w, c in coeffs.items()}
     assert raw == coeffs, "qdet coefficient is not integral"
     lead = raw.pop(symbol(k, n, n), 0)

@@ -102,7 +102,7 @@ def _expand_object(parser, args):
             parser.error("--i must be between 1 and %d" % (n - 1))
         params.update(mode=mode, i=args.i)
         ctx = Context(n, order, mode)
-        cur = drinfeld.current(ctx, kind, args.i, order)
+        cur = drinfeld.current(ctx, kind, args.i)
         if what == "delta":
             return hopf.delta_series(cur), params
         if what == "antipode":
@@ -113,7 +113,7 @@ def _expand_object(parser, args):
     params["mode"] = mode
     ctx = Context(n, order, mode)
     if args.target == "qdet":
-        return rtt.qdet(ctx, order), params
+        return rtt.qdet(ctx), params
     if args.target == "minor":
         if args.rows is None or args.cols is None:
             parser.error("minor needs --rows and --cols")
@@ -122,11 +122,11 @@ def _expand_object(parser, args):
         if len(rows) != len(cols):
             parser.error("--rows and --cols must have the same length")
         params.update(rows=rows, cols=cols)
-        return rtt.quantum_minor(ctx, rows, cols, order), params
+        return rtt.quantum_minor(ctx, rows, cols), params
     # gauss: both triangular factorizations, keyed by factor
     factors = {}
     for variant in ("lower-diag-upper", "upper-diag-lower"):
-        comp = rtt.gauss_components(ctx, order, variant)
+        comp = rtt.gauss_components(ctx, variant)
         factors[variant] = {
             "k": {str(i): comp["k"][i] for i in sorted(comp["k"])},
             "e": {"%d,%d" % ij: comp["e"][ij] for ij in sorted(comp["e"])},

@@ -32,29 +32,31 @@ def cartan_pairing(i, j):
     return 0
 
 
-def leading_block(ctx, i, order):
+def leading_block(ctx, i):
     rows = tuple(range(1, i + 1))
-    return quantum_minor(ctx, rows, rows, order)
+    return quantum_minor(ctx, rows, rows)
 
 
-def _raised_block(ctx, i, order):
+def _raised_block(ctx, i):
     rows = tuple(range(1, i + 1))
     cols = tuple(range(1, i)) + (i + 1,)
-    return quantum_minor(ctx, rows, cols, order)
+    return quantum_minor(ctx, rows, cols)
 
 
-def _lowered_block(ctx, i, order):
+def _lowered_block(ctx, i):
     rows = tuple(range(1, i)) + (i + 1,)
     cols = tuple(range(1, i + 1))
-    return quantum_minor(ctx, rows, cols, order)
+    return quantum_minor(ctx, rows, cols)
 
 
 @lru_cache(maxsize=None)
-def current(ctx, kind, i, order):
+def current(ctx, kind, i):
     """Current series of the given kind for the i-th simple root.
 
     kind is "e" (raising), "f" (lowering) or "h" (diagonal, first
-    variant).  The result is a Series in the current's own variable.
+    variant).  The result is a Series in the current's own variable,
+    exact through the degree bound of ctx, and built once per
+    (ctx, kind, i).
     """
     if kind not in CURRENT_KINDS:
         raise ValueError("unknown current kind %r" % (kind,))
@@ -62,60 +64,59 @@ def current(ctx, kind, i, order):
         raise ValueError("simple root index out of range")
     recenter = Fraction(2 - i, 2)
     if kind == "e":
-        raw = leading_block(ctx, i, order).invert() * _raised_block(ctx, i, order)
+        raw = leading_block(ctx, i).invert() * _raised_block(ctx, i)
     elif kind == "f":
-        raw = _lowered_block(ctx, i, order) * leading_block(ctx, i, order).invert()
+        raw = _lowered_block(ctx, i) * leading_block(ctx, i).invert()
     else:
-        return h_current(ctx, i, order, variant=1)
+        return h_current(ctx, i, variant=1)
     return raw.shift(recenter)
 
 
-def _corner_block(ctx, i, order):
+def _corner_block(ctx, i):
     idx = tuple(range(1, i)) + (i + 1,)
-    return quantum_minor(ctx, idx, idx, order)
+    return quantum_minor(ctx, idx, idx)
 
 
-def h_current(ctx, i, order, variant=1):
+def h_current(ctx, i, *, variant=1):
     """Diagonal current for root i, computed by one of three routes.
 
     Variant 1 is a product of four shifted minor blocks; variants 2
     and 3 subtract a lowering*raising correction from a single minor
-    ratio taken on either side.  All three agree in the algebra.
-    Variant 1 is cached as current(ctx, "h", i, order).
+    ratio taken on either side.  All three agree in the algebra, and
+    each is exact through the degree bound of ctx.  Variant 1 is
+    cached as current(ctx, "h", i).
     """
     if not 1 <= i <= ctx.n - 1:
         raise ValueError("simple root index out of range")
     recenter = Fraction(2 - i, 2)
-    lead = leading_block(ctx, i, order)
+    lead = leading_block(ctx, i)
     if variant == 1:
-        prev = leading_block(ctx, i - 1, order)
-        nxt = leading_block(ctx, i + 1, order)
+        prev = leading_block(ctx, i - 1)
+        nxt = leading_block(ctx, i + 1)
         raw = lead.invert() * prev * nxt.shift(-1) * lead.shift(-1).invert()
         return raw.shift(recenter)
     if variant == 2:
-        base = (lead.invert() * _corner_block(ctx, i, order)).shift(recenter)
-        fi = current(ctx, "f", i, order)
-        ei = current(ctx, "e", i, order)
+        base = (lead.invert() * _corner_block(ctx, i)).shift(recenter)
+        fi = current(ctx, "f", i)
+        ei = current(ctx, "e", i)
         return base - fi.shift(1) * ei
     if variant == 3:
-        base = (_corner_block(ctx, i, order) * lead.invert()).shift(recenter)
-        fi = current(ctx, "f", i, order)
-        ei = current(ctx, "e", i, order)
+        base = (_corner_block(ctx, i) * lead.invert()).shift(recenter)
+        fi = current(ctx, "f", i)
+        ei = current(ctx, "e", i)
         return base - fi * ei.shift(1)
     raise ValueError("unknown diagonal-current variant %r" % (variant,))
 
 
-def current_mode(series, kind, k):
+def current_mode(series, k):
     """k-th mode of a current series (the coefficient of u^(-k-1))."""
-    if kind not in CURRENT_KINDS:
-        raise ValueError("unknown current kind %r" % (kind,))
     if k < 0:
         raise ValueError("mode index must be nonnegative")
     return series.coefficient(k + 1)
 
 
-def _mode(ctx, kind, i, k, order):
-    return current_mode(current(ctx, kind, i, order), kind, k)
+def _mode(ctx, kind, i, k):
+    return current_mode(current(ctx, kind, i), k)
 
 
 def root_element(ctx, kind, low, high):
@@ -136,14 +137,14 @@ def root_element(ctx, kind, low, high):
 
 def nested_root_element(ctx, kind, low, high):
     """Root vector for low < high as nested brackets of simple modes,
-    read off the order-one currents.
+    read off the mode-0 (u^-1) coefficients of the currents of ctx.
 
     Raising vectors nest to the left starting from the top index,
     lowering vectors nest to the right starting from the bottom one.
     """
     if not 1 <= low < high <= ctx.n:
         raise ValueError("need 1 <= low < high <= n")
-    modes = {a: _mode(ctx, kind, a, 0, 1) for a in range(low, high)}
+    modes = {a: _mode(ctx, kind, a, 0) for a in range(low, high)}
     if kind == "e":
         acc = modes[high - 1]
         for a in range(high - 2, low - 1, -1):
@@ -170,18 +171,17 @@ def relations_check(n, degree, mode=SL):
     recursion and Serre families on their natural index ranges.
     """
     ctx = _relation_context(n, degree, mode)
-    order = degree + 1
     roots = range(1, n)
     d = degree
 
     def e(i, k):
-        return _mode(ctx, "e", i, k, order)
+        return _mode(ctx, "e", i, k)
 
     def f(i, k):
-        return _mode(ctx, "f", i, k, order)
+        return _mode(ctx, "f", i, k)
 
     def h(i, k):
-        return _mode(ctx, "h", i, k, order)
+        return _mode(ctx, "h", i, k)
 
     reports = []
 
@@ -274,13 +274,12 @@ def relations_check(n, degree, mode=SL):
 def h_variants_check(n, degree):
     """All three diagonal-current routes must give the same series."""
     ctx = _relation_context(n, degree, SL)
-    order = degree + 1
     rep = Report("diagonal-current-variants", n=n, degree=degree, mode=SL)
     for i in range(1, n):
-        first = current(ctx, "h", i, order)
+        first = current(ctx, "h", i)
         for variant in (2, 3):
-            other = h_current(ctx, i, order, variant=variant)
-            for k in range(order + 1):
+            other = h_current(ctx, i, variant=variant)
+            for k in range(ctx.max_degree + 1):
                 rep.check("i=%d,variant=%d,coeff=%d" % (i, variant, k),
                           first.coefficient(k), other.coefficient(k))
     return rep
@@ -302,12 +301,10 @@ def root_vectors_check(n):
 def currents_constant_check(n, degree):
     """Raising/lowering currents vanish at infinity, diagonal tends to 1."""
     ctx = _relation_context(n, degree, SL)
-    order = degree + 1
     rep = Report("current-constants", n=n, degree=degree, mode=SL)
     for i in range(1, n):
         for kind in ("e", "f"):
             rep.check("%s%d" % (kind, i),
-                      current(ctx, kind, i, order).coefficient(0), zero(ctx))
-        rep.check("h%d" % i,
-                  current(ctx, "h", i, order).coefficient(0), unit(ctx))
+                      current(ctx, kind, i).coefficient(0), zero(ctx))
+        rep.check("h%d" % i, current(ctx, "h", i).coefficient(0), unit(ctx))
     return rep

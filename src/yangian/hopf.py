@@ -90,8 +90,8 @@ def _delta_word(ctx, word):
         k, i, j = decode_symbol(word)
         total = Tensor.zero(ctx, 2)
         for a in range(1, ctx.n + 1):
-            left = t_entry(ctx, i, a, ctx.max_degree)
-            right = t_entry(ctx, a, j, ctx.max_degree)
+            left = t_entry(ctx, i, a)
+            right = t_entry(ctx, a, j)
             for p in range(k + 1):
                 total = total + Tensor.of_elements(left.coefficient(p),
                                                    right.coefficient(k - p))
@@ -106,7 +106,7 @@ def _antipode_word(ctx, word):
     if not word:
         return unit(ctx)
     k, i, j = decode_symbol(word[-1])
-    image = inverse_matrix(ctx, ctx.max_degree).entry(i, j).coefficient(k)
+    image = inverse_matrix(ctx).entry(i, j).coefficient(k)
     return image * _antipode_word(ctx, word[:-1])
 
 
@@ -276,7 +276,8 @@ def multiply_slots(t, antipode):
 # axioms
 
 
-def _axiom_targets(ctx, order, include_currents=True):
+def _axiom_targets(ctx, include_currents=True):
+    order = ctx.max_degree
     targets = []
     for i in range(1, ctx.n + 1):
         for j in range(1, ctx.n + 1):
@@ -286,7 +287,7 @@ def _axiom_targets(ctx, order, include_currents=True):
     if include_currents:
         for i in range(1, ctx.n):
             for kind in ("e", "f", "h"):
-                s = current(ctx, kind, i, order)
+                s = current(ctx, kind, i)
                 for k in range(1, order + 1):
                     targets.append(("%s%d[%d]" % (kind, i, k - 1),
                                     s.coefficient(k)))
@@ -305,7 +306,7 @@ def hopf_axioms_check(n, order, mode=SL, include_currents=True):
     coassoc = Report("coassociativity", n=n, order=order, mode=mode)
     counit = Report("counit-axiom", n=n, order=order, mode=mode)
     antipode = Report("antipode-axiom", n=n, order=order, mode=mode)
-    for label, x in _axiom_targets(ctx, order, include_currents):
+    for label, x in _axiom_targets(ctx, include_currents):
         d = delta_element(x)
         coassoc.check(label, delta_on_slot(d, 0), delta_on_slot(d, 1))
         counit.check(label + ":left", counit_on_slot(d, 0), x)
@@ -376,11 +377,11 @@ def minor_coproduct_check(n, order):
     for m in range(1, n + 1):
         for rows in _index_subsets(n, m):
             for cols in _index_subsets(n, m):
-                lhs = delta_series(quantum_minor(ctx, rows, cols, order))
+                lhs = delta_series(quantum_minor(ctx, rows, cols))
                 rhs = None
                 for mid in _index_subsets(n, m):
-                    term = series_outer(quantum_minor(ctx, rows, mid, order),
-                                        quantum_minor(ctx, mid, cols, order))
+                    term = series_outer(quantum_minor(ctx, rows, mid),
+                                        quantum_minor(ctx, mid, cols))
                     rhs = term if rhs is None else rhs + term
                 for k in range(order + 1):
                     rep.check("m=%d,%s|%s,k=%d" % (m, rows, cols, k),
@@ -395,7 +396,7 @@ def minor_counit_check(n, order):
     for m in range(1, n + 1):
         for rows in _index_subsets(n, m):
             for cols in _index_subsets(n, m):
-                s = quantum_minor(ctx, rows, cols, order)
+                s = quantum_minor(ctx, rows, cols)
                 want = 1 if rows == cols else 0
                 got = [counit_element(s.coefficient(k)) for k in range(order + 1)]
                 ok = got[0] == want and all(c == 0 for c in got[1:])
@@ -410,7 +411,7 @@ def qdet_grouplike_check(n, order):
     """The quantum determinant splits as (itself) x (itself)."""
     ctx = Context(n, order, GL)
     full = tuple(range(1, n + 1))
-    s = quantum_minor(ctx, full, full, order)
+    s = quantum_minor(ctx, full, full)
     lhs = delta_series(s)
     rhs = series_outer(s, s)
     rep = Report("qdet-grouplike", n=n, order=order)
@@ -428,7 +429,7 @@ def minor_antipode_sign_check(n, order):
     """
     ctx = Context(n, order, GL)
     rep = Report("minor-antipode-sign", n=n, order=order, mode=GL)
-    star = t_star_matrix(ctx, order)
+    star = t_star_matrix(ctx)
     # one sub-minor memo for every reflected minor of this sweep
     memo = {}
     signs = {}
@@ -436,7 +437,7 @@ def minor_antipode_sign_check(n, order):
         seen = None
         for rows in _index_subsets(n, m):
             for cols in _index_subsets(n, m):
-                pull = antipode_series(quantum_minor(ctx, rows, cols, order))
+                pull = antipode_series(quantum_minor(ctx, rows, cols))
                 cand = reflected_minor(star, rows, cols, m - 1, memo)
                 match = None
                 for sign in (1, -1):
@@ -463,7 +464,8 @@ def minor_antipode_sign_check(n, order):
 
 
 class CurrentFrame:
-    """The operator pieces of the current formulas over one context.
+    """The operator pieces of the current formulas over one context,
+    whose degree bound is the order of every series the frame builds.
 
     A frame memoises, each under a key that names every input it reads:
     the pairing series g and g~, the spectral corrections of the root
@@ -477,9 +479,8 @@ class CurrentFrame:
     Keys compare shifts by ==, and equal shifts give equal series.
     """
 
-    def __init__(self, ctx, order):
+    def __init__(self, ctx):
         self.ctx = ctx
-        self.order = order
         self._memo = {}
 
     def memo(self, key, build):
@@ -491,7 +492,7 @@ class CurrentFrame:
             return value
 
     def current(self, kind, i):
-        return current(self.ctx, kind, i, self.order)
+        return current(self.ctx, kind, i)
 
     def root(self, kind, low, high):
         return root_element(self.ctx, kind, low, high)
@@ -509,7 +510,7 @@ class CurrentFrame:
             + self.current("f", i).shift(1) * self.current("e", i)))
 
     def constant_one(self, model):
-        return Series.constant(self.ctx, model.order, arity=model.arity)
+        return Series.constant(self.ctx, arity=model.arity)
 
     def apply_chain(self, spec, shift, arg):
         """A chain spec at a shift applied to arg = (name, index, shift):
@@ -653,8 +654,8 @@ def chain(frame, spec, shift):
 # minor-ratio identities behind the current formulas
 
 
-def _series_match(rep, label, lhs, rhs, upto, documented=False):
-    for k in range(upto + 1):
+def _series_match(rep, label, lhs, rhs, *, documented=False):
+    for k in range(lhs.order + 1):
         if documented:
             rep.tally()
             diff = lhs.coefficient(k) - rhs.coefficient(k)
@@ -677,7 +678,7 @@ def ratio_identities_check(n, order):
     operator applied to a current or to one of the pairing series.
     """
     ctx = Context(n, order, SL)
-    frame = CurrentFrame(ctx, order)
+    frame = CurrentFrame(ctx)
     reports = []
     for fam in RATIO_FAMILIES:
         sector, _, hand = fam.rpartition("-")
@@ -685,7 +686,7 @@ def ratio_identities_check(n, order):
         side = "L" if hand == "left" else "R"
         rep = Report("ratio-" + fam, n=n, order=order, gate="printed")
         for i in range(1, n):
-            inv = leading_block(ctx, i, order).invert()
+            inv = leading_block(ctx, i).invert()
             low = Fraction(i - 2, 2)
             high = Fraction(i, 2)
             # raising from the left and lowering from the right take the
@@ -699,11 +700,11 @@ def ratio_identities_check(n, order):
                 top = tuple(range(1, i + 1))
                 arg = frame.current(kind, i).shift(shift)
             for a in _proper_subsets(n, i):
-                minor = (quantum_minor(ctx, top, a, order) if kind == "e"
-                         else quantum_minor(ctx, a, top, order))
+                minor = (quantum_minor(ctx, top, a) if kind == "e"
+                         else quantum_minor(ctx, a, top))
                 lhs = inv * minor if side == "L" else minor * inv
                 rhs = chain(frame, composite_spec(kind, side, i, a), shift)(arg)
-                _series_match(rep, "i=%d,a=%s" % (i, a), lhs, rhs, order)
+                _series_match(rep, "i=%d,a=%s" % (i, a), lhs, rhs)
         reports.append(rep)
     return reports
 
@@ -711,26 +712,26 @@ def ratio_identities_check(n, order):
 def diagonal_ratio_check(n, order):
     """Two-sided diagonal minor ratios against diagonal composites."""
     ctx = Context(n, order, SL)
-    frame = CurrentFrame(ctx, order)
+    frame = CurrentFrame(ctx)
     rep = Report("ratio-diagonal", n=n, order=order, gate="printed")
     for i in range(1, n):
         m = n - i
         c = Fraction(m - 2, 2)
-        inv = leading_block(ctx, m, order).invert()
+        inv = leading_block(ctx, m).invert()
         for j in range(1, i + 2):
             ks = (j,) + tuple(range(i + 2, n + 1))
-            block = quantum_minor(ctx, ks, ks, order)
+            block = quantum_minor(ctx, ks, ks)
             op_r = chain(frame, composite_spec("h", "R", m, ks), c)
             _series_match(rep, "right,i=%d,j=%d" % (i, j),
-                          block * inv, op_r(frame.g(m).shift(c)), order)
+                          block * inv, op_r(frame.g(m).shift(c)))
             op_l = chain(frame, composite_spec("h", "L", m, ks), c)
             _series_match(rep, "left,i=%d,j=%d" % (i, j),
-                          inv * block, op_l(frame.g_tilde(m).shift(c)), order)
+                          inv * block, op_l(frame.g_tilde(m).shift(c)))
     return rep
 
 
-def _first_mismatch(lhs, rhs, upto):
-    for k in range(upto + 1):
+def _first_mismatch(lhs, rhs):
+    for k in range(lhs.order + 1):
         a, b = lhs.coefficient(k), rhs.coefficient(k)
         if a != b and not (a - b).is_zero():
             return k
@@ -760,8 +761,9 @@ def deviations(n):
     )
 
 
-def _verdict(rep, label, kind, build, target, upto, miss, prefix=""):
-    """Match the printed form build({}) against target through upto.
+def _verdict(rep, label, kind, build, target, miss, prefix=""):
+    """Match the printed form build({}) against target through the
+    order of its context.
 
     When it misses, rep notes miss at the earliest failing degree, then,
     after prefix, the declared deviations of kind at rank rep.params["n"]
@@ -769,16 +771,16 @@ def _verdict(rep, label, kind, build, target, upto, miss, prefix=""):
     downgrades the mismatch to a documented deviation.
     """
     got = build({})
-    bad = _first_mismatch(got, target, upto)
+    bad = _first_mismatch(got, target)
     repaired = []
     if bad is not None:
         rep.note(miss % bad)
         repaired = [name for k, name, shifts in deviations(rep.params["n"])
                     if k == kind
-                    and _first_mismatch(build(shifts), target, upto) is None]
+                    and _first_mismatch(build(shifts), target) is None]
         rep.note(prefix + ("repaired by: " + ", ".join(repaired) if repaired
                            else "no declared repair holds"))
-    _series_match(rep, label, got, target, upto, documented=bool(repaired))
+    _series_match(rep, label, got, target, documented=bool(repaired))
 
 
 def hat_ratio_check(n, order):
@@ -790,15 +792,15 @@ def hat_ratio_check(n, order):
     pattern.
     """
     ctx = Context(n, order, SL)
-    frame = CurrentFrame(ctx, order)
+    frame = CurrentFrame(ctx)
     rep = Report("ratio-hat", n=n, order=order, gate="printed")
     for i in range(1, n):
         m = n - i
         c = Fraction(m - 2, 2)
-        inv = leading_block(ctx, m, order).invert()
+        inv = leading_block(ctx, m).invert()
         tail = tuple(range(i + 2, n + 1))
-        up = quantum_minor(ctx, (i,) + tail, (i + 1,) + tail, order)
-        down = quantum_minor(ctx, (i + 1,) + tail, (i,) + tail, order)
+        up = quantum_minor(ctx, (i,) + tail, (i + 1,) + tail)
+        down = quantum_minor(ctx, (i + 1,) + tail, (i,) + tail)
         for kind, label, lhs in (("e", "raise,i=%d" % i, up * inv),
                                  ("f", "lower,i=%d" % i, inv * down)):
             def image(shifts):
@@ -807,7 +809,7 @@ def hat_ratio_check(n, order):
                     spec = uniform_shifts(spec)
                 return frame.apply_chain(spec, c + shifts.get("op", 0),
                                          (kind, m, c + 1))
-            _verdict(rep, label, "ratio-hat", image, lhs, order,
+            _verdict(rep, label, "ratio-hat", image, lhs,
                      label + ": earliest failing degree %d", label + ": ")
     return rep
 
@@ -898,7 +900,7 @@ def _formula_check(n, order, family, formula, transport):
     its family and kind.
     """
     ctx = Context(n, order, SL)
-    frame = CurrentFrame(ctx, order)
+    frame = CurrentFrame(ctx)
     reports = []
     for i in range(1, n):
         for kind in ("e", "f", "h"):
@@ -906,7 +908,7 @@ def _formula_check(n, order, family, formula, transport):
                          n=n, order=order, gate="printed")
             _verdict(rep, "%s%d" % (kind, i), "%s-%s" % (family, kind),
                      lambda shifts: formula(frame, kind, i, shifts=shifts),
-                     transport(frame.current(kind, i)), order,
+                     transport(frame.current(kind, i)),
                      "earliest failing tensor degree: %d")
             reports.append(rep)
     return reports
@@ -988,7 +990,7 @@ def counit_formula_check(n, order):
     rep = Report("counit-currents", n=n, order=order, mode=SL)
     for i in range(1, n):
         for kind in ("e", "f", "h"):
-            s = current(ctx, kind, i, order)
+            s = current(ctx, kind, i)
             for k in range(order + 1):
                 want = 1 if kind == "h" and k == 0 else 0
                 got = counit_element(s.coefficient(k))
@@ -1071,26 +1073,25 @@ def sl2_closed_check(order=4):
     recentered one, which must match exactly.
     """
     ctx = Context(2, order, SL)
-    frame = CurrentFrame(ctx, order)
+    frame = CurrentFrame(ctx)
     reports = []
     for kind in ("e", "f", "h"):
         rep = Report("sl2-closed-delta-" + kind, order=order)
         _series_match(rep, kind, sl2_closed_delta(frame, kind),
-                      delta_series(frame.current(kind, 1)), order)
+                      delta_series(frame.current(kind, 1)))
         reports.append(rep)
     for kind in ("e", "f", "h"):
         rep = Report("sl2-closed-antipode-" + kind, order=order)
         target = antipode_series(frame.current(kind, 1)).shift(1)
         if kind == "h":
             printed = sl2_closed_antipode(frame, kind, "printed")
-            bad = _first_mismatch(printed, target, order)
+            bad = _first_mismatch(printed, target)
             if bad is not None:
                 rep.note("as-printed subtraction fails first at degree %d; "
                          "verified with both arguments recentered by +1" % bad)
-                _series_match(rep, "h-printed", printed, target, order,
+                _series_match(rep, "h-printed", printed, target,
                               documented=True)
-        _series_match(rep, kind, sl2_closed_antipode(frame, kind), target,
-                      order)
+        _series_match(rep, kind, sl2_closed_antipode(frame, kind), target)
         reports.append(rep)
     return reports
 
@@ -1098,18 +1099,18 @@ def sl2_closed_check(order=4):
 def sl2_mutation_check(order=4):
     """Every single spectral-shift perturbation must break the match."""
     ctx = Context(2, order, SL)
-    frame = CurrentFrame(ctx, order)
+    frame = CurrentFrame(ctx)
     target = delta_series(frame.current("e", 1))
     rep = Report("sl2-mutation-sensitivity", order=order)
     base = sl2_closed_delta(frame, "e")
-    if _first_mismatch(base, target, order) is not None:
+    if _first_mismatch(base, target) is not None:
         rep.record("unperturbed", unit(ctx))
         return rep
     rep.tally()
     for name, val in SL2_DELTA_SLOTS["e"].items():
         for delta in (1, -1):
             mutated = sl2_closed_delta(frame, "e", {name: val + delta})
-            bad = _first_mismatch(mutated, target, order)
+            bad = _first_mismatch(mutated, target)
             rep.tally()
             if bad is None:
                 rep.record("%s%+d" % (name, delta), unit(ctx))
@@ -1163,14 +1164,14 @@ def sl3_diagonal_status(order=3):
     failing degree of each reading against the pullback.
     """
     ctx = Context(3, order, SL)
-    frame = CurrentFrame(ctx, order)
+    frame = CurrentFrame(ctx)
     rep = Report("sl3-diagonal-status", order=order)
     for i in (1, 2):
         target = delta_series(frame.current("h", i))
         outcomes = {}
         for shift in (0, 1):
             cand = sl3_closed_delta(frame, "h", i, head_e_shift=shift)
-            outcomes[shift] = _first_mismatch(cand, target, order)
+            outcomes[shift] = _first_mismatch(cand, target)
             rep.tally()
         def word(out):
             return "matches" if out is None else "fails first at degree %d" % out
@@ -1194,27 +1195,26 @@ def sl3_closed_check(order=2):
     the report documents the earliest failing degree of the written form.
     """
     ctx = Context(3, order, SL)
-    frame = CurrentFrame(ctx, order)
+    frame = CurrentFrame(ctx)
     reports = []
     for i in (1, 2):
         for kind in ("e", "f"):
             rep = Report("sl3-closed-delta-%s%d" % (kind, i), order=order)
             _series_match(rep, kind, sl3_closed_delta(frame, kind, i),
-                          delta_series(frame.current(kind, i)), order)
+                          delta_series(frame.current(kind, i)))
             reports.append(rep)
         rep = Report("sl3-closed-delta-h%d" % i, order=order)
         target = delta_series(frame.current("h", i))
         written = sl3_closed_delta(frame, "h", i, head_e_shift=0)
-        bad = _first_mismatch(written, target, order)
+        bad = _first_mismatch(written, target)
         if bad is None:
             rep.note("written diagonal form matches through order %d" % order)
-            _series_match(rep, "h-written", written, target, order)
+            _series_match(rep, "h-written", written, target)
         else:
             rep.note("written diagonal form fails first at degree %d" % bad)
-            _series_match(rep, "h-written", written, target, order,
-                          documented=True)
+            _series_match(rep, "h-written", written, target, documented=True)
             repaired = sl3_closed_delta(frame, "h", i, head_e_shift=1)
-            _series_match(rep, "h-repaired", repaired, target, order)
+            _series_match(rep, "h-repaired", repaired, target)
             if rep.passed:
                 rep.note("repaired by shifting the leading raising argument by +1")
         reports.append(rep)

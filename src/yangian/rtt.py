@@ -18,11 +18,13 @@ pass per index set checks the commutation of every entry with the minor
 and the centrality of the minor in its own indices: it looks the minor
 and its row- and column-replaced minors up once and forms each bracket
 of an entry coefficient with a minor coefficient once, for both reports.
-Entries T_ij(u), each shifted entry T_ij(u+c), quantum minors and the
-inverse T(u)^{-1} are memoised per context and order; the reflected
-matrix is that inverse read at -u.  The minor cache answers a key
-exactly as given before it checks and sorts the rows.  A sweep over the
-minors of one reflected matrix shares one sub-minor memo.
+Every series is cut at the degree bound of its context, so entries
+T_ij(u), each shifted entry T_ij(u+c), quantum minors and the inverse
+T(u)^{-1} are memoised per context, keyed by nothing but the context
+and indices; the reflected matrix is that inverse read at -u.  The
+minor cache answers a key exactly as given before it checks and sorts
+the rows.  A sweep over the minors of one reflected matrix shares one
+sub-minor memo.
 """
 
 from fractions import Fraction
@@ -182,25 +184,25 @@ def transposition_symmetry_check(n, u):
 # generating matrix and quantum minors
 
 @lru_cache(maxsize=None)
-def t_entry(ctx, i, j, order, shift=None):
+def t_entry(ctx, i, j, *, shift=None):
     """The series T_{i,j}(u) = delta_{ij} + sum_k T_{i,j}^{(k)} u^{-k},
-    built once per (ctx, i, j, order); series are never mutated, so
-    every caller shares it.  With a `shift` c it is T_{i,j}(u + c),
-    shifted once per c (a zero shift is the entry itself)."""
+    built once per (ctx, i, j); series are never mutated, so every
+    caller shares it.  With a `shift` c it is T_{i,j}(u + c), shifted
+    once per c (a zero shift is the entry itself)."""
     if shift is not None:
-        return t_entry(ctx, i, j, order).shift(shift)
-    coeffs = {k: generator(ctx, i, j, k) for k in range(1, order + 1)}
+        return t_entry(ctx, i, j).shift(shift)
+    coeffs = {k: generator(ctx, i, j, k)
+              for k in range(1, ctx.max_degree + 1)}
     if i == j:
         coeffs[0] = unit(ctx)
     # T^(k) has degree k, and in SL mode T_nn^(k) eliminates to words of
     # degree <= k: the invariant holds by construction
-    return Series._trusted(ctx, order, coeffs, 1)
+    return Series._trusted(ctx, coeffs, 1)
 
 
-def t_matrix(ctx, order):
+def t_matrix(ctx):
     n = ctx.n
-    return SeriesMatrix([[t_entry(ctx, i, j, order)
-                          for j in range(1, n + 1)]
+    return SeriesMatrix([[t_entry(ctx, i, j) for j in range(1, n + 1)]
                          for i in range(1, n + 1)])
 
 
@@ -217,7 +219,7 @@ def _minor_rows_normalized(rows):
     return sorted_rows, perm_sign(tuple(order))
 
 
-def quantum_minor(ctx, rows, cols, order):
+def quantum_minor(ctx, rows, cols):
     """Quantum minor t(rows; cols)(u) of the generating matrix.
 
     Defined as the signed sum over row permutations of
@@ -232,7 +234,7 @@ def quantum_minor(ctx, rows, cols, order):
     if different, with the signed result.
     """
     rows, cols = tuple(rows), tuple(cols)
-    key = (ctx, rows, cols, order)
+    key = (ctx, rows, cols)
     hit = _MINOR_CACHE.get(key)
     if hit is not None:
         return hit
@@ -241,17 +243,17 @@ def quantum_minor(ctx, rows, cols, order):
     if not all(1 <= r <= ctx.n for r in rows + cols):
         raise ValueError("minor indices out of range")
     if not rows:
-        out = Series.constant(ctx, order)
+        out = Series.constant(ctx)
     else:
         sorted_rows, sign = _minor_rows_normalized(rows)
         if sign == 0:
-            out = Series(ctx, order)
+            out = Series(ctx)
         else:
-            sorted_key = (ctx, sorted_rows, cols, order)
+            sorted_key = (ctx, sorted_rows, cols)
             out = _MINOR_CACHE.get(sorted_key)
             if out is None:
                 out = _MINOR_CACHE[sorted_key] = _minor_sum(
-                    ctx, sorted_rows, cols, order)
+                    ctx, sorted_rows, cols)
             if sign == -1:
                 out = -out
     _MINOR_CACHE[key] = out
@@ -261,9 +263,9 @@ def quantum_minor(ctx, rows, cols, order):
 # A function of its own, not inlined into quantum_minor: the benchmark
 # tracer counts its calls as rtt.quantum_minor.computed, one per cache
 # miss.  It can go once the tracer reads the caches through a registry.
-def _minor_sum(ctx, rows, cols, order):
+def _minor_sum(ctx, rows, cols):
     """A minor missing from the cache: one last-column expansion."""
-    return minor_expand_last_column(ctx, rows, cols, order)
+    return minor_expand_last_column(ctx, rows, cols)
 
 
 def _expand_last_column(entry, minor, rows, cols, total):
@@ -286,7 +288,7 @@ def minor_by_permutations(mat, rows, cols):
     signed sum over row permutations (m! products; a test oracle)."""
     m = len(rows)
     if m == 0:
-        return Series.constant(mat.ctx, mat.order)
+        return Series.constant(mat.ctx)
     # entry (r, cols[p]) at u + p, shifted once per call
     shifted = {}
 
@@ -296,7 +298,7 @@ def minor_by_permutations(mat, rows, cols):
             out = shifted[r, p] = mat.entry(r, cols[p]).shift(p)
         return out
 
-    total = Series(mat.ctx, mat.order)
+    total = Series(mat.ctx)
     for perm in permutations(range(m)):
         prod = mat.entry(rows[perm[0]], cols[0])
         for p in range(1, m):
@@ -305,59 +307,58 @@ def minor_by_permutations(mat, rows, cols):
     return total
 
 
-def quantum_minor_row_form(ctx, rows, cols, order):
+def quantum_minor_row_form(ctx, rows, cols):
     """The row-ordered variant: signed sum over column permutations of
     T_{a_1,b_{s(1)}}(u+m-1) ... T_{a_m,b_{s(m)}}(u)."""
     rows, cols = tuple(rows), tuple(cols)
     m = len(rows)
     if m == 0:
-        return Series.constant(ctx, order)
-    total = Series(ctx, order)
+        return Series.constant(ctx)
+    total = Series(ctx)
     for perm in permutations(range(m)):
-        prod = t_entry(ctx, rows[0], cols[perm[0]], order, m - 1)
+        prod = t_entry(ctx, rows[0], cols[perm[0]], shift=m - 1)
         for p in range(1, m):
-            prod = prod * t_entry(ctx, rows[p], cols[perm[p]], order,
-                                  m - 1 - p)
+            prod = prod * t_entry(ctx, rows[p], cols[perm[p]],
+                                  shift=m - 1 - p)
         total = total + prod * perm_sign(perm)
     return total
 
 
-def qdet(ctx, order):
+def qdet(ctx):
     """Quantum determinant: the full-size quantum minor."""
     idx = tuple(range(1, ctx.n + 1))
-    return quantum_minor(ctx, idx, idx, order)
+    return quantum_minor(ctx, idx, idx)
 
 
-def minor_expand_last_column(ctx, rows, cols, order):
+def minor_expand_last_column(ctx, rows, cols):
     """Signed expansion along the final column over cached sub-minors:
     the step quantum_minor computes every minor with."""
     return _expand_last_column(
-        lambda i, j, shift: t_entry(ctx, i, j, order, shift),
-        lambda sub_rows, sub_cols: quantum_minor(ctx, sub_rows, sub_cols,
-                                                 order),
-        tuple(rows), tuple(cols), Series(ctx, order))
+        lambda i, j, shift: t_entry(ctx, i, j, shift=shift),
+        lambda sub_rows, sub_cols: quantum_minor(ctx, sub_rows, sub_cols),
+        tuple(rows), tuple(cols), Series(ctx))
 
 
-def minor_expand_last_row(ctx, rows, cols, order):
+def minor_expand_last_row(ctx, rows, cols):
     """Signed expansion along the final row."""
     m = len(rows)
-    total = Series(ctx, order)
+    total = Series(ctx)
     for k in range(1, m + 1):
-        factor = t_entry(ctx, rows[-1], cols[k - 1], order, m - 1)
-        sub = quantum_minor(ctx, rows[:-1], cols[:k - 1] + cols[k:], order)
+        factor = t_entry(ctx, rows[-1], cols[k - 1], shift=m - 1)
+        sub = quantum_minor(ctx, rows[:-1], cols[:k - 1] + cols[k:])
         total = total - factor * sub if (k + m) % 2 else total + factor * sub
     return total
 
 
-def column_replaced_minors(ctx, rows, cols, j, order):
+def column_replaced_minors(ctx, rows, cols, j):
     """t(rows; cols with b_k -> j)(u) for k = 1..m."""
-    return [quantum_minor(ctx, rows, cols[:k] + (j,) + cols[k + 1:], order)
+    return [quantum_minor(ctx, rows, cols[:k] + (j,) + cols[k + 1:])
             for k in range(len(cols))]
 
 
-def row_replaced_minors(ctx, rows, cols, i, order):
+def row_replaced_minors(ctx, rows, cols, i):
     """t(rows with a_k -> i; cols)(u) for k = 1..m."""
-    return [quantum_minor(ctx, rows[:k] + (i,) + rows[k + 1:], cols, order)
+    return [quantum_minor(ctx, rows[:k] + (i,) + rows[k + 1:], cols)
             for k in range(len(rows))]
 
 
@@ -367,7 +368,7 @@ def _add_into(raw, x, sign):
         raw[w] = raw.get(w, ZERO) + sign * c
 
 
-def minor_bracket_sweep(ctx, rows, cols, order, comm, cent, label):
+def minor_bracket_sweep(ctx, rows, cols, comm, cent, label):
     """Commutation of every entry with the minor t(rows; cols)(v), into
     the report `comm`, and centrality of the minor in its own indices,
     into `cent`, checked in one pass with labels under `label`:
@@ -380,26 +381,27 @@ def minor_bracket_sweep(ctx, rows, cols, order, comm, cent, label):
 
     The u^-(a+1) v^-b coefficient of the left side is
     [T_ij^(a+1), c_b] - [T_ij^(a), c_(b+1)], with c_b the coefficient of
-    the minor.  Each bracket [T_ij^(r), c_b], r + b <= order, is formed
-    once: it serves two commutation cases and, inside the minor's own
-    indices, is a centrality case.  A scalar c_b (c_0 always is) is
+    the minor.  Each bracket [T_ij^(r), c_b], r + b <= order (the degree
+    bound of ctx), is formed once: it serves two commutation cases and,
+    inside the minor's own indices, is a centrality case.  A scalar c_b (c_0 always is) is
     central, so its bracket is zero with no product formed.  T^(0) is the
     scalar delta, so its products select a coefficient.  Each right side
     is summed into one raw dict and reduced once.
     """
     rows, cols = tuple(rows), tuple(cols)
     idx = range(1, ctx.n + 1)
+    order = ctx.max_degree
     nil = zero(ctx)
-    minor = quantum_minor(ctx, rows, cols, order)
+    minor = quantum_minor(ctx, rows, cols)
     c = [minor.coefficient(b) for b in range(order + 1)]
     scalar = [all(not w for w in x.terms) for x in c]
     # the generators T_ij^(r), read from the memoised entries
-    gen = {(i, j): t_entry(ctx, i, j, order).coeffs for i in idx for j in idx}
+    gen = {(i, j): t_entry(ctx, i, j).coeffs for i in idx for j in idx}
     col_c = {j: [[s.coefficient(b) for b in range(order)]
-                 for s in column_replaced_minors(ctx, rows, cols, j, order)]
+                 for s in column_replaced_minors(ctx, rows, cols, j)]
              for j in idx}
     row_c = {i: [[s.coefficient(b) for b in range(order)]
-                 for s in row_replaced_minors(ctx, rows, cols, i, order)]
+                 for s in row_replaced_minors(ctx, rows, cols, i)]
              for i in idx}
     inside = {}
     for i in idx:
@@ -436,10 +438,10 @@ def minor_bracket_sweep(ctx, rows, cols, order, comm, cent, label):
                            value, nil)
 
 
-def qdet_centrality_check(ctx, order, mode_bound):
-    rep = Report("qdet-centrality", n=ctx.n, mode=ctx.mode, order=order,
-                 bound=mode_bound)
-    q = qdet(ctx, order)
+def qdet_centrality_check(ctx, mode_bound):
+    rep = Report("qdet-centrality", n=ctx.n, mode=ctx.mode,
+                 order=ctx.max_degree, bound=mode_bound)
+    q = qdet(ctx)
     n = ctx.n
     nil = zero(ctx)
     gen = {(i, j, l): generator(ctx, i, j, l)
@@ -455,27 +457,27 @@ def qdet_centrality_check(ctx, order, mode_bound):
     return rep
 
 
-def sl_qdet_check(ctx, order):
+def sl_qdet_check(n, order):
     """In the SL quotient the quantum determinant collapses to 1."""
-    rep = Report("sl-qdet-normalized", n=ctx.n, order=order)
-    if ctx.mode != SL:
-        raise ValueError("SL context required")
-    rep.check("qdet", qdet(ctx, order), Series.constant(ctx, order))
+    ctx = Context(n, order, SL)
+    rep = Report("sl-qdet-normalized", n=n, order=order)
+    rep.check("qdet", qdet(ctx), Series.constant(ctx))
     return rep
 
 
-def minor_embedding_series(ctx, p, i, j, order):
+def minor_embedding_series(ctx, p, i, j):
     """Corner embedding t(1..p, p+i ; 1..p, p+j)(u) of a smaller
     generating matrix into the big one."""
     base = tuple(range(1, p + 1))
-    return quantum_minor(ctx, base + (p + i,), base + (p + j,), order)
+    return quantum_minor(ctx, base + (p + i,), base + (p + j,))
 
 
-def embedding_relations_check(ctx, p, order):
+def embedding_relations_check(ctx, p):
     """The corner-embedded entries satisfy the defining mode brackets."""
+    order = ctx.max_degree
     rep = Report("minor-embedding", n=ctx.n, mode=ctx.mode, p=p, order=order)
     q = ctx.n - p
-    emb = {(i, j): minor_embedding_series(ctx, p, i, j, order)
+    emb = {(i, j): minor_embedding_series(ctx, p, i, j)
            for i in range(1, q + 1) for j in range(1, q + 1)}
 
     def coeff(i, j, r):
@@ -503,7 +505,7 @@ def embedding_relations_check(ctx, p, order):
 # ---------------------------------------------------------------------------
 # Gauss decompositions
 
-def gauss_components(ctx, order, variant="lower-diag-upper"):
+def gauss_components(ctx, variant="lower-diag-upper"):
     """Triangular factors of T(u) expressed through quantum minors.
 
     'lower-diag-upper': T = F K E with F unit lower, K diagonal, E unit
@@ -516,13 +518,13 @@ def gauss_components(ctx, order, variant="lower-diag-upper"):
     if variant == "lower-diag-upper":
         for i in range(1, n + 1):
             head = lead[:i]
-            inv = quantum_minor(ctx, head, head, order).invert()
-            prev = quantum_minor(ctx, lead[:i - 1], lead[:i - 1], order)
-            comp["k"][i] = (quantum_minor(ctx, head, head, order)
+            inv = quantum_minor(ctx, head, head).invert()
+            prev = quantum_minor(ctx, lead[:i - 1], lead[:i - 1])
+            comp["k"][i] = (quantum_minor(ctx, head, head)
                             * prev.invert()).shift(-(i - 1))
             for j in range(i + 1, n + 1):
-                num_e = quantum_minor(ctx, head, lead[:i - 1] + (j,), order)
-                num_f = quantum_minor(ctx, lead[:i - 1] + (j,), head, order)
+                num_e = quantum_minor(ctx, head, lead[:i - 1] + (j,))
+                num_f = quantum_minor(ctx, lead[:i - 1] + (j,), head)
                 comp["e"][(i, j)] = (inv * num_e).shift(-(i - 1))
                 comp["f"][(j, i)] = (num_f * inv).shift(-(i - 1))
     elif variant == "upper-diag-lower":
@@ -531,14 +533,13 @@ def gauss_components(ctx, order, variant="lower-diag-upper"):
         # already fails to reconstruct T at n=2)
         for j in range(1, n + 1):
             tail = lead[j:]
-            inv = quantum_minor(ctx, lead[j - 1:], lead[j - 1:],
-                                order).invert()
-            upper = quantum_minor(ctx, lead[j - 1:], lead[j - 1:], order)
-            comp["k"][j] = (quantum_minor(ctx, tail, tail, order).invert()
+            inv = quantum_minor(ctx, lead[j - 1:], lead[j - 1:]).invert()
+            upper = quantum_minor(ctx, lead[j - 1:], lead[j - 1:])
+            comp["k"][j] = (quantum_minor(ctx, tail, tail).invert()
                             * upper).shift(-(n - j))
             for i in range(1, j):
-                num_e = quantum_minor(ctx, (i,) + tail, (j,) + tail, order)
-                num_f = quantum_minor(ctx, (j,) + tail, (i,) + tail, order)
+                num_e = quantum_minor(ctx, (i,) + tail, (j,) + tail)
+                num_f = quantum_minor(ctx, (j,) + tail, (i,) + tail)
                 comp["e"][(i, j)] = (num_e * inv).shift(-(n - j))
                 comp["f"][(j, i)] = (inv * num_f).shift(-(n - j))
     else:
@@ -546,16 +547,17 @@ def gauss_components(ctx, order, variant="lower-diag-upper"):
     return comp
 
 
-def gauss_reconstruction_check(ctx, order, variant="lower-diag-upper"):
+def gauss_reconstruction_check(ctx, variant="lower-diag-upper"):
     """Multiply the factors back together and compare with T(u)."""
-    rep = Report("gauss-%s" % variant, n=ctx.n, mode=ctx.mode, order=order)
+    rep = Report("gauss-%s" % variant, n=ctx.n, mode=ctx.mode,
+                 order=ctx.max_degree)
     n = ctx.n
-    comp = gauss_components(ctx, order, variant)
+    comp = gauss_components(ctx, variant)
     if variant == "upper-diag-lower":
         rep.note("off-diagonal ratios divide by the corner minor over "
                  "j..n; the size-mismatched span j+1..n fails at n=2")
-    one = Series.constant(ctx, order)
-    nil = Series(ctx, order)
+    one = Series.constant(ctx)
+    nil = Series(ctx)
 
     def unitri(entries, lower):
         rows = []
@@ -579,7 +581,7 @@ def gauss_reconstruction_check(ctx, order, variant="lower-diag-upper"):
         prod = lower * diag * upper
     else:
         prod = upper * diag * lower
-    t = t_matrix(ctx, order)
+    t = t_matrix(ctx)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             rep.check("entry %d,%d" % (i, j), prod.entry(i, j),
@@ -587,13 +589,14 @@ def gauss_reconstruction_check(ctx, order, variant="lower-diag-upper"):
     return rep
 
 
-def k_sanity_checks(ctx, order):
+def k_sanity_checks(ctx):
     """Edge diagonal factors equal bare entries of T."""
-    rep = Report("gauss-diagonal-edges", n=ctx.n, mode=ctx.mode, order=order)
-    lo = gauss_components(ctx, order, "lower-diag-upper")
-    hi = gauss_components(ctx, order, "upper-diag-lower")
-    rep.check("leading", lo["k"][1], t_entry(ctx, 1, 1, order))
-    rep.check("trailing", hi["k"][ctx.n], t_entry(ctx, ctx.n, ctx.n, order))
+    rep = Report("gauss-diagonal-edges", n=ctx.n, mode=ctx.mode,
+                 order=ctx.max_degree)
+    lo = gauss_components(ctx, "lower-diag-upper")
+    hi = gauss_components(ctx, "upper-diag-lower")
+    rep.check("leading", lo["k"][1], t_entry(ctx, 1, 1))
+    rep.check("trailing", hi["k"][ctx.n], t_entry(ctx, ctx.n, ctx.n))
     return rep
 
 
@@ -601,16 +604,16 @@ def k_sanity_checks(ctx, order):
 # reflected matrix and inverse entries
 
 @lru_cache(maxsize=None)
-def inverse_matrix(ctx, order):
-    """T(u)^{-1}, inverted once per (ctx, order)."""
-    return t_matrix(ctx, order).inverse()
+def inverse_matrix(ctx):
+    """T(u)^{-1}, inverted once per context."""
+    return t_matrix(ctx).inverse()
 
 
-def t_star_matrix(ctx, order):
+def t_star_matrix(ctx):
     """(T(-u))^{-1}, the inverse T(u)^{-1} read at -u: the inverse
     recursion of T(-u) gives exactly (-1)^k S^(k) at u^-k."""
     return SeriesMatrix([[s.negate_variable() for s in row]
-                         for row in inverse_matrix(ctx, order).rows])
+                         for row in inverse_matrix(ctx).rows])
 
 
 def matrix_minor(mat, rows, cols, memo=None):
@@ -635,13 +638,12 @@ def matrix_minor(mat, rows, cols, memo=None):
 
     def minor(sub_rows, sub_cols):
         if not sub_rows:
-            return Series.constant(mat.ctx, mat.order)
+            return Series.constant(mat.ctx)
         key = (sub_rows, sub_cols)
         out = memo.get(key)
         if out is None:
             out = memo[key] = _expand_last_column(
-                entry, minor, sub_rows, sub_cols,
-                Series(mat.ctx, mat.order))
+                entry, minor, sub_rows, sub_cols, Series(mat.ctx))
         return out
 
     return minor(tuple(rows), tuple(cols))
@@ -654,14 +656,12 @@ def reflected_minor(star, rows, cols, shift, memo=None):
     return minor.negate_variable().shift(shift)
 
 
-def star_minor_identities_check(ctx, order):
+def star_minor_identities_check(n, order):
     """In the SL quotient, reflected corner minors at -u-(n-1) match
     complementary plain minors (four families)."""
-    if ctx.mode != SL:
-        raise ValueError("SL context required")
-    rep = Report("star-minor-reflection", n=ctx.n, order=order)
-    n = ctx.n
-    star = t_star_matrix(ctx, order)
+    ctx = Context(n, order, SL)
+    rep = Report("star-minor-reflection", n=n, order=order)
+    star = t_star_matrix(ctx)
     memo = {}
 
     def refl(rows, cols):
@@ -671,41 +671,42 @@ def star_minor_identities_check(ctx, order):
         head = tuple(range(1, m + 1))
         comp = tuple(range(m + 1, n + 1))
         rep.check("diag m=%d" % m, refl(head, head),
-                  quantum_minor(ctx, comp, comp, order))
+                  quantum_minor(ctx, comp, comp))
     for m in range(1, n):
         head = tuple(range(1, m))
         tail = tuple(range(m + 2, n + 1))
         rep.check(
             "lower m=%d" % m,
             refl(head + (m + 1,), head + (m,)),
-            -quantum_minor(ctx, (m + 1,) + tail, (m,) + tail, order))
+            -quantum_minor(ctx, (m + 1,) + tail, (m,) + tail))
         rep.check(
             "upper m=%d" % m,
             refl(head + (m,), head + (m + 1,)),
-            -quantum_minor(ctx, (m,) + tail, (m + 1,) + tail, order))
+            -quantum_minor(ctx, (m,) + tail, (m + 1,) + tail))
         rep.check(
             "corner m=%d" % m,
             refl(head + (m + 1,), head + (m + 1,)),
-            quantum_minor(ctx, (m,) + tail, (m,) + tail, order))
+            quantum_minor(ctx, (m,) + tail, (m,) + tail))
     return rep
 
 
-def inverse_entry_minor(ctx, i, j, order):
+def inverse_entry_minor(ctx, i, j):
     """(T^{-1}(u))_{ij} through a complementary minor (SL quotient)."""
     n = ctx.n
     rows = tuple(r for r in range(1, n + 1) if r != j)
     cols = tuple(c for c in range(1, n + 1) if c != i)
-    minor = quantum_minor(ctx, rows, cols, order)
+    minor = quantum_minor(ctx, rows, cols)
     return (minor * ((-1) ** (i + j))).shift(-(n - 1))
 
 
-def inverse_entries_check(ctx, order):
-    if ctx.mode != SL:
-        raise ValueError("SL context required")
-    rep = Report("inverse-entry-minors", n=ctx.n, order=order)
-    inv = inverse_matrix(ctx, order)
-    for i in range(1, ctx.n + 1):
-        for j in range(1, ctx.n + 1):
+def inverse_entries_check(n, order):
+    """In the SL quotient, each entry of T(u)^{-1} is a signed,
+    shifted complementary minor."""
+    ctx = Context(n, order, SL)
+    rep = Report("inverse-entry-minors", n=n, order=order)
+    inv = inverse_matrix(ctx)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
             rep.check("entry %d,%d" % (i, j), inv.entry(i, j),
-                      inverse_entry_minor(ctx, i, j, order))
+                      inverse_entry_minor(ctx, i, j))
     return rep

@@ -1,10 +1,13 @@
 """Truncated formal series in u^{-1} with algebra-valued coefficients.
 
-A series of order d stores coefficients of u^0 .. u^-d; everything
-beyond u^-d is unknown.  Coefficients are elements, tensor squares, or
-tensor cubes over a shared context; the coefficient of u^-k always has
-filtration degree at most k, which keeps every series operation exact
-under the context degree bound.
+A series stores coefficients of u^0 .. u^-d, with d the degree bound
+of its context, and is exact through u^-d; everything beyond u^-d is
+unknown.  So every series of one context has one order, and any two
+series that meet in an operation are cut at the same power.
+Coefficients are elements, tensor squares, or tensor cubes over a
+shared context; the coefficient of u^-k always has filtration degree at
+most k, which keeps every series operation exact under the context
+degree bound.
 
 The public constructor `Series(...)` checks that invariant for every
 coefficient, and so does `map_coeffs`, which applies an arbitrary
@@ -56,15 +59,14 @@ def scalar_of(coeff):
 
 
 class Series:
-    """Algebra-valued polynomial in u^{-1}, exact up to u^{-order}."""
+    """Algebra-valued polynomial in u^{-1}, exact up to u^{-order}, where
+    order is the degree bound of the context."""
 
     __slots__ = ("ctx", "order", "arity", "coeffs")
 
-    def __init__(self, ctx, order, coeffs=None, arity=1):
-        if not 1 <= order <= ctx.max_degree:
-            raise ValueError("series order must lie in 1..max_degree")
+    def __init__(self, ctx, coeffs=None, arity=1):
         self.ctx = ctx
-        self.order = order
+        self.order = order = ctx.max_degree
         self.arity = arity
         out = {}
         if coeffs:
@@ -81,22 +83,22 @@ class Series:
         self.coeffs = out
 
     @classmethod
-    def _trusted(cls, ctx, order, coeffs, arity):
+    def _trusted(cls, ctx, coeffs, arity):
         """A series whose coefficients already keep the invariant.
 
-        Only zero coefficients are dropped; the order, the keys, the
-        contexts and the degrees are the caller's to guarantee.
+        Only zero coefficients are dropped; the keys, the contexts and
+        the degrees are the caller's to guarantee.
         """
         s = object.__new__(cls)
         s.ctx = ctx
-        s.order = order
+        s.order = ctx.max_degree
         s.arity = arity
         s.coeffs = {k: c for k, c in coeffs.items() if c.terms}
         return s
 
     @classmethod
-    def constant(cls, ctx, order, value=ONE, arity=1):
-        return cls(ctx, order, {0: _coeff_unit(ctx, arity) * value}, arity)
+    def constant(cls, ctx, *, value=ONE, arity=1):
+        return cls(ctx, {0: _coeff_unit(ctx, arity) * value}, arity)
 
     def coefficient(self, k):
         c = self.coeffs.get(k)
@@ -111,56 +113,52 @@ class Series:
     def map_coeffs(self, fn, arity=None):
         """Apply fn to every stored coefficient (possibly changing arity)."""
         new = {k: fn(c) for k, c in self.coeffs.items()}
-        return Series(self.ctx, self.order, new, arity or self.arity)
+        return Series(self.ctx, new, arity or self.arity)
 
     def __eq__(self, other):
         return (isinstance(other, Series) and self.ctx == other.ctx
-                and self.order == other.order and self.arity == other.arity
+                and self.arity == other.arity
                 and self.coeffs == other.coeffs)
 
     __hash__ = None
 
     def __add__(self, other):
         if type(other) in _SCALARS:
-            other = Series.constant(self.ctx, self.order, other, self.arity)
+            other = Series.constant(self.ctx, value=other, arity=self.arity)
         elif type(other) is not Series:
             return NotImplemented
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
-        order = min(self.order, other.order)
-        out = {k: c for k, c in self.coeffs.items() if k <= order}
+        out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            if k <= order:
-                out[k] = out[k] + c if k in out else c
-        return Series._trusted(self.ctx, order, out, self.arity)
+            out[k] = out[k] + c if k in out else c
+        return Series._trusted(self.ctx, out, self.arity)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Series._trusted(self.ctx, self.order,
+        return Series._trusted(self.ctx,
                                {k: -c for k, c in self.coeffs.items()},
                                self.arity)
 
     def __sub__(self, other):
         if type(other) in _SCALARS:
-            other = Series.constant(self.ctx, self.order, other, self.arity)
+            other = Series.constant(self.ctx, value=other, arity=self.arity)
         elif type(other) is not Series:
             return NotImplemented
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
-        order = min(self.order, other.order)
-        out = {k: c for k, c in self.coeffs.items() if k <= order}
+        out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            if k <= order:
-                out[k] = out[k] - c if k in out else -c
-        return Series._trusted(self.ctx, order, out, self.arity)
+            out[k] = out[k] - c if k in out else -c
+        return Series._trusted(self.ctx, out, self.arity)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        """Cauchy product, truncated at the smaller order.
+        """Cauchy product, truncated at the context's order.
 
         Every product a_p b_q with p + q = k adds into one raw dict for
         u^-k, and that coefficient is reduced once from the whole sum:
@@ -168,17 +166,15 @@ class Series:
         """
         if type(other) in _SCALARS:
             return Series._trusted(
-                self.ctx, self.order,
-                {k: v * other for k, v in self.coeffs.items()}, self.arity)
+                self.ctx, {k: v * other for k, v in self.coeffs.items()},
+                self.arity)
         if type(other) is not Series:
             return NotImplemented
         if self.ctx != other.ctx or self.arity != other.arity:
             raise ValueError("context mismatch")
-        order = min(self.order, other.order)
+        order = self.order
         sums = {}
         for p, a in self.coeffs.items():
-            if p > order:
-                continue
             for q, b in other.coeffs.items():
                 k = p + q
                 if k > order:
@@ -189,7 +185,7 @@ class Series:
                 a._mul_into(b, raw)
         out = {k: _from_products(self.ctx, self.arity, raw)
                for k, raw in sums.items()}
-        return Series._trusted(self.ctx, order, out, self.arity)
+        return Series._trusted(self.ctx, out, self.arity)
 
     def __rmul__(self, other):
         if type(other) in _SCALARS:
@@ -219,13 +215,12 @@ class Series:
                 k = j + t
                 v = a * w
                 out[k] = out[k] + v if k in out else v
-        return Series._trusted(self.ctx, self.order, out, self.arity)
+        return Series._trusted(self.ctx, out, self.arity)
 
     def negate_variable(self):
         """The series at argument -u."""
         return Series._trusted(
-            self.ctx, self.order,
-            {k: -c if k % 2 else c for k, c in self.coeffs.items()},
+            self.ctx, {k: -c if k % 2 else c for k, c in self.coeffs.items()},
             self.arity)
 
     def invert(self):
@@ -246,7 +241,7 @@ class Series:
                 acc = v if acc is None else acc + v
             if acc is not None and not acc.is_zero():
                 out[k] = acc * (-inv0)
-        return Series._trusted(self.ctx, self.order, out, self.arity)
+        return Series._trusted(self.ctx, out, self.arity)
 
     def __repr__(self):
         bits = ["u^-%d: %r" % (k, c) for k, c in sorted(self.coeffs.items())]
@@ -257,18 +252,16 @@ def series_outer(a, b):
     """Tensor-square series with coefficients sum_{p+q=k} a_p (x) b_q."""
     if a.ctx != b.ctx or a.arity != 1 or b.arity != 1:
         raise ValueError("element series expected")
-    order = min(a.order, b.order)
+    order = a.order
     out = {}
     for p, x in a.coeffs.items():
-        if p > order:
-            continue
         for q, y in b.coeffs.items():
             k = p + q
             if k > order:
                 continue
             v = Tensor.of_elements(x, y)
             out[k] = out[k] + v if k in out else v
-    return Series._trusted(a.ctx, order, out, 2)
+    return Series._trusted(a.ctx, out, 2)
 
 
 def slot_embed(s, arity, slot):
@@ -284,7 +277,7 @@ def geometric_unit_sum(t):
     """sum_{m>=0} t^m for a series with no u^0 term."""
     if t.lowest_order() == 0:
         raise ValueError("geometric sum needs a series vanishing at u^0")
-    total = Series.constant(t.ctx, t.order, ONE, t.arity)
+    total = Series.constant(t.ctx, arity=t.arity)
     power = t
     while not power.is_zero():
         total = total + power
@@ -293,7 +286,7 @@ def geometric_unit_sum(t):
 
 
 class SeriesMatrix:
-    """Matrix with series entries sharing one context and order."""
+    """Matrix with series entries sharing one context."""
 
     __slots__ = ("ctx", "order", "size", "rows")
 
@@ -307,13 +300,13 @@ class SeriesMatrix:
             if len(r) != self.size:
                 raise ValueError("matrix must be square")
             for s in r:
-                if s.ctx != self.ctx or s.order != self.order:
+                if s.ctx != self.ctx:
                     raise ValueError("mismatched entries")
 
     @classmethod
-    def identity(cls, ctx, size, order):
-        one = Series.constant(ctx, order)
-        nil = Series(ctx, order)
+    def identity(cls, ctx, size):
+        one = Series.constant(ctx)
+        nil = Series(ctx)
         return cls([[one if i == j else nil for j in range(size)]
                     for i in range(size)])
 
@@ -377,7 +370,7 @@ class SeriesMatrix:
                                 a._mul_into(b, raw, -1)
                     if raw:
                         inv[i][j][k] = _from_products(ctx, arity, raw)
-        return SeriesMatrix([[Series._trusted(ctx, order, c, arity)
+        return SeriesMatrix([[Series._trusted(ctx, c, arity)
                               for c in row] for row in inv])
 
     def __eq__(self, other):

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Context, GL, SL, clear_word_layer
+from .algebra import Context, GL, clear_word_layer
 from .report import Report
 from . import drinfeld, hopf, rtt
 
@@ -73,7 +73,7 @@ def _minor_index_sets(n, max_size):
 
 def suite_minors(n, order, seed):
     ctx = Context(n, order, GL)
-    t = rtt.t_matrix(ctx, order)
+    t = rtt.t_matrix(ctx)
     comm = Report("minor-commutation-sweep", n=n, order=order, max_size=3)
     cent = Report("minor-centrality-sweep", n=n, order=order, max_size=3)
     rowform = Report("minor-row-column-forms", n=n, order=order, max_size=3)
@@ -81,40 +81,37 @@ def suite_minors(n, order, seed):
     for rows, cols in _minor_index_sets(n, 3):
         label = "r=%s,c=%s" % (",".join(map(str, rows)),
                                ",".join(map(str, cols)))
-        rtt.minor_bracket_sweep(ctx, rows, cols, order, comm, cent, label)
+        rtt.minor_bracket_sweep(ctx, rows, cols, comm, cent, label)
         # reference: the defining permutation sum, not the engine itself
         mi = rtt.minor_by_permutations(t, rows, cols)
-        alt = rtt.quantum_minor_row_form(ctx, rows, cols, order)
+        alt = rtt.quantum_minor_row_form(ctx, rows, cols)
         for k in range(order + 1):
             rowform.check("%s,k=%d" % (label, k), mi.coefficient(k),
                           alt.coefficient(k))
         if len(rows) >= 2:
             # the cached minor is the last-column expansion itself
             for name, got in (
-                    ("col", rtt.quantum_minor(ctx, rows, cols, order)),
-                    ("row", rtt.minor_expand_last_row(ctx, rows, cols,
-                                                      order))):
+                    ("col", rtt.quantum_minor(ctx, rows, cols)),
+                    ("row", rtt.minor_expand_last_row(ctx, rows, cols))):
                 for k in range(order + 1):
                     expand.check("%s,%s,k=%d" % (label, name, k),
                                  mi.coefficient(k), got.coefficient(k))
     reports = [comm, cent, rowform, expand]
-    reports.append(rtt.qdet_centrality_check(ctx, order,
-                                             min(order + 1, 4)))
+    reports.append(rtt.qdet_centrality_check(ctx, min(order + 1, 4)))
     for p in range(1, n):
-        reports.append(rtt.embedding_relations_check(ctx, p, order))
-    sl_ctx = Context(n, order, SL)
-    reports.append(rtt.sl_qdet_check(sl_ctx, order))
-    reports.append(rtt.star_minor_identities_check(sl_ctx, order))
-    reports.append(rtt.inverse_entries_check(sl_ctx, order))
+        reports.append(rtt.embedding_relations_check(ctx, p))
+    reports.append(rtt.sl_qdet_check(n, order))
+    reports.append(rtt.star_minor_identities_check(n, order))
+    reports.append(rtt.inverse_entries_check(n, order))
     return reports
 
 
 def suite_gauss(n, order, seed):
     ctx = Context(n, order, GL)
     return [
-        rtt.gauss_reconstruction_check(ctx, order, "lower-diag-upper"),
-        rtt.gauss_reconstruction_check(ctx, order, "upper-diag-lower"),
-        rtt.k_sanity_checks(ctx, order),
+        rtt.gauss_reconstruction_check(ctx, "lower-diag-upper"),
+        rtt.gauss_reconstruction_check(ctx, "upper-diag-lower"),
+        rtt.k_sanity_checks(ctx),
     ]
 
 

@@ -72,8 +72,8 @@ def test_criterion_02_confluence_and_associativity_sampling():
 def test_criterion_03_qdet_centrality_and_sl_normalization():
     for n in (2, 3):
         ctx = Context(n, 4, GL)
-        assert rtt.qdet_centrality_check(ctx, 4, 4).passed
-        assert rtt.sl_qdet_check(Context(n, 3, SL), 3).passed
+        assert rtt.qdet_centrality_check(ctx, 4).passed
+        assert rtt.sl_qdet_check(n, 3).passed
     _announce("3", "centrality k+l<=4 at n=2,3; SL qdet=1 through order 3")
 
 
@@ -81,29 +81,29 @@ def test_criterion_04_minor_identities_all_sizes():
     start = time.monotonic()
     ctx = Context(3, 3, GL)
     from itertools import combinations
-    t = rtt.t_matrix(ctx, 3)
+    t = rtt.t_matrix(ctx)
     checked = 0
     for m in (1, 2, 3):
         for rows in combinations((1, 2, 3), m):
             for cols in combinations((1, 2, 3), m):
                 minor = rtt.minor_by_permutations(t, rows, cols)
-                assert rtt.quantum_minor(ctx, rows, cols, 3) == minor
-                assert rtt.quantum_minor_row_form(ctx, rows, cols, 3) == minor
+                assert rtt.quantum_minor(ctx, rows, cols) == minor
+                assert rtt.quantum_minor_row_form(ctx, rows, cols) == minor
                 if m >= 2:
                     assert rtt.minor_expand_last_column(
-                        ctx, rows, cols, 3) == minor
+                        ctx, rows, cols) == minor
                     assert rtt.minor_expand_last_row(
-                        ctx, rows, cols, 3) == minor
+                        ctx, rows, cols) == minor
                     swapped_rows = (rows[1], rows[0]) + rows[2:]
                     assert rtt.quantum_minor(
-                        ctx, swapped_rows, cols, 3) == -minor
+                        ctx, swapped_rows, cols) == -minor
                     swapped_cols = (cols[1], cols[0]) + cols[2:]
                     assert rtt.quantum_minor(
-                        ctx, rows, swapped_cols, 3) == -minor
+                        ctx, rows, swapped_cols) == -minor
                     assert rtt.quantum_minor(
-                        ctx, (rows[0],) + rows[:-1], cols, 3).is_zero()
+                        ctx, (rows[0],) + rows[:-1], cols).is_zero()
                     assert rtt.quantum_minor(
-                        ctx, rows, (cols[0],) + cols[:-1], 3).is_zero()
+                        ctx, rows, (cols[0],) + cols[:-1]).is_zero()
                 checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, elapsed
@@ -115,15 +115,14 @@ def test_criterion_05_gauss_reconstructions():
     for n, order in ((2, 4), (3, 3)):
         ctx = Context(n, order, GL)
         for variant in ("lower-diag-upper", "upper-diag-lower"):
-            assert rtt.gauss_reconstruction_check(ctx, order, variant).passed
+            assert rtt.gauss_reconstruction_check(ctx, variant).passed
     _announce("5", "both factorizations, n=2 order 4 and n=3 order 3")
 
 
 def test_criterion_06_inverse_entries_and_star_minor_identities():
     for n in (2, 3):
-        ctx = Context(n, 3, SL)
-        assert rtt.inverse_entries_check(ctx, 3).passed
-        assert rtt.star_minor_identities_check(ctx, 3).passed
+        assert rtt.inverse_entries_check(n, 3).passed
+        assert rtt.star_minor_identities_check(n, 3).passed
     _announce("6", "inverse entries + four reflected-minor identities, "
                    "SL n=2,3 order 3")
 

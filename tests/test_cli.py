@@ -57,12 +57,12 @@ def test_expand_delta_e_matches_pullback_terms(capsys):
                          "--i", "1", "--order", "2")
     assert code == 0
     ctx = Context(2, 2, SL)
-    cur = current(ctx, "e", 1, 2)
+    cur = current(ctx, "e", 1)
     assert doc["series"] == render.payload(delta_series(cur))
     # the second coefficient carries exactly the three expected tensors
     e0 = cur.coefficient(1)
     e1 = cur.coefficient(2)
-    h0 = current(ctx, "h", 1, 2).coefficient(1)
+    h0 = current(ctx, "h", 1).coefficient(1)
     want = (Tensor.of_elements(e1, unit(ctx))
             + Tensor.of_elements(unit(ctx), e1)
             + Tensor.of_elements(e0, h0))
@@ -81,7 +81,7 @@ def test_expand_antipode_current(capsys):
     code, doc = run_json(capsys, "expand", "s-e", "--n", "2", "--order", "2")
     assert code == 0
     ctx = Context(2, 2, SL)
-    neg = current(ctx, "e", 1, 2).coefficient(1) * -1
+    neg = current(ctx, "e", 1).coefficient(1) * -1
     assert doc["series"]["coeffs"]["1"] == render.payload(neg)
 
 

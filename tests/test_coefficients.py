@@ -46,28 +46,28 @@ def test_hopf_maps_of_generators_have_int_coefficients(n, mode):
 
 
 def test_qdet_has_int_coefficients():
-    s = qdet(Context(3, 3, GL), 3)
+    s = qdet(Context(3, 3, GL))
     assert len(s.coeffs) == 4
     assert all(type(c) is int for c in coefficients(s))
 
 
 def test_inverse_of_scalar_series_is_exact():
     ctx = Context(2, 3, GL)
-    inv = Series.constant(ctx, 3, 2).invert()
+    inv = Series.constant(ctx, value=2).invert()
     (c0,) = coefficients(inv)
     assert type(c0) is Fraction and c0 == Fraction(1, 2)
-    assert inv * 2 == Series.constant(ctx, 3)
+    assert inv * 2 == Series.constant(ctx)
 
 
 def test_inverse_with_generator_term_is_exact():
     ctx = Context(2, 3, GL)
-    s = Series.constant(ctx, 3, 2) + Series(ctx, 3,
-                                            {1: generator(ctx, 1, 1, 1)})
+    s = Series.constant(ctx, value=2) + Series(
+        ctx, {1: generator(ctx, 1, 1, 1)})
     inv = s.invert()
     assert_exact(inv)
     assert inv.coefficient(0).constant() == Fraction(1, 2)
     assert type(inv.coefficient(0).constant()) is Fraction
-    one = Series.constant(ctx, 3)
+    one = Series.constant(ctx)
     assert s * inv == one and inv * s == one
 
 
@@ -77,6 +77,6 @@ def test_currents_and_coproducts_have_exact_coefficients(kind):
     order = default_order(n)
     ctx = Context(n, order, SL)
     for i in range(1, n):
-        cur = current(ctx, kind, i, order)
+        cur = current(ctx, kind, i)
         assert_exact(cur)
         assert_exact(delta_series(cur))

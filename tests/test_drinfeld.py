@@ -29,25 +29,25 @@ def test_cartan_pairing_table():
 def test_raising_current_matches_entry_ratio_rank_one():
     # for the first root the defining ratio is a plain entry product
     ctx = Context(2, 4, SL)
-    lhs = current(ctx, "e", 1, 4).shift(Fraction(-1, 2))
-    rhs = t_entry(ctx, 1, 1, 4).invert() * t_entry(ctx, 1, 2, 4)
+    lhs = current(ctx, "e", 1).shift(Fraction(-1, 2))
+    rhs = t_entry(ctx, 1, 1).invert() * t_entry(ctx, 1, 2)
     for k in range(5):
         assert (lhs.coefficient(k) - rhs.coefficient(k)).is_zero()
 
-    lhs = current(ctx, "f", 1, 4).shift(Fraction(-1, 2))
-    rhs = t_entry(ctx, 2, 1, 4) * t_entry(ctx, 1, 1, 4).invert()
+    lhs = current(ctx, "f", 1).shift(Fraction(-1, 2))
+    rhs = t_entry(ctx, 2, 1) * t_entry(ctx, 1, 1).invert()
     for k in range(5):
         assert (lhs.coefficient(k) - rhs.coefficient(k)).is_zero()
 
 
 def test_lowest_modes_are_degree_one_generators():
     ctx = Context(2, 3, SL)
-    e0 = current_mode(current(ctx, "e", 1, 2), "e", 0)
-    f0 = current_mode(current(ctx, "f", 1, 2), "f", 0)
+    e0 = current_mode(current(ctx, "e", 1), 0)
+    f0 = current_mode(current(ctx, "f", 1), 0)
     assert (e0 - generator(ctx, 1, 2, 1)).is_zero()
     assert (f0 - generator(ctx, 2, 1, 1)).is_zero()
     # pairing bracket reproduces the diagonal zero mode
-    h0 = current_mode(current(ctx, "h", 1, 2), "h", 0)
+    h0 = current_mode(current(ctx, "h", 1), 0)
     assert (commutator(e0, f0) - h0).is_zero()
     assert (h0 + 2 * generator(ctx, 1, 1, 1)).is_zero()
 
@@ -55,8 +55,8 @@ def test_lowest_modes_are_degree_one_generators():
 def test_lowest_modes_rank_two():
     ctx = Context(3, 3, SL)
     for i in (1, 2):
-        e0 = current_mode(current(ctx, "e", i, 2), "e", 0)
-        f0 = current_mode(current(ctx, "f", i, 2), "f", 0)
+        e0 = current_mode(current(ctx, "e", i), 0)
+        f0 = current_mode(current(ctx, "f", i), 0)
         assert (e0 - generator(ctx, i, i + 1, 1)).is_zero()
         assert (f0 - generator(ctx, i + 1, i, 1)).is_zero()
 
@@ -111,12 +111,12 @@ def test_root_vector_example():
 def test_current_argument_errors():
     ctx = Context(2, 2, SL)
     with pytest.raises(ValueError):
-        current(ctx, "x", 1, 2)
+        current(ctx, "x", 1)
     with pytest.raises(ValueError):
-        current(ctx, "e", 2, 2)
+        current(ctx, "e", 2)
     with pytest.raises(ValueError):
-        h_current(ctx, 1, 2, variant=4)
+        h_current(ctx, 1, variant=4)
     with pytest.raises(ValueError):
         root_element(ctx, "h", 1, 2)
     with pytest.raises(ValueError):
-        current_mode(current(ctx, "e", 1, 2), "e", -1)
+        current_mode(current(ctx, "e", 1), -1)

@@ -38,7 +38,7 @@ from util import (
 
 def test_word_coproducts_share_equal_keys():
     ctx = Context(2, 4, SL)
-    targets = [x for _, x in hopf._axiom_targets(ctx, 4)]
+    targets = [x for _, x in hopf._axiom_targets(ctx)]
     # half the word coproducts built before a suite starts, all of them
     # after it: the suite's scope boundary must not split equal keys.
     # Earlier tests may have built them all, so start from none.
@@ -94,10 +94,10 @@ def test_counit_kills_positive_modes_and_keeps_constants():
 
 def test_antipode_of_generating_series_is_matrix_inverse():
     ctx = Context(2, 4, GL)
-    inv = t_matrix(ctx, 4).inverse()
+    inv = t_matrix(ctx).inverse()
     for i in (1, 2):
         for j in (1, 2):
-            got = hopf.antipode_series(t_entry(ctx, i, j, 4))
+            got = hopf.antipode_series(t_entry(ctx, i, j))
             want = inv.entry(i, j)
             for k in range(5):
                 assert (got.coefficient(k) - want.coefficient(k)).is_zero()
@@ -157,7 +157,7 @@ def test_slot_maps_keep_the_degree_bound(n, mode):
     # antipode and counit of a word never raise its degree
     ctx = Context(n, 3, mode)
     outputs = 0
-    for _, x in hopf._axiom_targets(ctx, 3):
+    for _, x in hopf._axiom_targets(ctx):
         square = hopf.delta_element(x)
         cube = hopf.delta_on_slot(square, 0)
         results = [cube, hopf.delta_on_slot(square, 1)]
@@ -194,7 +194,7 @@ def _slot_map_cases(ctx):
              for arity in (2, 3) for _ in range(4)]
     for i in range(1, ctx.n):
         for kind in ("e", "f", "h"):
-            s = current(ctx, kind, i, ctx.max_degree)
+            s = current(ctx, kind, i)
             for k in range(1, ctx.max_degree + 1):
                 d = hopf.delta_element(s.coefficient(k))
                 cases += [d, hopf.delta_on_slot(d, 0),
@@ -231,7 +231,7 @@ def _current_modes(ctx):
     """Every mode e_i^(k), f_i^(k), h_i^(k) up to the degree bound."""
     for i in range(1, ctx.n):
         for kind in ("e", "f", "h"):
-            s = current(ctx, kind, i, ctx.max_degree)
+            s = current(ctx, kind, i)
             for k in range(1, ctx.max_degree + 1):
                 yield s.coefficient(k)
 
@@ -323,7 +323,7 @@ def test_hopf_axioms_check_takes_one_coproduct_per_target(monkeypatch):
 
     monkeypatch.setattr(hopf, "delta_element", counted)
     reports = hopf.hopf_axioms_check(2, 4)
-    targets = hopf._axiom_targets(Context(2, 4, SL), 4)
+    targets = hopf._axiom_targets(Context(2, 4, SL))
     assert len(calls) == len(targets)
     assert [rep.cases for rep in reports] == [len(targets),
                                               2 * len(targets),
@@ -650,11 +650,11 @@ def test_frame_memo_matches_fresh_builds(n, order):
     # an input its piece reads
     ctx = Context(n, order, SL)
     builds = _search_builds(n)
-    fresh = [formula(hopf.CurrentFrame(ctx, order), kind, i, **keywords)
+    fresh = [formula(hopf.CurrentFrame(ctx), kind, i, **keywords)
              for formula, kind, i, keywords in builds]
     for sequence in (list(range(len(builds))),
                      list(reversed(range(len(builds))))):
-        frame = hopf.CurrentFrame(ctx, order)
+        frame = hopf.CurrentFrame(ctx)
         for p in sequence:
             formula, kind, i, keywords = builds[p]
             got = formula(frame, kind, i, **keywords)
@@ -667,7 +667,7 @@ def test_frame_memo_root_actions_match_fresh_builds():
     # corrections that differ only in the root's low end, this does
     n, order = 4, 2
     ctx = Context(n, order, SL)
-    shared = hopf.CurrentFrame(ctx, order)
+    shared = hopf.CurrentFrame(ctx)
     arg = shared.g(1)
     seen = 0
     for kind in ("e", "f"):
@@ -680,7 +680,7 @@ def test_frame_memo_root_actions_match_fresh_builds():
                                 shared, kind, side, alpha, low, high,
                                 shift)(arg)
                             want = hopf.elementary_root(
-                                hopf.CurrentFrame(ctx, order), kind, side,
+                                hopf.CurrentFrame(ctx), kind, side,
                                 alpha, low, high, shift)(arg)
                             assert got == want, (kind, side, alpha, low,
                                                  high, shift)
@@ -690,7 +690,7 @@ def test_frame_memo_root_actions_match_fresh_builds():
 
 def test_frame_memo_builds_once():
     ctx = Context(3, 2, SL)
-    frame = hopf.CurrentFrame(ctx, 2)
+    frame = hopf.CurrentFrame(ctx)
     calls = []
     first = frame.memo(("k", 1), lambda: calls.append(1) or "v")
     assert frame.memo(("k", 1), lambda: calls.append(2) or "w") is first
@@ -709,7 +709,7 @@ def test_frame_memo_builds_once():
 
 def test_antipode_swaps_the_two_pairing_series_rank_one():
     ctx = Context(2, 4, SL)
-    frame = hopf.CurrentFrame(ctx, 4)
+    frame = hopf.CurrentFrame(ctx)
     lhs = hopf.antipode_series(frame.g(1).shift(1))
     rhs = frame.g_tilde(1).invert()
     for k in range(5):
@@ -724,7 +724,7 @@ def test_antipode_swaps_the_two_pairing_series_rank_one():
 def test_diagonal_first_term_is_antipode_of_pairing_series(n, order):
     # the composite ratio of recentered pairing series equals S(g_i(u+n/2))
     ctx = Context(n, order, SL)
-    frame = hopf.CurrentFrame(ctx, order)
+    frame = hopf.CurrentFrame(ctx)
     half = Fraction(n, 2)
     for i in range(1, n):
         m = n - i
@@ -742,7 +742,7 @@ def test_diagonal_first_term_is_antipode_of_pairing_series(n, order):
 @pytest.mark.parametrize("n", [2, 3])
 def test_pairing_series_separate_at_coefficient_four(n):
     ctx = Context(n, 4, SL)
-    frame = hopf.CurrentFrame(ctx, 4)
+    frame = hopf.CurrentFrame(ctx)
     diff = frame.g(1) - frame.g_tilde(1)
     assert not diff.is_zero()
     assert diff.lowest_order() == 4
@@ -751,7 +751,7 @@ def test_pairing_series_separate_at_coefficient_four(n):
 def test_diagonal_antipode_decomposes_through_pairing_series():
     # S(h(u)) = S(g(u)) - S(e(u+1)) S(f(u)) holds exactly
     ctx = Context(2, 4, SL)
-    frame = hopf.CurrentFrame(ctx, 4)
+    frame = hopf.CurrentFrame(ctx)
     sh = hopf.antipode_series(frame.current("h", 1))
     sg = hopf.antipode_series(frame.g(1))
     se = hopf.antipode_series(frame.current("e", 1).shift(1))
@@ -789,7 +789,7 @@ def _sl2_shift_variants():
 def test_sl2_geometric_coproducts_match_expanded_sums(order):
     # the geometric-sum form against the power-by-power expansion, term
     # for term, as written and under every single-slot perturbation
-    frame = hopf.CurrentFrame(Context(2, order, SL), order)
+    frame = hopf.CurrentFrame(Context(2, order, SL))
     for kind, shifts in _sl2_shift_variants():
         got = hopf.sl2_closed_delta(frame, kind, shifts)
         assert got == sl2_closed_delta_expanded(frame, kind, shifts), (
@@ -828,7 +828,7 @@ def test_sl3_diagonal_written_form_separates_at_degree_three():
 
 def test_unknown_current_kind_raises():
     ctx = Context(2, 3, SL)
-    frame = hopf.CurrentFrame(ctx, 3)
+    frame = hopf.CurrentFrame(ctx)
     with pytest.raises(ValueError):
         hopf.formula_delta(frame, "x", 1)
     with pytest.raises(ValueError):
@@ -838,12 +838,12 @@ def test_unknown_current_kind_raises():
     with pytest.raises(ValueError):
         hopf.sl2_closed_delta(frame, "x")
     with pytest.raises(ValueError):
-        hopf.sl3_closed_delta(hopf.CurrentFrame(Context(3, 2, SL), 2), "x")
+        hopf.sl3_closed_delta(hopf.CurrentFrame(Context(3, 2, SL)), "x")
 
 
 def test_geometric_sum_rejects_units():
     ctx = Context(2, 3, SL)
-    one = hopf.delta_series(current(ctx, "h", 1, 3))
+    one = hopf.delta_series(current(ctx, "h", 1))
     with pytest.raises(ValueError):
         from yangian.series import geometric_unit_sum
         geometric_unit_sum(one)

@@ -213,7 +213,7 @@ def determinant_coefficient(n, m):
     independent of the minor engine the elimination is built on."""
     ctx = Context(n, m, GL)
     idx = tuple(range(1, n + 1))
-    det = rtt.minor_by_permutations(rtt.t_matrix(ctx, m), idx, idx)
+    det = rtt.minor_by_permutations(rtt.t_matrix(ctx), idx, idx)
     return det.coefficient(m).terms
 
 
@@ -311,13 +311,13 @@ def test_hat_chains_at_degree_one_match_matrix_units():
     cases = 0
     for n in range(2, 7):
         ctx = Context(n, order, SL)
-        frame = hopf.CurrentFrame(ctx, order)
+        frame = hopf.CurrentFrame(ctx)
         for i in range(1, n):
             m = n - i
             c = Fraction(m - 2, 2)
             for kind in ("e", "f"):
                 spec = hopf.hat_spec(n, kind, m)
-                leading = current(ctx, kind, m, order)
+                leading = current(ctx, kind, m)
                 assert engine_units(leading.coefficient(1)) == simple_root(
                     kind, m)
                 model = unit_chain(n, spec, simple_root(kind, m))

@@ -20,7 +20,7 @@ def gen_series(ctx, i, j, order):
     coeffs = {k: generator(ctx, i, j, k) for k in range(1, order + 1)}
     if i == j:
         coeffs[0] = unit(ctx)
-    return Series(ctx, order, coeffs)
+    return Series(ctx, coeffs)
 
 
 def rand_series(rng, ctx, order, with_unit=True):
@@ -32,13 +32,13 @@ def rand_series(rng, ctx, order, with_unit=True):
             coeffs[k] = el
     if with_unit:
         coeffs[0] = unit(ctx)
-    return Series(ctx, order, coeffs)
+    return Series(ctx, coeffs)
 
 
 def test_shift_of_simple_pole():
     ctx = Context(2, 4)
     a = generator(ctx, 1, 1, 1)
-    s = Series(ctx, 4, {1: a})
+    s = Series(ctx, {1: a})
     t = s.shift(1)
     for k in range(1, 5):
         assert t.coefficient(k) == a * Fraction((-1) ** (k - 1))
@@ -77,7 +77,7 @@ def test_negate_variable():
 
 def test_inverse_two_sided():
     ctx = Context(2, 4)
-    one = Series.constant(ctx, 4)
+    one = Series.constant(ctx)
     rng = random.Random(24)
     for _ in range(25):
         s = rand_series(rng, ctx, 4)
@@ -90,7 +90,7 @@ def test_inverse_two_sided():
 def test_inverse_of_geometric():
     ctx = Context(2, 4)
     a = generator(ctx, 1, 1, 1)
-    s = Series(ctx, 4, {0: unit(ctx), 1: a})
+    s = Series(ctx, {0: unit(ctx), 1: a})
     inv = s.invert()
     for k in range(5):
         want = unit(ctx)
@@ -99,18 +99,11 @@ def test_inverse_of_geometric():
         assert inv.coefficient(k) == want * Fraction((-1) ** k)
 
 
-def test_product_truncates_to_min_order():
-    ctx = Context(2, 4)
-    s = Series(ctx, 4, {1: generator(ctx, 1, 2, 1)})
-    t = Series(ctx, 3, {1: generator(ctx, 2, 1, 1)})
-    assert (s * t).order == 3
-
-
 def test_coefficient_degree_invariant_enforced():
     ctx = Context(2, 4)
     g2 = generator(ctx, 1, 1, 2)
     with pytest.raises(ValueError):
-        Series(ctx, 4, {1: g2})
+        Series(ctx, {1: g2})
     # map_coeffs applies an arbitrary function, so it keeps the check
     s = gen_series(ctx, 1, 2, 4)
     with pytest.raises(ValueError):
@@ -159,7 +152,7 @@ def _rand_graded_series(rng, ctx, order, arity=1):
                             allow_const=False)
         coeffs[k] = Element(ctx, {w: c for w, c in el.terms.items()
                                   if word_degree(w) <= k})
-    s = Series(ctx, order, coeffs)
+    s = Series(ctx, coeffs)
     if arity == 2:
         s = series_outer(s, gen_series(ctx, 1, 1, order))
     return s
@@ -168,15 +161,13 @@ def _rand_graded_series(rng, ctx, order, arity=1):
 def _arithmetic_results(rng, ctx):
     a = _rand_graded_series(rng, ctx, 3)
     b = _rand_graded_series(rng, ctx, 3)
-    short = _rand_graded_series(rng, ctx, 2)
     x = _rand_graded_series(rng, ctx, 3, arity=2)
     y = _rand_graded_series(rng, ctx, 3, arity=2)
-    yield from (a + b, a + short, a - b, short - a, a - a, a + (-a),
-                -a, a + 2, 2 - a, a - True, a * b, b * a, a * short,
+    yield from (a + b, a - b, a - a, a + (-a),
+                -a, a + 2, 2 - a, a - True, a * b, b * a,
                 a * Fraction(3, 2), 3 * a, a * 0, a.shift(1), a.shift(-2),
                 a.shift(Fraction(1, 2)), a.shift(Fraction(-3, 2)),
-                a.negate_variable(), a.invert(), series_outer(a, b),
-                series_outer(a, short))
+                a.negate_variable(), a.invert(), series_outer(a, b))
     yield from (x + y, x - y, x - x, -x, x * y, x * Fraction(-1, 3),
                 x.shift(Fraction(1, 2)), x.negate_variable(), x.invert(),
                 (x * y).shift(-1))
@@ -192,7 +183,7 @@ def test_series_arithmetic_keeps_the_coefficient_invariant(n, mode):
     empty = 0
     for _ in range(4):
         for r in _arithmetic_results(rng, ctx):
-            checked = Series(ctx, r.order, r.coeffs, r.arity)
+            checked = Series(ctx, r.coeffs, r.arity)
             assert checked.coeffs == r.coeffs
             assert list(checked.coeffs) == list(r.coeffs)
             assert not any(c.is_zero() for c in r.coeffs.values())
@@ -203,9 +194,9 @@ def test_series_arithmetic_keeps_the_coefficient_invariant(n, mode):
 
 def test_geometric_unit_sum():
     ctx = Context(2, 4)
-    t = Series(ctx, 4, {1: generator(ctx, 1, 2, 1)})
+    t = Series(ctx, {1: generator(ctx, 1, 2, 1)})
     total = geometric_unit_sum(t)
-    one = Series.constant(ctx, 4)
+    one = Series.constant(ctx)
     assert (one - t) * total == one
     with pytest.raises(ValueError):
         geometric_unit_sum(one)
@@ -228,7 +219,7 @@ def test_matrix_inverse_round_trip():
     m = SeriesMatrix([[gen_series(ctx, i, j, 4) for j in (1, 2)]
                       for i in (1, 2)])
     inv = m.inverse()
-    ident = SeriesMatrix.identity(ctx, 2, 4)
+    ident = SeriesMatrix.identity(ctx, 2)
     assert m * inv == ident
     assert inv * m == ident
     assert inv.inverse() == m
@@ -241,26 +232,26 @@ def test_matrix_inverse_matches_geometric_sum(n, order, mode):
     # (1 - T)^m, for T(u) and for the reflected T(-u) that t_star_matrix
     # inverts
     ctx = Context(n, order, mode)
-    t = t_matrix(ctx, order)
+    t = t_matrix(ctx)
     assert t.inverse() == geometric_inverse(t)
     reflected = SeriesMatrix([[s.negate_variable() for s in row]
                               for row in t.rows])
     star = reflected.inverse()
     assert star == geometric_inverse(reflected)
-    assert t_star_matrix(ctx, order) == star
+    assert t_star_matrix(ctx) == star
 
 
 def test_matrix_inverse_rejects_a_non_identity_constant_part():
     ctx = Context(2, 3)
-    t = t_matrix(ctx, 3)
-    two = Series.constant(ctx, 3, 2)
+    t = t_matrix(ctx)
+    two = Series.constant(ctx, value=2)
     scaled = SeriesMatrix([[t.entry(1, 1) + two, t.entry(1, 2)],
                            [t.entry(2, 1), t.entry(2, 2)]])
     off = SeriesMatrix([[t.entry(1, 1), t.entry(1, 2) + two],
                         [t.entry(2, 1), t.entry(2, 2)]])
     vanishing = SeriesMatrix(
         [[t.entry(1, 1), t.entry(1, 2)],
-         [t.entry(2, 1), t.entry(2, 2) - Series.constant(ctx, 3)]])
+         [t.entry(2, 1), t.entry(2, 2) - Series.constant(ctx)]])
     for mat in (scaled, off, vanishing):
         with pytest.raises(ValueError):
             mat.inverse()

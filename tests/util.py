@@ -81,7 +81,7 @@ def geometric_inverse(mat):
     """sum_{m=0..order} (1 - mat)^m: the inverse of a series matrix whose
     u^0 part is the identity, as a truncated geometric sum of full matrix
     products.  An independent route to SeriesMatrix.inverse."""
-    ident = SeriesMatrix.identity(mat.ctx, mat.size, mat.order)
+    ident = SeriesMatrix.identity(mat.ctx, mat.size)
     a = ident - mat
     total = ident
     power = a
@@ -149,12 +149,12 @@ def antipode_product_two_pass(t, slot):
     return multiply_slots_fractions(map_slot_per_term(t, slot, image, 2))
 
 
-def reflected_inverse(ctx, order):
+def reflected_inverse(ctx):
     """(T(-u))^{-1} as the inverse of the entrywise-reflected generating
     matrix.  An oracle for rtt.t_star_matrix, which reads the memoised
     T(u)^{-1} at -u instead of inverting a second matrix."""
     n = ctx.n
-    neg = SeriesMatrix([[t_entry(ctx, i, j, order).negate_variable()
+    neg = SeriesMatrix([[t_entry(ctx, i, j).negate_variable()
                          for j in range(1, n + 1)] for i in range(1, n + 1)])
     return neg.inverse()
 
@@ -276,19 +276,19 @@ def repair_search(n, order):
     verdicts.
     """
     ctx = Context(n, order, SL)
-    frame = hopf.CurrentFrame(ctx, order)
+    frame = hopf.CurrentFrame(ctx)
     found = {}
 
     def holds(got, target):
-        return hopf._first_mismatch(got, target, order) is None
+        return hopf._first_mismatch(got, target) is None
 
     for i in range(1, n):
         m = n - i
         c = Fraction(m - 2, 2)
-        inv = leading_block(ctx, m, order).invert()
+        inv = leading_block(ctx, m).invert()
         tail = tuple(range(i + 2, n + 1))
-        up = quantum_minor(ctx, (i,) + tail, (i + 1,) + tail, order)
-        down = quantum_minor(ctx, (i + 1,) + tail, (i,) + tail, order)
+        up = quantum_minor(ctx, (i,) + tail, (i + 1,) + tail)
+        down = quantum_minor(ctx, (i + 1,) + tail, (i,) + tail)
         for kind, label, lhs in (("e", "raise,i=%d" % i, up * inv),
                                  ("f", "lower,i=%d" % i, inv * down)):
             spec = hopf.hat_spec(n, kind, m)
@@ -313,7 +313,7 @@ def repair_search(n, order):
                     name for name, keywords in formula_probes(family, kind, n)
                     if holds(formula(frame, kind, i, **keywords), target)]
                 with mock.patch.object(hopf, "_gate_fires", narrow_gate):
-                    narrow = formula(hopf.CurrentFrame(ctx, order), kind, i)
+                    narrow = formula(hopf.CurrentFrame(ctx), kind, i)
                 if holds(narrow, target):
                     names.append("narrow-gate")
                 found["%s-formula-%s%d" % (family, kind, i)] = names
