@@ -68,7 +68,7 @@ from .report import Report
 from .rtt import (
     inverse_matrix, quantum_minor, reflected_minor, t_entry, t_star_matrix,
 )
-from .series import Series, geometric_unit_sum, series_outer, slot_embed
+from .series import Series, series_outer, slot_embed
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +679,7 @@ def ratio_identities_check(n, order):
     """
     ctx = Context(n, order, SL)
     frame = CurrentFrame(ctx)
+    inverses = {i: leading_block(ctx, i).invert() for i in range(1, n)}
     reports = []
     for fam in RATIO_FAMILIES:
         sector, _, hand = fam.rpartition("-")
@@ -686,7 +687,7 @@ def ratio_identities_check(n, order):
         side = "L" if hand == "left" else "R"
         rep = Report("ratio-" + fam, n=n, order=order, gate="printed")
         for i in range(1, n):
-            inv = leading_block(ctx, i).invert()
+            inv = inverses[i]
             low = Fraction(i - 2, 2)
             high = Fraction(i, 2)
             # raising from the left and lowering from the right take the
@@ -877,7 +878,7 @@ def _build_delta(frame, kind, i, s):
                 head = head + series_outer(left, fop(pair))
             else:
                 head = head + series_outer(eop(pair), right)
-        geometric = geometric_unit_sum(-power)
+        geometric = (1 + power).invert()
         return geometric * head if kind == "e" else head * geometric
 
     pair = frame.g(i).shift(s["arg_pair"])
@@ -887,7 +888,7 @@ def _build_delta(frame, kind, i, s):
         term = series_outer(eop(e_arg), op("f", a, "op_f_pow")(f_arg))
         power = term if power is None else power + term
         head = head + series_outer(eop(pair), op("f", a, "op_f_head")(pair))
-    base = head * geometric_unit_sum(-power)
+    base = head * (1 + power).invert()
     sub = (formula_delta(frame, "f", i)
            * formula_delta(frame, "e", i).shift(s["sub_shift"]))
     return base - sub
@@ -1013,12 +1014,13 @@ SL2_DELTA_SLOTS = {
 
 
 def sl2_closed_delta(frame, kind, shifts=None):
-    """Rank-one coproducts as geometric sums of X = e (x) f.
+    """Rank-one coproducts through G = (1 + X)^{-1}, X = e (x) f.
 
     With G = sum_m (-X)^m: De = 1 (x) e + G (e (x) h),
     Df = f (x) 1 + (h (x) f) G and Dh = (h (x) 1) G^2 (1 (x) h), since
-    the terms of G^2 are (k+1) (-X)^k.  Each current is read at its
-    spectral slot of SL2_DELTA_SLOTS, moved by shifts.
+    the terms of G^2 are (k+1) (-X)^k; X has no u^0 term, so the inverse
+    is exactly that sum through the context's order.  Each current is
+    read at its spectral slot of SL2_DELTA_SLOTS, moved by shifts.
     """
     if kind not in SL2_DELTA_SLOTS:
         raise ValueError("unknown current kind %r" % (kind,))
@@ -1029,7 +1031,7 @@ def sl2_closed_delta(frame, kind, shifts=None):
         return frame.current(name, 1).shift(s[slot])
 
     e = at("e", "pow_e")
-    geometric = geometric_unit_sum(-series_outer(e, at("f", "pow_f")))
+    geometric = (1 + series_outer(e, at("f", "pow_f"))).invert()
     if kind == "e":
         return (slot_embed(at("e", "head_e"), 2, 1)
                 + geometric * series_outer(e, at("h", "tail_h")))
@@ -1144,9 +1146,9 @@ def sl3_closed_delta(frame, kind, i=1, head_e_shift=0):
             b.map_coeffs(_bracket_map(frame.root("f", j, j + 1), 1)))
 
     if kind == "e":
-        return (geometric_unit_sum(-pair(e1, f1.shift(1)))
+        return ((1 + pair(e1, f1.shift(1))).invert()
                 * (slot_embed(e1, 2, 1) + pair(e1, frame.g_tilde(i))))
-    geometric = geometric_unit_sum(-pair(e1.shift(1), f1))
+    geometric = (1 + pair(e1.shift(1), f1)).invert()
     if kind == "f":
         return (slot_embed(f1, 2, 0) + pair(frame.g(i), f1)) * geometric
     head = series_outer(f1, e1.shift(head_e_shift)) + pair(frame.g(i),

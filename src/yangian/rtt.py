@@ -34,7 +34,7 @@ from itertools import permutations
 from .algebra import (
     Context, Element, GL, SL, ZERO, ONE, commutator, generator, unit, zero,
 )
-from .series import Series, SeriesMatrix
+from .series import Series, SeriesMatrix, product_sum
 from .report import Report
 
 
@@ -268,19 +268,18 @@ def _minor_sum(ctx, rows, cols):
     return minor_expand_last_column(ctx, rows, cols)
 
 
-def _expand_last_column(entry, minor, rows, cols, total):
-    """Add to total the column-form minor of `entry` expanded along its
-    final column:
+def _expand_last_column(ctx, entry, minor, rows, cols):
+    """The column-form minor of `entry` expanded along its final column,
+    one `product_sum` of
         sum_k (-1)^(k+m) minor(rows without a_k; cols[:-1])(u)
                          * entry(a_k, b_m)(u+m-1),
     where entry(i, j, c) is the entry (i, j) at u + c.
     """
     m = len(rows)
-    for k in range(1, m + 1):
-        sub = minor(rows[:k - 1] + rows[k:], cols[:-1])
-        term = sub * entry(rows[k - 1], cols[-1], m - 1)
-        total = total - term if (k + m) % 2 else total + term
-    return total
+    return product_sum(ctx, 1, (
+        (minor(rows[:k - 1] + rows[k:], cols[:-1]),
+         entry(rows[k - 1], cols[-1], m - 1), -1 if (k + m) % 2 else 1)
+        for k in range(1, m + 1)))
 
 
 def minor_by_permutations(mat, rows, cols):
@@ -334,20 +333,19 @@ def minor_expand_last_column(ctx, rows, cols):
     """Signed expansion along the final column over cached sub-minors:
     the step quantum_minor computes every minor with."""
     return _expand_last_column(
-        lambda i, j, shift: t_entry(ctx, i, j, shift=shift),
+        ctx, lambda i, j, shift: t_entry(ctx, i, j, shift=shift),
         lambda sub_rows, sub_cols: quantum_minor(ctx, sub_rows, sub_cols),
-        tuple(rows), tuple(cols), Series(ctx))
+        tuple(rows), tuple(cols))
 
 
 def minor_expand_last_row(ctx, rows, cols):
-    """Signed expansion along the final row."""
+    """Signed expansion along the final row, one `product_sum`."""
     m = len(rows)
-    total = Series(ctx)
-    for k in range(1, m + 1):
-        factor = t_entry(ctx, rows[-1], cols[k - 1], shift=m - 1)
-        sub = quantum_minor(ctx, rows[:-1], cols[:k - 1] + cols[k:])
-        total = total - factor * sub if (k + m) % 2 else total + factor * sub
-    return total
+    return product_sum(ctx, 1, (
+        (t_entry(ctx, rows[-1], cols[k - 1], shift=m - 1),
+         quantum_minor(ctx, rows[:-1], cols[:k - 1] + cols[k:]),
+         -1 if (k + m) % 2 else 1)
+        for k in range(1, m + 1)))
 
 
 def column_replaced_minors(ctx, rows, cols, j):
@@ -643,7 +641,7 @@ def matrix_minor(mat, rows, cols, memo=None):
         out = memo.get(key)
         if out is None:
             out = memo[key] = _expand_last_column(
-                entry, minor, sub_rows, sub_cols, Series(mat.ctx))
+                mat.ctx, entry, minor, sub_rows, sub_cols)
         return out
 
     return minor(tuple(rows), tuple(cols))

@@ -18,12 +18,18 @@ by construction:
 - `+`, `-` and unary `-` combine coefficients of the same power, and a
   sum or difference never has a larger degree than its terms;
 - a scalar multiple and `negate_variable` scale each coefficient;
-- the Cauchy product puts a_p b_q at u^-(p+q), and a product's degree
-  is at most the sum of its factors' degrees (deg <= p + q);
+- `product_sum` puts every a_p b_q of its signed products at u^-(p+q),
+  and a product's degree is at most the sum of its factors' degrees
+  (deg <= p + q); the Cauchy product, the matrix product and the minor
+  expansions of `rtt` are its sums of one, n and m products;
 - `shift` moves a_j, scaled, to u^-(j+t) with t >= 0, a higher power;
-- `invert` builds u^-k from products a_j b_{k-j}, with b the inverse
-  coefficients already built (deg <= j + (k - j));
+- `_inverse`, the one inverse recursion behind `Series.invert` and
+  `SeriesMatrix.inverse`, builds u^-k from products T^(p) S^(k-p), with
+  S the inverse coefficients already built (deg <= p + (k - p));
 - `series_outer` puts a_p (x) b_q at u^-(p+q), of degree at most p + q.
+
+Both kernels add every product of one coefficient into one raw dict
+with `_mul_into` and reduce that coefficient once (`_from_products`).
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from .algebra import (
 )
 
 __all__ = [
-    "Series", "SeriesMatrix", "series_outer", "slot_embed",
-    "geometric_unit_sum", "scalar_of",
+    "Series", "SeriesMatrix", "product_sum", "series_outer", "slot_embed",
+    "scalar_of",
 ]
 
 
@@ -107,9 +113,6 @@ class Series:
     def is_zero(self):
         return not self.coeffs
 
-    def lowest_order(self):
-        return min(self.coeffs) if self.coeffs else None
-
     def map_coeffs(self, fn, arity=None):
         """Apply fn to every stored coefficient (possibly changing arity)."""
         new = {k: fn(c) for k, c in self.coeffs.items()}
@@ -158,34 +161,15 @@ class Series:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        """Cauchy product, truncated at the context's order.
-
-        Every product a_p b_q with p + q = k adds into one raw dict for
-        u^-k, and that coefficient is reduced once from the whole sum:
-        no intermediate coefficient is built, reduced or copied.
-        """
+        """Cauchy product, truncated at the context's order: the one-term
+        case of `product_sum`."""
         if type(other) in _SCALARS:
             return Series._trusted(
                 self.ctx, {k: v * other for k, v in self.coeffs.items()},
                 self.arity)
         if type(other) is not Series:
             return NotImplemented
-        if self.ctx != other.ctx or self.arity != other.arity:
-            raise ValueError("context mismatch")
-        order = self.order
-        sums = {}
-        for p, a in self.coeffs.items():
-            for q, b in other.coeffs.items():
-                k = p + q
-                if k > order:
-                    continue
-                raw = sums.get(k)
-                if raw is None:
-                    raw = sums[k] = {}
-                a._mul_into(b, raw)
-        out = {k: _from_products(self.ctx, self.arity, raw)
-               for k, raw in sums.items()}
-        return Series._trusted(self.ctx, out, self.arity)
+        return product_sum(self.ctx, self.arity, ((self, other, 1),))
 
     def __rmul__(self, other):
         if type(other) in _SCALARS:
@@ -228,24 +212,74 @@ class Series:
         c0 = scalar_of(self.coefficient(0))
         if not c0:
             raise ValueError("leading coefficient must be a nonzero scalar")
-        inv0 = _exact(Fraction(1, c0))
-        out = {0: _coeff_unit(self.ctx, self.arity) * inv0}
-        for k in range(1, self.order + 1):
-            acc = None
-            for j in range(1, k + 1):
-                a = self.coeffs.get(j)
-                b = out.get(k - j)
-                if a is None or b is None:
-                    continue
-                v = a * b
-                acc = v if acc is None else acc + v
-            if acc is not None and not acc.is_zero():
-                out[k] = acc * (-inv0)
-        return Series._trusted(self.ctx, out, self.arity)
+        return _inverse([[self]], c0)[0][0]
 
     def __repr__(self):
         bits = ["u^-%d: %r" % (k, c) for k, c in sorted(self.coeffs.items())]
         return "Series(order=%d; %s)" % (self.order, "; ".join(bits) or "0")
+
+
+def product_sum(ctx, arity, terms):
+    """sum sign * a * b over the (a, b, sign) terms, as one series.
+
+    Every product a_p b_q of every term, with p + q = k, adds into one
+    raw dict for u^-k, and that coefficient is reduced once from the
+    whole sum: no intermediate product or partial sum is built.  A sign
+    is 1 or -1; an empty sum is the zero series of ctx and arity.
+    """
+    order = ctx.max_degree
+    sums = {}
+    for a, b, sign in terms:
+        if (a.ctx != ctx or b.ctx != ctx
+                or a.arity != arity or b.arity != arity):
+            raise ValueError("context mismatch")
+        for p, x in a.coeffs.items():
+            for q, y in b.coeffs.items():
+                k = p + q
+                if k > order:
+                    continue
+                raw = sums.get(k)
+                if raw is None:
+                    raw = sums[k] = {}
+                x._mul_into(y, raw, sign)
+    return Series._trusted(
+        ctx, {k: _from_products(ctx, arity, raw) for k, raw in sums.items()},
+        arity)
+
+
+def _inverse(rows, c0):
+    """The inverse of a square matrix of series whose u^0 part is c0
+    times the identity, c0 a nonzero scalar.
+
+    Write T = sum_p T^(p) u^-p with T^(0) = c0.  Reading T S = 1 at u^-k
+    gives the coefficients of the inverse S by recursion: S^(0) = 1/c0
+    and S^(k) = -(1/c0) sum_{p=1..k} T^(p) S^(k-p).  Each entry
+    coefficient S^(k)_ij sums T^(p)_il S^(k-p)_lj over p and l into one
+    raw dict, reduced once.  A right inverse of a series whose leading
+    term is invertible is also its left inverse, so S is the unique
+    inverse.  A series is the 1 x 1 case.
+    """
+    n = len(rows)
+    ctx, arity = rows[0][0].ctx, rows[0][0].arity
+    inv0 = _exact(Fraction(1, c0))
+    lead = _coeff_unit(ctx, arity) * inv0
+    t = [[s.coeffs for s in row] for row in rows]
+    inv = [[{0: lead} if i == j else {} for j in range(n)]
+           for i in range(n)]
+    for k in range(1, ctx.max_degree + 1):
+        for i in range(n):
+            for j in range(n):
+                raw = {}
+                for p in range(1, k + 1):
+                    for l in range(n):
+                        a = t[i][l].get(p)
+                        b = inv[l][j].get(k - p)
+                        if a is not None and b is not None:
+                            a._mul_into(b, raw, -1)
+                c = _from_products(ctx, arity, raw)
+                if c.terms:
+                    inv[i][j][k] = c if inv0 == 1 else c * inv0
+    return [[Series._trusted(ctx, c, arity) for c in row] for row in inv]
 
 
 def series_outer(a, b):
@@ -273,29 +307,16 @@ def slot_embed(s, arity, slot):
     return s.map_coeffs(embed, arity=arity)
 
 
-def geometric_unit_sum(t):
-    """sum_{m>=0} t^m for a series with no u^0 term."""
-    if t.lowest_order() == 0:
-        raise ValueError("geometric sum needs a series vanishing at u^0")
-    total = Series.constant(t.ctx, arity=t.arity)
-    power = t
-    while not power.is_zero():
-        total = total + power
-        power = power * t
-    return total
-
-
 class SeriesMatrix:
     """Matrix with series entries sharing one context."""
 
-    __slots__ = ("ctx", "order", "size", "rows")
+    __slots__ = ("ctx", "size", "rows")
 
     def __init__(self, rows):
         self.rows = [list(r) for r in rows]
         self.size = len(self.rows)
         first = self.rows[0][0]
         self.ctx = first.ctx
-        self.order = first.order
         for r in self.rows:
             if len(r) != self.size:
                 raise ValueError("matrix must be square")
@@ -323,55 +344,25 @@ class SeriesMatrix:
                              for r1, r2 in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
-        n = self.size
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in range(1, n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(out)
+        """Entry (i, j) is the sum over l of a_il b_lj: one `product_sum`."""
+        ctx, arity = self.ctx, self.rows[0][0].arity
+        cols = list(zip(*other.rows))
+        return SeriesMatrix([
+            [product_sum(ctx, arity, ((a, b, 1) for a, b in zip(row, col)))
+             for col in cols]
+            for row in self.rows])
 
     def inverse(self):
-        """Inverse of a matrix whose u^0 part is the identity matrix.
-
-        Write T = sum_p T^(p) u^-p with T^(0) = 1.  Reading T S = 1 at
-        u^-k gives the coefficients of the inverse S by recursion:
-        S^(0) = 1 and S^(k) = -sum_{p=1..k} T^(p) S^(k-p).  Each entry
-        coefficient S^(k)_ij sums T^(p)_il S^(k-p)_lj over p and l into
-        one raw dict, reduced once.  A right inverse of a series whose
-        leading term is invertible is also its left inverse, so S is
-        the unique inverse.
-        """
-        n, ctx, order = self.size, self.ctx, self.order
+        """Inverse of a matrix whose u^0 part is the identity matrix: the
+        recursion of `_inverse` with c0 = 1."""
+        n = self.size
         for i in range(n):
             for j in range(n):
                 c0 = scalar_of(self.rows[i][j].coefficient(0))
                 want = ONE if i == j else ZERO
                 if c0 != want:
                     raise ValueError("u^0 part is not the identity")
-        arity = self.rows[0][0].arity
-        t = [[s.coeffs for s in row] for row in self.rows]
-        unit_coeff = _coeff_unit(ctx, arity)
-        inv = [[{0: unit_coeff} if i == j else {} for j in range(n)]
-               for i in range(n)]
-        for k in range(1, order + 1):
-            for i in range(n):
-                for j in range(n):
-                    raw = {}
-                    for p in range(1, k + 1):
-                        for l in range(n):
-                            a = t[i][l].get(p)
-                            b = inv[l][j].get(k - p)
-                            if a is not None and b is not None:
-                                a._mul_into(b, raw, -1)
-                    if raw:
-                        inv[i][j][k] = _from_products(ctx, arity, raw)
-        return SeriesMatrix([[Series._trusted(ctx, c, arity)
-                              for c in row] for row in inv])
+        return SeriesMatrix(_inverse(self.rows, ONE))
 
     def __eq__(self, other):
         return isinstance(other, SeriesMatrix) and self.rows == other.rows

@@ -19,6 +19,7 @@ from yangian.algebra import (
 from yangian.drinfeld import current
 from yangian import hopf
 from yangian.rtt import t_entry, t_matrix
+from yangian.series import Series
 from yangian.suites import default_order, run_suite
 from util import (
     antipode_product_two_pass,
@@ -745,7 +746,7 @@ def test_pairing_series_separate_at_coefficient_four(n):
     frame = hopf.CurrentFrame(ctx)
     diff = frame.g(1) - frame.g_tilde(1)
     assert not diff.is_zero()
-    assert diff.lowest_order() == 4
+    assert min(diff.coeffs) == 4
 
 
 def test_diagonal_antipode_decomposes_through_pairing_series():
@@ -842,8 +843,23 @@ def test_unknown_current_kind_raises():
 
 
 def test_geometric_sum_rejects_units():
+    # Series.invert, which builds every (1 + X)^{-1}, needs a nonzero
+    # scalar u^0 coefficient, for element and tensor series alike.  A
+    # series vanishing at u^0 raises; so does a non-scalar u^0 part,
+    # which only the unchecked constructor can build
     ctx = Context(2, 3, SL)
-    one = hopf.delta_series(current(ctx, "h", 1))
-    with pytest.raises(ValueError):
-        from yangian.series import geometric_unit_sum
-        geometric_unit_sum(one)
+    h = current(ctx, "h", 1)
+    x = generator(ctx, 1, 2, 1)
+    delta_h = hopf.delta_series(h)
+    vanishing = [h - 1, delta_h - 1, Series(ctx), Series(ctx, arity=2)]
+    assert all(0 not in s.coeffs for s in vanishing)
+    non_scalar = [Series._trusted(ctx, {0: x + 1}, 1),
+                  Series._trusted(ctx, {0: Tensor.of_elements(x, unit(ctx))},
+                                  2)]
+    for s in vanishing + non_scalar:
+        with pytest.raises(ValueError,
+                           match="leading coefficient must be a nonzero"):
+            s.invert()
+    # the unit part is what makes the inverse exist
+    assert h.invert() * h == Series.constant(ctx)
+    assert delta_h.invert() * delta_h == Series.constant(ctx, arity=2)

@@ -3,8 +3,11 @@
 Tensor products look slot products up in a graded table and cut partial
 keys early; series products, brackets and the Hopf maps on elements
 accumulate into one terms dict and reduce once; differences subtract in
-one copied dict.  Each test keeps the plain body (one reduced product,
-one negated copy or one copied sum per step) as its reference.
+one copied dict.  Every sum of series products (a product, a matrix
+product, a minor expansion) is one `series.product_sum`, and every
+series or matrix inverse is one recursion.  Each test keeps the plain
+body (one reduced product, one negated copy or one copied sum per step)
+as its reference.
 """
 
 import itertools
@@ -18,10 +21,14 @@ from yangian.algebra import (
     Context, Element, GL, SL, Tensor, commutator, decode_word, encode_word,
     from_words, generator, normal_form_word, unit, word_degree, _sl_word_nf,
 )
-from yangian import hopf
-from yangian.rtt import t_entry
-from yangian.series import series_outer, slot_embed
-from util import random_element
+from yangian import hopf, rtt
+from yangian.rtt import quantum_minor, t_entry, t_matrix
+from yangian.series import (
+    Series, SeriesMatrix, product_sum, scalar_of, series_outer, slot_embed,
+)
+from util import (
+    geometric_inverse, geometric_unit_sum_reference, random_element,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +93,71 @@ def series_product_reference(a, b):
         if acc is not None and not acc.is_zero():
             out[k] = acc
     return out
+
+
+def invert_reference(s):
+    """The element-by-element inverse recursion: each u^-k coefficient a
+    copied sum of reduced products a_j b_{k-j}, then scaled by -1/c0."""
+    inv0 = Fraction(1, scalar_of(s.coefficient(0)))
+    out = {0: Series.constant(s.ctx, value=inv0, arity=s.arity).coeffs[0]}
+    for k in range(1, s.order + 1):
+        acc = None
+        for j in range(1, k + 1):
+            a = s.coeffs.get(j)
+            b = out.get(k - j)
+            if a is None or b is None:
+                continue
+            v = a * b
+            acc = v if acc is None else acc + v
+        if acc is not None and not acc.is_zero():
+            out[k] = acc * (-inv0)
+    return out
+
+
+def matrix_product_reference(x, y):
+    """Entry (i, j) as a chained copied sum of reduced series products."""
+    n = x.size
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = x.rows[i][0] * y.rows[0][j]
+            for k in range(1, n):
+                acc = acc + x.rows[i][k] * y.rows[k][j]
+            row.append(acc)
+        rows.append(row)
+    return SeriesMatrix(rows)
+
+
+def signed_sum_reference(ctx, arity, terms):
+    """total + a * b or total - a * b per term, from the zero series.
+
+    Each a * b is the one-term case of `product_sum`, which the series
+    product tests check against `series_product_reference`."""
+    total = Series(ctx, arity=arity)
+    for a, b, sign in terms:
+        total = total - a * b if sign < 0 else total + a * b
+    return total
+
+
+def expand_last_column_reference(ctx, rows, cols):
+    """The chained last-column expansion over cached sub-minors."""
+    m = len(rows)
+    return signed_sum_reference(ctx, 1, [
+        (quantum_minor(ctx, rows[:k - 1] + rows[k:], cols[:-1]),
+         t_entry(ctx, rows[k - 1], cols[-1], shift=m - 1),
+         -1 if (k + m) % 2 else 1)
+        for k in range(1, m + 1)])
+
+
+def expand_last_row_reference(ctx, rows, cols):
+    """The chained last-row expansion over cached sub-minors."""
+    m = len(rows)
+    return signed_sum_reference(ctx, 1, [
+        (t_entry(ctx, rows[-1], cols[k - 1], shift=m - 1),
+         quantum_minor(ctx, rows[:-1], cols[:k - 1] + cols[k:]),
+         -1 if (k + m) % 2 else 1)
+        for k in range(1, m + 1)])
 
 
 def linear_extension_reference(x, image, total):
@@ -189,6 +261,138 @@ def test_tensor_series_products_match_coefficient_sums(mode):
              slot_embed(s11, 3, 2)]
     for a, b in itertools.product(cubes, repeat=2):
         assert (a * b).coeffs == series_product_reference(a, b)
+
+
+def _no_zero_coefficient(s):
+    return all(c.terms for c in s.coeffs.values())
+
+
+def _series_samples(ctx):
+    """Element and tensor-square series with no u^0 term."""
+    n = ctx.n
+    e12, e21 = t_entry(ctx, 1, 2), t_entry(ctx, 2, 1)
+    enn = t_entry(ctx, n, n)
+    return [e12, e12 * e21, enn - 1, series_outer(e12, e21),
+            hopf.delta_series(enn) - 1,
+            hopf.delta_series(t_entry(ctx, 1, n)) * hopf.delta_series(e21)]
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c0", [1, 2, Fraction(-1, 3)])
+def test_invert_matches_elementwise_recursion(n, mode, c0):
+    ctx = Context(n, 3, mode)
+    for x in _series_samples(ctx):
+        s = x + c0
+        got = s.invert()
+        assert got.coeffs == invert_reference(s)
+        assert _no_zero_coefficient(got)
+        assert got * s == Series.constant(ctx, arity=s.arity)
+        # negative control: the inverse of c0 - x differs from it
+        assert (c0 - x).invert() != got
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_unit_inverse_matches_geometric_sum(n, mode):
+    ctx = Context(n, 3, mode)
+    for x in _series_samples(ctx):
+        assert (1 + x).invert() == geometric_unit_sum_reference(-x)
+        assert (1 - x).invert() == geometric_unit_sum_reference(x)
+        assert (1 + x).invert() != geometric_unit_sum_reference(x)
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_matrix_product_and_inverse_match_chained_bodies(n, mode):
+    ctx = Context(n, 3, mode)
+    t = t_matrix(ctx)
+    inv = t.inverse()
+    delta = SeriesMatrix([[hopf.delta_series(s) for s in row]
+                          for row in t.rows])
+    for x, y in ((t, inv), (inv, t), (t, t), (delta, delta)):
+        got = x * y
+        assert got == matrix_product_reference(x, y)
+        assert all(_no_zero_coefficient(s) for row in got.rows for s in row)
+    assert t * inv == SeriesMatrix.identity(ctx, n)
+    assert inv == geometric_inverse(t)
+    # the tensor-square inverse: the coproduct is an algebra map, so
+    # Delta(T)^{-1} is the entrywise coproduct of T^{-1}
+    one, nil = Series.constant(ctx, arity=2), Series(ctx, arity=2)
+    ident = SeriesMatrix([[one if i == j else nil for j in range(n)]
+                          for i in range(n)])
+    delta_inv = delta.inverse()
+    assert matrix_product_reference(delta, delta_inv) == ident
+    assert delta_inv == SeriesMatrix([[hopf.delta_series(s) for s in row]
+                                      for row in inv.rows])
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_minor_expansions_match_chained_sums(n, mode):
+    ctx = Context(n, 3, mode)
+    idx = range(1, n + 1)
+    for m in range(1, n + 1):
+        for rows in itertools.combinations(idx, m):
+            for cols in itertools.permutations(idx, m):
+                got = rtt.minor_expand_last_column(ctx, rows, cols)
+                assert got == expand_last_column_reference(ctx, rows, cols)
+                assert _no_zero_coefficient(got)
+                got = rtt.minor_expand_last_row(ctx, rows, cols)
+                assert got == expand_last_row_reference(ctx, rows, cols)
+                assert _no_zero_coefficient(got)
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_product_sum_matches_chained_signed_sum(n, mode):
+    ctx = Context(n, 3, mode)
+    for arity in (1, 2):
+        xs = [x for x in _series_samples(ctx) if x.arity == arity]
+        xs.append(xs[0] + 3)
+        terms = [(a, b, 1 if (p + q) % 3 else -1)
+                 for p, a in enumerate(xs) for q, b in enumerate(xs)]
+        got = product_sum(ctx, arity, terms)
+        assert got == signed_sum_reference(ctx, arity, terms)
+        assert _no_zero_coefficient(got)
+        # negative control: flipping one sign changes the sum
+        flipped = [(a, b, -sign) if p == 1 else (a, b, sign)
+                   for p, (a, b, sign) in enumerate(terms)]
+        assert product_sum(ctx, arity, flipped) != got
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_product_sum_that_cancels_stores_no_zero(n, mode):
+    ctx = Context(n, 4, mode)
+    a, b = t_entry(ctx, 1, 1), t_entry(ctx, 2, 2)
+    # T_11(u) T_22(u) - T_22(u) T_11(u) cancels at u^0 .. u^-3, where
+    # the product is nonzero, and survives at u^-4
+    got = product_sum(ctx, 1, [(a, b, 1), (b, a, -1)])
+    assert {0, 3} <= set((a * b).coeffs)
+    assert list(got.coeffs) == [4]
+    assert _no_zero_coefficient(got)
+    assert got == signed_sum_reference(ctx, 1, [(a, b, 1), (b, a, -1)])
+    for arity, x in ((1, a), (2, hopf.delta_series(a))):
+        whole = product_sum(ctx, arity, [(x, x, 1), (x, x, -1)])
+        assert whole.coeffs == {} and whole.arity == arity
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_empty_product_sum_is_the_zero_series(arity):
+    ctx = Context(2, 3, SL)
+    got = product_sum(ctx, arity, ())
+    assert got == Series(ctx, arity=arity)
+    assert got.is_zero() and got.arity == arity and got.ctx is ctx
+
+
+def test_product_sum_rejects_a_foreign_term():
+    ctx = Context(2, 3, GL)
+    a = t_entry(ctx, 1, 2)
+    for other in (t_entry(Context(2, 3, SL), 1, 2),
+                  hopf.delta_series(a)):
+        with pytest.raises(ValueError, match="context mismatch"):
+            product_sum(ctx, 1, [(a, a, 1), (a, other, 1)])
 
 
 # ---------------------------------------------------------------------------

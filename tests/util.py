@@ -9,7 +9,7 @@ from yangian.algebra import (
 )
 from yangian.drinfeld import leading_block
 from yangian.rtt import quantum_minor, t_entry
-from yangian.series import SeriesMatrix, series_outer, slot_embed
+from yangian.series import Series, SeriesMatrix, series_outer, slot_embed
 
 
 def random_word(rng, n, max_len=4, max_mode=2):
@@ -77,6 +77,19 @@ def normal_order_strategy(word, direction="left"):
     return terms
 
 
+def geometric_unit_sum_reference(t):
+    """sum_{m>=0} t^m for a series with no u^0 term, by full series
+    products until a power vanishes: (1 - t)^{-1} without the inverse
+    recursion of Series.invert."""
+    assert 0 not in t.coeffs
+    total = Series.constant(t.ctx, arity=t.arity)
+    power = t
+    while not power.is_zero():
+        total = total + power
+        power = power * t
+    return total
+
+
 def geometric_inverse(mat):
     """sum_{m=0..order} (1 - mat)^m: the inverse of a series matrix whose
     u^0 part is the identity, as a truncated geometric sum of full matrix
@@ -85,7 +98,7 @@ def geometric_inverse(mat):
     a = ident - mat
     total = ident
     power = a
-    for _ in range(mat.order):
+    for _ in range(mat.ctx.max_degree):
         total = total + power
         power = power * a
     return total
@@ -160,8 +173,8 @@ def reflected_inverse(ctx):
 
 
 def sl2_closed_delta_expanded(frame, kind, shifts=None):
-    """Rank-one coproducts in fully expanded form: each power of the
-    geometric sum multiplied out term by term, (-1)^k e^(k+1) (x) f^k h
+    """Rank-one coproducts in fully expanded form: each power (-X)^m of
+    G = (1 + X)^{-1}, X = e (x) f, multiplied out term by term, (-1)^k e^(k+1) (x) f^k h
     for e, (-1)^k h e^k (x) f^(k+1) for f and (k+1) (-1)^k h e^k (x) f^k h
     for h, each current at its hopf.SL2_DELTA_SLOTS spectral slot moved
     by shifts.  An oracle for hopf.sl2_closed_delta, with the same
