@@ -14,14 +14,16 @@ memoised T(u)^{-1} of `rtt`.  A word is the str of `algebra`'s one-code-
 point symbols, so both maps split it by slicing and decode only the one
 symbol they map, and a memo lookup hashes the interned context by
 identity and the word by its cached hash.  The (left, right) keys of
-`_delta_word`'s values go through `algebra.shared`, so each key value is
-one object across every word's coproduct of one scope; `_delta_word`
-belongs to `algebra`'s word layer, which `clear_word_layer` empties
-together with the share table.  `_map_slot` applies a word image inside
-one slot, and takes an element as its one-slot view {(w,): c}, so the
-element and slot maps share that kernel;
-`multiply_slots` maps one slot by the antipode in its one product loop,
-joining head, image and tail words as strs.
+`_delta_word`'s values go through `algebra.shared`, one object per key
+value in a scope of the word layer, which `clear_word_layer` empties
+with the share table.  `_map_slot` applies a word image inside one slot,
+also on an element's one-slot view {(w,): c}; `multiply_slots` maps one
+slot by the antipode in its one product loop, joining words as strs.
+
+Every sum of outer products a (x) b is one `series.outer_sum`: a
+symbol's coproduct sum_a T_ia(u) (x) T_aj(u), a minor's split over
+intermediate index sets, and the heads and geometric powers of the
+closed current coproducts (1 (x) x is a term against the unit series).
 
 The word maps accumulate on integer numerators.  The images of words
 have int coefficients, while the current modes carry the denominators
@@ -68,7 +70,7 @@ from .report import Report
 from .rtt import (
     inverse_matrix, quantum_minor, reflected_minor, t_entry, t_star_matrix,
 )
-from .series import Series, series_outer, slot_embed
+from .series import Series, outer_sum, series_outer
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +90,8 @@ def _delta_word(ctx, word):
         total = _delta_word(ctx, word[:-1]) * _delta_word(ctx, word[-1:])
     else:
         k, i, j = decode_symbol(word)
-        total = Tensor.zero(ctx, 2)
-        for a in range(1, ctx.n + 1):
-            left = t_entry(ctx, i, a)
-            right = t_entry(ctx, a, j)
-            for p in range(k + 1):
-                total = total + Tensor.of_elements(left.coefficient(p),
-                                                   right.coefficient(k - p))
+        total = outer_sum(ctx, [(t_entry(ctx, i, a), t_entry(ctx, a, j), 1)
+                                for a in range(1, ctx.n + 1)]).coefficient(k)
     return Tensor._trusted(ctx, 2, {shared(key): c
                                     for key, c in total.terms.items()})
 
@@ -378,11 +375,9 @@ def minor_coproduct_check(n, order):
         for rows in _index_subsets(n, m):
             for cols in _index_subsets(n, m):
                 lhs = delta_series(quantum_minor(ctx, rows, cols))
-                rhs = None
-                for mid in _index_subsets(n, m):
-                    term = series_outer(quantum_minor(ctx, rows, mid),
-                                        quantum_minor(ctx, mid, cols))
-                    rhs = term if rhs is None else rhs + term
+                rhs = outer_sum(ctx, [(quantum_minor(ctx, rows, mid),
+                                       quantum_minor(ctx, mid, cols), 1)
+                                      for mid in _index_subsets(n, m)])
                 for k in range(order + 1):
                     rep.check("m=%d,%s|%s,k=%d" % (m, rows, cols, k),
                               lhs.coefficient(k), rhs.coefficient(k))
@@ -850,13 +845,13 @@ def formula_delta(frame, kind, i, shifts=None):
 
 
 def _build_delta(frame, kind, i, s):
-    n = frame.ctx.n
-    subsets = _proper_subsets(n, i)
+    ctx = frame.ctx
+    subsets = _proper_subsets(ctx.n, i)
     ei = frame.current("e", i)
     fi = frame.current("f", i)
     e_arg = ei.shift(s["arg_e"])
     f_arg = fi.shift(s["arg_f"])
-    power = None
+    powers = []
 
     def op(sector, a, slot, side="R"):
         return chain(frame, composite_spec(sector, side, i, a), s[slot])
@@ -868,27 +863,25 @@ def _build_delta(frame, kind, i, s):
         pairing = frame.g(i) if kind == "f" else frame.g_tilde(i)
         pair = pairing.shift(s["arg_pair"])
         own = (ei if kind == "e" else fi).shift(s["head_arg"])
-        head = slot_embed(own, 2, 1 if kind == "e" else 0)
+        one = Series.constant(ctx)
+        heads = [(one, own, 1) if kind == "e" else (own, one, 1)]
         for a in subsets:
             eop, fop = op("e", a, "op_e", side), op("f", a, "op_f", side)
             left, right = eop(e_arg), fop(f_arg)
-            term = series_outer(left, right)
-            power = term if power is None else power + term
-            if kind == "e":
-                head = head + series_outer(left, fop(pair))
-            else:
-                head = head + series_outer(eop(pair), right)
-        geometric = (1 + power).invert()
+            powers.append((left, right, 1))
+            heads.append((left, fop(pair), 1) if kind == "e"
+                         else (eop(pair), right, 1))
+        geometric = (1 + outer_sum(ctx, powers)).invert()
+        head = outer_sum(ctx, heads)
         return geometric * head if kind == "e" else head * geometric
 
     pair = frame.g(i).shift(s["arg_pair"])
-    head = series_outer(fi.shift(s["head_f"]), ei.shift(s["head_e"]))
+    heads = [(fi.shift(s["head_f"]), ei.shift(s["head_e"]), 1)]
     for a in subsets:
         eop = op("e", a, "op_e")
-        term = series_outer(eop(e_arg), op("f", a, "op_f_pow")(f_arg))
-        power = term if power is None else power + term
-        head = head + series_outer(eop(pair), op("f", a, "op_f_head")(pair))
-    base = head * (1 + power).invert()
+        powers.append((eop(e_arg), op("f", a, "op_f_pow")(f_arg), 1))
+        heads.append((eop(pair), op("f", a, "op_f_head")(pair), 1))
+    base = outer_sum(ctx, heads) * (1 + outer_sum(ctx, powers)).invert()
     sub = (formula_delta(frame, "f", i)
            * formula_delta(frame, "e", i).shift(s["sub_shift"]))
     return base - sub
@@ -1030,17 +1023,18 @@ def sl2_closed_delta(frame, kind, shifts=None):
     def at(name, slot):
         return frame.current(name, 1).shift(s[slot])
 
+    one = Series.constant(frame.ctx)
     e = at("e", "pow_e")
     geometric = (1 + series_outer(e, at("f", "pow_f"))).invert()
     if kind == "e":
-        return (slot_embed(at("e", "head_e"), 2, 1)
+        return (series_outer(one, at("e", "head_e"))
                 + geometric * series_outer(e, at("h", "tail_h")))
     if kind == "f":
-        return (slot_embed(at("f", "head_f"), 2, 0)
+        return (series_outer(at("f", "head_f"), one)
                 + series_outer(at("h", "head_h"), at("f", "pow_f"))
                 * geometric)
-    return (slot_embed(at("h", "head_h"), 2, 0) * geometric * geometric
-            * slot_embed(at("h", "tail_h"), 2, 1))
+    return (series_outer(at("h", "head_h"), one) * geometric * geometric
+            * series_outer(one, at("h", "tail_h")))
 
 
 def sl2_closed_antipode(frame, kind, subtraction="recentered"):
@@ -1137,22 +1131,25 @@ def sl3_closed_delta(frame, kind, i=1, head_e_shift=0):
     if kind not in ("e", "f", "h"):
         raise ValueError("unknown current kind %r" % (kind,))
     j = 3 - i
+    ctx = frame.ctx
+    one = Series.constant(ctx)
     e1 = frame.current("e", i)
     f1 = frame.current("f", i)
 
-    def pair(a, b):
-        return series_outer(a, b) - series_outer(
-            a.map_coeffs(_bracket_map(frame.root("e", j, j + 1), 1)),
-            b.map_coeffs(_bracket_map(frame.root("f", j, j + 1), 1)))
+    def pair(a, b):  # the outer terms of a (x) b - [e_j, a] (x) [f_j, b]
+        return [(a, b, 1),
+                (a.map_coeffs(_bracket_map(frame.root("e", j, j + 1), 1)),
+                 b.map_coeffs(_bracket_map(frame.root("f", j, j + 1), 1)), -1)]
 
     if kind == "e":
-        return ((1 + pair(e1, f1.shift(1))).invert()
-                * (slot_embed(e1, 2, 1) + pair(e1, frame.g_tilde(i))))
-    geometric = (1 + pair(e1.shift(1), f1)).invert()
+        head = outer_sum(ctx, [(one, e1, 1)] + pair(e1, frame.g_tilde(i)))
+        return (1 + outer_sum(ctx, pair(e1, f1.shift(1)))).invert() * head
+    geometric = (1 + outer_sum(ctx, pair(e1.shift(1), f1))).invert()
     if kind == "f":
-        return (slot_embed(f1, 2, 0) + pair(frame.g(i), f1)) * geometric
-    head = series_outer(f1, e1.shift(head_e_shift)) + pair(frame.g(i),
-                                                            frame.g(i))
+        head = outer_sum(ctx, [(f1, one, 1)] + pair(frame.g(i), f1))
+        return head * geometric
+    head = outer_sum(ctx, [(f1, e1.shift(head_e_shift), 1)]
+                     + pair(frame.g(i), frame.g(i)))
     sub = (sl3_closed_delta(frame, "f", i)
            * sl3_closed_delta(frame, "e", i).shift(1))
     return head * geometric - sub

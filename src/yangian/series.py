@@ -22,14 +22,15 @@ by construction:
   and a product's degree is at most the sum of its factors' degrees
   (deg <= p + q); the Cauchy product, the matrix product and the minor
   expansions of `rtt` are its sums of one, n and m products;
+- `outer_sum` puts every a_p (x) b_q at u^-(p+q) likewise, and needs no
+  cut: a key (w1, w2) has degree at most p + q <= d;
 - `shift` moves a_j, scaled, to u^-(j+t) with t >= 0, a higher power;
 - `_inverse`, the one inverse recursion behind `Series.invert` and
   `SeriesMatrix.inverse`, builds u^-k from products T^(p) S^(k-p), with
-  S the inverse coefficients already built (deg <= p + (k - p));
-- `series_outer` puts a_p (x) b_q at u^-(p+q), of degree at most p + q.
+  S the inverse coefficients already built (deg <= p + (k - p)).
 
-Both kernels add every product of one coefficient into one raw dict
-with `_mul_into` and reduce that coefficient once (`_from_products`).
+The two sums share one loop, `_pair_sums`, that adds every pair of one
+power into one raw dict; `_inverse` adds its products the same way.
 """
 
 from __future__ import annotations
@@ -38,17 +39,13 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import (
-    Tensor, ZERO, ONE, _SCALARS, _exact, _from_products, unit, zero,
+    Element, Tensor, ZERO, ONE, _SCALARS, _exact, _from_products, unit,
 )
 
 __all__ = [
-    "Series", "SeriesMatrix", "product_sum", "series_outer", "slot_embed",
+    "Series", "SeriesMatrix", "outer_sum", "product_sum", "series_outer",
     "scalar_of",
 ]
-
-
-def _coeff_zero(ctx, arity):
-    return zero(ctx) if arity == 1 else Tensor.zero(ctx, arity)
 
 
 def _coeff_unit(ctx, arity):
@@ -108,7 +105,7 @@ class Series:
 
     def coefficient(self, k):
         c = self.coeffs.get(k)
-        return _coeff_zero(self.ctx, self.arity) if c is None else c
+        return _from_products(self.ctx, self.arity, {}) if c is None else c
 
     def is_zero(self):
         return not self.coeffs
@@ -219,14 +216,9 @@ class Series:
         return "Series(order=%d; %s)" % (self.order, "; ".join(bits) or "0")
 
 
-def product_sum(ctx, arity, terms):
-    """sum sign * a * b over the (a, b, sign) terms, as one series.
-
-    Every product a_p b_q of every term, with p + q = k, adds into one
-    raw dict for u^-k, and that coefficient is reduced once from the
-    whole sum: no intermediate product or partial sum is built.  A sign
-    is 1 or -1; an empty sum is the zero series of ctx and arity.
-    """
+def _pair_sums(ctx, arity, terms, step):
+    """{k: raw}: step(a_p, b_q, raw, sign) run on every pair p + q = k <= d
+    of every (a, b, sign) term, a and b series of ctx and arity."""
     order = ctx.max_degree
     sums = {}
     for a, b, sign in terms:
@@ -235,16 +227,52 @@ def product_sum(ctx, arity, terms):
             raise ValueError("context mismatch")
         for p, x in a.coeffs.items():
             for q, y in b.coeffs.items():
-                k = p + q
-                if k > order:
-                    continue
-                raw = sums.get(k)
-                if raw is None:
-                    raw = sums[k] = {}
-                x._mul_into(y, raw, sign)
+                if p + q <= order:
+                    step(x, y, sums.setdefault(p + q, {}), sign)
+    return sums
+
+
+def product_sum(ctx, arity, terms):
+    """sum sign * a * b over the (a, b, sign) terms, as one series.
+
+    Every product a_p b_q with p + q = k adds into one raw dict for u^-k,
+    reduced once: no intermediate product or partial sum is built.  A
+    sign is 1 or -1; an empty sum is the zero series of ctx and arity.
+    """
+    step = Element._mul_into if arity == 1 else Tensor._mul_into
+    sums = _pair_sums(ctx, arity, terms, step)
     return Series._trusted(
         ctx, {k: _from_products(ctx, arity, raw) for k, raw in sums.items()},
         arity)
+
+
+def _outer_into(x, y, raw, sign):
+    """Add sign * x (x) y into raw; a key whose sum is zero is dropped."""
+    for w1, c1 in x.terms.items():
+        if sign < 0:
+            c1 = -c1
+        for w2, c2 in y.terms.items():
+            key = w1, w2
+            v = raw.get(key, ZERO) + c1 * c2
+            if v:
+                raw[key] = v
+            elif key in raw:
+                del raw[key]
+
+
+def outer_sum(ctx, terms):
+    """sum sign * a (x) b over (a, b, sign) terms of element series, as
+    one tensor-square series: `product_sum` with each a_p (x) b_q added
+    key by key, no zero stored and nothing cut.  1 (x) x is the term
+    (Series.constant(ctx), x, 1)."""
+    sums = _pair_sums(ctx, 1, terms, _outer_into)
+    return Series._trusted(
+        ctx, {k: Tensor._trusted(ctx, 2, raw) for k, raw in sums.items()}, 2)
+
+
+def series_outer(a, b):
+    """sum_{p+q=k} a_p (x) b_q at u^-k: the one-term `outer_sum`."""
+    return outer_sum(a.ctx, ((a, b, 1),))
 
 
 def _inverse(rows, c0):
@@ -280,31 +308,6 @@ def _inverse(rows, c0):
                 if c.terms:
                     inv[i][j][k] = c if inv0 == 1 else c * inv0
     return [[Series._trusted(ctx, c, arity) for c in row] for row in inv]
-
-
-def series_outer(a, b):
-    """Tensor-square series with coefficients sum_{p+q=k} a_p (x) b_q."""
-    if a.ctx != b.ctx or a.arity != 1 or b.arity != 1:
-        raise ValueError("element series expected")
-    order = a.order
-    out = {}
-    for p, x in a.coeffs.items():
-        for q, y in b.coeffs.items():
-            k = p + q
-            if k > order:
-                continue
-            v = Tensor.of_elements(x, y)
-            out[k] = out[k] + v if k in out else v
-    return Series._trusted(a.ctx, out, 2)
-
-
-def slot_embed(s, arity, slot):
-    """Element series into slot `slot` of an arity-fold tensor series."""
-    def embed(el):
-        parts = [unit(s.ctx)] * arity
-        parts[slot] = el
-        return Tensor.of_elements(*parts)
-    return s.map_coeffs(embed, arity=arity)
 
 
 class SeriesMatrix:

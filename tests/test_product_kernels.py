@@ -4,30 +4,34 @@ Tensor products look slot products up in a graded table and cut partial
 keys early; series products, brackets and the Hopf maps on elements
 accumulate into one terms dict and reduce once; differences subtract in
 one copied dict.  Every sum of series products (a product, a matrix
-product, a minor expansion) is one `series.product_sum`, and every
-series or matrix inverse is one recursion.  Each test keeps the plain
-body (one reduced product, one negated copy or one copied sum per step)
-as its reference.
+product, a minor expansion) is one `series.product_sum`, every sum of
+outer products (a symbol's or a minor's coproduct split) is one
+`series.outer_sum`, and every series or matrix inverse is one recursion.
+Each test keeps the plain body (one reduced product, one negated copy
+or one copied sum per step) as its reference.
 """
 
 import itertools
 import operator
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from yangian.algebra import (
     Context, Element, GL, SL, Tensor, commutator, decode_word, encode_word,
-    from_words, generator, normal_form_word, unit, word_degree, _sl_word_nf,
+    from_words, generator, normal_form_word, symbol, unit, word_degree,
+    _sl_word_nf,
 )
 from yangian import hopf, rtt
 from yangian.rtt import quantum_minor, t_entry, t_matrix
 from yangian.series import (
-    Series, SeriesMatrix, product_sum, scalar_of, series_outer, slot_embed,
+    Series, SeriesMatrix, outer_sum, product_sum, scalar_of, series_outer,
 )
 from util import (
-    geometric_inverse, geometric_unit_sum_reference, random_element,
+    delta_symbol_reference, geometric_inverse, geometric_unit_sum_reference,
+    random_element, series_outer_reference,
 )
 
 
@@ -160,6 +164,38 @@ def expand_last_row_reference(ctx, rows, cols):
         for k in range(1, m + 1)])
 
 
+def outer_sum_reference(ctx, terms):
+    """total + a (x) b or total - a (x) b per term, from the zero series,
+    each a (x) b the element-by-element body of the old `series_outer`."""
+    total = Series(ctx, arity=2)
+    for a, b, sign in terms:
+        v = series_outer_reference(a, b)
+        total = total - v if sign < 0 else total + v
+    return total
+
+
+def minor_split_reference(ctx, rows, cols):
+    """sum over mid of t(rows; mid) (x) t(mid; cols), one copied sum per
+    intermediate index set: the chained right side that
+    `hopf.minor_coproduct_check` built before `outer_sum`."""
+    rhs = None
+    for mid in itertools.combinations(range(1, ctx.n + 1), len(rows)):
+        term = series_outer_reference(quantum_minor(ctx, rows, mid),
+                                      quantum_minor(ctx, mid, cols))
+        rhs = term if rhs is None else rhs + term
+    return rhs
+
+
+def slot_cube(s, slot):
+    """The element series s in slot `slot` of a tensor-cube series, with
+    the unit in the other two slots."""
+    def embed(el):
+        parts = [unit(s.ctx)] * 3
+        parts[slot] = el
+        return Tensor.of_elements(*parts)
+    return s.map_coeffs(embed, arity=3)
+
+
 def linear_extension_reference(x, image, total):
     """total + image(w) * c for every term, one copied sum per step."""
     for w, c in x.terms.items():
@@ -257,8 +293,7 @@ def test_tensor_series_products_match_coefficient_sums(mode):
                series_outer(s21, s11)]
     for a, b in itertools.product(squares, repeat=2):
         assert (a * b).coeffs == series_product_reference(a, b)
-    cubes = [slot_embed(s12, 3, 0), slot_embed(s21, 3, 1),
-             slot_embed(s11, 3, 2)]
+    cubes = [slot_cube(s12, 0), slot_cube(s21, 1), slot_cube(s11, 2)]
     for a, b in itertools.product(cubes, repeat=2):
         assert (a * b).coeffs == series_product_reference(a, b)
 
@@ -396,6 +431,86 @@ def test_product_sum_rejects_a_foreign_term():
 
 
 # ---------------------------------------------------------------------------
+# outer-product sums
+
+
+def _no_zero_stored_in(s):
+    """No zero coefficient and no zero term in any coefficient."""
+    return all(c.terms and 0 not in c.terms.values()
+               for c in s.coeffs.values())
+
+
+def _element_samples(ctx):
+    """Element series with and without a u^0 term, the unit among them."""
+    n = ctx.n
+    x = [s for s in _series_samples(ctx) if s.arity == 1]
+    return x + [t_entry(ctx, n, n), t_entry(ctx, 1, 2).shift(1) + 3,
+                Series.constant(ctx)]
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_outer_sum_matches_chained_series_outer(n, mode):
+    ctx = Context(n, 3, mode)
+    xs = _element_samples(ctx)
+    for a, b in itertools.product(xs, repeat=2):
+        got = series_outer(a, b)
+        assert got == series_outer_reference(a, b)
+        assert _no_zero_stored_in(got)
+    terms = [(a, b, 1 if (p + 2 * q) % 3 else -1)
+             for p, a in enumerate(xs) for q, b in enumerate(xs)]
+    assert {sign for _, _, sign in terms} == {1, -1}
+    got = outer_sum(ctx, terms)
+    assert got == outer_sum_reference(ctx, terms)
+    assert got.arity == 2 and got.ctx is ctx
+    assert _no_zero_stored_in(got)
+    # negative control: flipping one sign changes the sum
+    flipped = [(a, b, -sign) if p == 1 else (a, b, sign)
+               for p, (a, b, sign) in enumerate(terms)]
+    assert outer_sum(ctx, flipped) != got
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_outer_sum_that_cancels_stores_no_zero(n, mode):
+    ctx = Context(n, 4, mode)
+    one = Series.constant(ctx)
+    a, b = t_entry(ctx, 1, 2), t_entry(ctx, 2, 2)
+    # a without its u^-4 term: a (x) b - a3 (x) b cancels at u^-1 ..
+    # u^-3, where a (x) b is nonzero, and survives at u^-4
+    a3 = Series(ctx, {k: c for k, c in a.coeffs.items() if k < 4})
+    terms = [(one, one, 1), (a, b, 1), (a3, b, -1)]
+    got = outer_sum(ctx, terms)
+    assert {1, 2, 3} <= set(series_outer(a, b).coeffs)
+    assert list(got.coeffs) == [0, 4]
+    assert got.coefficient(4) == Tensor.of_elements(a.coefficient(4),
+                                                    unit(ctx))
+    assert _no_zero_stored_in(got)
+    assert got == outer_sum_reference(ctx, terms)
+    whole = outer_sum(ctx, [(a, b, 1), (a, b, -1)])
+    assert whole.coeffs == {} and whole.arity == 2
+
+
+def test_empty_outer_sum_is_the_zero_tensor_square_series():
+    ctx = Context(2, 3, SL)
+    got = outer_sum(ctx, ())
+    assert got == Series(ctx, arity=2)
+    assert got.is_zero() and got.arity == 2 and got.ctx is ctx
+
+
+def test_outer_sum_rejects_a_foreign_operand():
+    ctx = Context(2, 3, GL)
+    a = t_entry(ctx, 1, 2)
+    for other in (t_entry(Context(2, 3, SL), 1, 2),
+                  hopf.delta_series(a)):
+        for term in ((a, other, 1), (other, a, -1)):
+            with pytest.raises(ValueError, match="context mismatch"):
+                outer_sum(ctx, [(a, a, 1), term])
+        with pytest.raises(ValueError, match="context mismatch"):
+            series_outer(other, a)
+
+
+# ---------------------------------------------------------------------------
 # Hopf maps on elements
 
 
@@ -412,6 +527,82 @@ def test_delta_and_antipode_match_copied_sums(n, mode):
         want = linear_extension_reference(x, hopf._antipode_word,
                                           Element(ctx))
         assert hopf.antipode_element(x) == want
+
+
+@pytest.mark.parametrize("mode", [GL, SL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_delta_word_symbols_match_per_term_sums(n, mode):
+    ctx = Context(n, 3, mode)
+    idx = range(1, n + 1)
+    for k, i, j in itertools.product(range(1, 4), idx, idx):
+        sym = symbol(k, i, j)
+        got = hopf._delta_word(ctx, sym)
+        assert got.terms == delta_symbol_reference(ctx, sym).terms
+        assert 0 not in got.terms.values()
+        # negative control: the transposed symbol splits differently
+        if i != j:
+            assert got != delta_symbol_reference(ctx, symbol(k, j, i))
+
+
+def _minor_coproduct_splits(monkeypatch, n, order, wrong=False):
+    """Run hopf.minor_coproduct_check with its outer sums recorded.
+
+    Returns the report and (rows, cols, rhs) per split.  With wrong, the
+    right factor t(mid; cols) of every term is t(cols; mid) instead.  A
+    first, plain run builds every word coproduct, so that only the
+    check's own splits reach the recording `outer_sum`.
+    """
+    ctx = Context(n, order, GL)
+    assert hopf.minor_coproduct_check(n, order).passed
+    idx = range(1, n + 1)
+    where = {}
+    for m in idx:
+        sets = list(itertools.combinations(idx, m))
+        for rows, cols in itertools.product(sets, repeat=2):
+            where[id(quantum_minor(ctx, rows, cols))] = rows, cols
+    real = hopf.outer_sum
+    splits = []
+
+    def recorded(ctx_, terms):
+        terms = list(terms)
+        rows = where[id(terms[0][0])][0]
+        cols = where[id(terms[0][1])][1]
+        if wrong:
+            terms = [(a, quantum_minor(ctx, cols, where[id(b)][0]), sign)
+                     for a, b, sign in terms]
+        got = real(ctx_, terms)
+        splits.append((rows, cols, got))
+        return got
+
+    monkeypatch.setattr(hopf, "outer_sum", recorded)
+    rep = hopf.minor_coproduct_check(n, order)
+    assert len(splits) == sum(comb(n, m) ** 2 for m in idx)
+    return rep, splits
+
+
+@pytest.mark.parametrize("n, order", [(3, 3), (4, 2)])
+def test_minor_coproduct_splits_match_per_mid_chained_sums(
+        monkeypatch, n, order):
+    rep, splits = _minor_coproduct_splits(monkeypatch, n, order)
+    assert rep.passed, rep.as_dict()
+    ctx = Context(n, order, GL)
+    for rows, cols, got in splits:
+        assert got == minor_split_reference(ctx, rows, cols)
+        assert _no_zero_stored_in(got)
+
+
+@pytest.mark.parametrize("n, order", [(3, 3), (4, 2)])
+def test_minor_coproduct_check_fails_on_a_wrong_minor(monkeypatch, n, order):
+    rep, splits = _minor_coproduct_splits(monkeypatch, n, order, wrong=True)
+    assert rep.status == "fail"
+    assert "FAIL" in rep.summary_line()
+    # the full minor has one intermediate set, mid = cols, which the swap
+    # leaves as it is; every smaller size has a failing split
+    failed = {label.split(",")[0] for label, _ in rep.residuals}
+    assert failed == {"m=%d" % m for m in range(1, n)}
+    ctx = Context(n, order, GL)
+    assert any(got != minor_split_reference(ctx, rows, cols)
+               for rows, cols, got in splits)
 
 
 def test_delta_element_drops_cancelled_keys():

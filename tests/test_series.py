@@ -9,9 +9,7 @@ import pytest
 from yangian.algebra import (
     Context, Element, GL, SL, generator, unit, word_degree, zero,
 )
-from yangian.series import (
-    Series, SeriesMatrix, series_outer, slot_embed,
-)
+from yangian.series import Series, SeriesMatrix, series_outer
 from yangian.rtt import t_matrix, t_star_matrix
 from util import (
     geometric_inverse, geometric_unit_sum_reference, random_element,
@@ -208,12 +206,13 @@ def test_series_outer_and_slot_embedding():
     ctx = Context(2, 4)
     a = gen_series(ctx, 1, 2, 4)
     b = gen_series(ctx, 2, 1, 4)
+    one = Series.constant(ctx)
     outer = series_outer(a, b)
     assert outer.arity == 2
-    # matches the product of the two slot embeddings
-    assert slot_embed(a, 2, 0) * slot_embed(b, 2, 1) == outer
+    # matches the product of the two slot embeddings a (x) 1 and 1 (x) b
+    assert series_outer(a, one) * series_outer(one, b) == outer
     # and embeddings into different slots commute
-    assert slot_embed(b, 2, 1) * slot_embed(a, 2, 0) == outer
+    assert series_outer(one, b) * series_outer(a, one) == outer
 
 
 def test_matrix_inverse_round_trip():

@@ -5,11 +5,12 @@ from unittest import mock
 
 from yangian import hopf
 from yangian.algebra import (
-    SL, Context, Element, Tensor, commutator_words, decode_word, from_words,
+    SL, Context, Element, Tensor, commutator_words, decode_symbol,
+    decode_word, from_words,
 )
 from yangian.drinfeld import leading_block
 from yangian.rtt import quantum_minor, t_entry
-from yangian.series import Series, SeriesMatrix, series_outer, slot_embed
+from yangian.series import Series, SeriesMatrix, series_outer
 
 
 def random_word(rng, n, max_len=4, max_mode=2):
@@ -87,6 +88,40 @@ def geometric_unit_sum_reference(t):
     while not power.is_zero():
         total = total + power
         power = power * t
+    return total
+
+
+def series_outer_reference(a, b):
+    """Tensor-square series with coefficients sum_{p+q=k} a_p (x) b_q,
+    each a_p (x) b_q one `Tensor.of_elements` added into a copied sum.
+    An oracle for series.outer_sum, whose one-term case series_outer
+    is."""
+    if a.ctx != b.ctx or a.arity != 1 or b.arity != 1:
+        raise ValueError("element series expected")
+    order = a.order
+    out = {}
+    for p, x in a.coeffs.items():
+        for q, y in b.coeffs.items():
+            k = p + q
+            if k > order:
+                continue
+            v = Tensor.of_elements(x, y)
+            out[k] = out[k] + v if k in out else v
+    return Series._trusted(a.ctx, out, 2)
+
+
+def delta_symbol_reference(ctx, symbol):
+    """Delta T_ij^(k): the u^-k coefficient of sum_a T_ia(u) (x) T_aj(u),
+    one `Tensor.of_elements` per (a, p) added into a copied sum.  An
+    oracle for the base case of hopf._delta_word."""
+    k, i, j = decode_symbol(symbol)
+    total = Tensor.zero(ctx, 2)
+    for a in range(1, ctx.n + 1):
+        left = t_entry(ctx, i, a)
+        right = t_entry(ctx, a, j)
+        for p in range(k + 1):
+            total = total + Tensor.of_elements(left.coefficient(p),
+                                               right.coefficient(k - p))
     return total
 
 
@@ -185,8 +220,9 @@ def sl2_closed_delta_expanded(frame, kind, shifts=None):
     f1 = frame.current("f", 1)
     h1 = frame.current("h", 1)
     order = e1.order
+    one = Series.constant(frame.ctx)
     if kind == "e":
-        total = slot_embed(e1.shift(s["head_e"]), 2, 1)
+        total = series_outer(one, e1.shift(s["head_e"]))
         left = e1.shift(s["pow_e"])
         right_step = f1.shift(s["pow_f"])
         lpow = left
@@ -201,7 +237,7 @@ def sl2_closed_delta_expanded(frame, kind, shifts=None):
                 break
         return total
     if kind == "f":
-        total = slot_embed(f1.shift(s["head_f"]), 2, 0)
+        total = series_outer(f1.shift(s["head_f"]), one)
         right = f1.shift(s["pow_f"])
         left_step = e1.shift(s["pow_e"])
         rpow = right
