@@ -36,9 +36,11 @@ steps).  A step (kind, low, high, offset) is a root action "e" (raising)
 or "f" (lowering) on the root (low, high), or a diagonal step "d", at the
 chain's base shift plus offset; steps act right to left, as the printed
 product reads.  `composite_spec` and `hat_spec` write the printed chains,
-and `chain` alone turns a spec into an operator.  A root step on (low,
-high) carries the spectral correction of the current at alpha exactly in
-the printed window low <= alpha < high.
+and `chain` applies a spec to a series.  The checks and formulas reach it
+only through `CurrentFrame.apply_chain`, on a named argument (a current
+or a pairing series at a shift), so each application is built once per
+frame.  A root step on (low, high) carries the spectral correction of
+the current at alpha exactly in the printed window low <= alpha < high.
 """
 
 from fractions import Fraction
@@ -504,9 +506,6 @@ class CurrentFrame:
             self.current("h", i)
             + self.current("f", i).shift(1) * self.current("e", i)))
 
-    def constant_one(self, model):
-        return Series.constant(self.ctx, arity=model.arity)
-
     def apply_chain(self, spec, shift, arg):
         """A chain spec at a shift applied to arg = (name, index, shift):
         the current "e", "f" or "h", or the pairing series "g" or "gt"."""
@@ -514,7 +513,7 @@ class CurrentFrame:
             name, i, at = arg
             series = (self.g(i) if name == "g" else self.g_tilde(i)
                       if name == "gt" else self.current(name, i))
-            return chain(self, spec, shift)(series.shift(at))
+            return chain(self, spec, shift, series.shift(at))
         return self.memo(("chain", spec, shift, arg), build)
 
 
@@ -523,11 +522,12 @@ def _gate_fires(alpha, i, j):
     return i <= alpha < j
 
 
-def _bracket_map(root, sign):
+def _bracket_series(root, sign, x):
+    """The series x with each coefficient c replaced by sign [root, c]."""
     def act(el):
         b = commutator(root, el)
         return b if sign > 0 else -b
-    return act
+    return x.map_coeffs(act)
 
 
 def _root_correction(frame, kind, alpha, low, high, shift):
@@ -535,16 +535,15 @@ def _root_correction(frame, kind, alpha, low, high, shift):
     sign = 1 if kind == "e" else -1
     corr = frame.current(kind, alpha).shift(shift)
     if alpha + 1 != high:
-        corr = corr.map_coeffs(
-            _bracket_map(frame.root(kind, alpha + 1, high), sign))
+        corr = _bracket_series(frame.root(kind, alpha + 1, high), sign, corr)
     if low != alpha:
-        corr = corr.map_coeffs(
-            _bracket_map(frame.root(kind, low, alpha), -sign))
+        corr = _bracket_series(frame.root(kind, low, alpha), -sign, corr)
     return corr
 
 
-def elementary_root(frame, kind, side, alpha, low, high, shift):
-    """Adjoint action of the root vector (low, high), with spectral correction.
+def elementary_root(frame, kind, side, alpha, low, high, shift, x):
+    """Adjoint action of the root vector (low, high), with spectral
+    correction, on the series x.
 
     kind "e" raises and kind "f" lowers: the lowering action is the
     raising one with every bracket sign reversed.  side "L" multiplies
@@ -555,33 +554,26 @@ def elementary_root(frame, kind, side, alpha, low, high, shift):
     """
     if low > high:
         raise ValueError("root operator needs low <= high")
-    sign = 1 if kind == "e" else -1
-    root = None if low == high else frame.root(kind, low, high)
-    corr = None
+    out = x if low == high else _bracket_series(
+        frame.root(kind, low, high), 1 if kind == "e" else -1, x)
     if _gate_fires(alpha, low, high):
         corr = frame.memo(("corr", kind, alpha, low, high, shift),
                           lambda: _root_correction(frame, kind, alpha, low,
                                                    high, shift))
-
-    def act(x):
-        out = x if root is None else x.map_coeffs(_bracket_map(root, sign))
-        if corr is not None:
-            out = out + (corr * x if side == "L" else x * corr)
-        return out
-
-    return act
+        out = out + (corr * x if side == "L" else x * corr)
+    return out
 
 
-def elementary_diagonal(frame, side, alpha, i, j, shift):
-    """Unit plus raising-after-lowering step used by diagonal composites."""
+def elementary_diagonal(frame, side, alpha, i, j, shift, x):
+    """Unit plus raising-after-lowering step of the diagonal composites,
+    on the series x; a step with i > j gives the constant series 1."""
     if i > j:
-        return frame.constant_one
+        return Series.constant(frame.ctx, arity=x.arity)
     if i == j:
-        return lambda x: x
+        return x
     up, down = (shift, shift + 1) if side == "L" else (shift + 1, shift)
-    e_op = elementary_root(frame, "e", side, alpha, i, j, up)
-    f_op = elementary_root(frame, "f", side, alpha, i, j, down)
-    return lambda x: x + e_op(f_op(x))
+    lowered = elementary_root(frame, "f", side, alpha, i, j, down, x)
+    return x + elementary_root(frame, "e", side, alpha, i, j, up, lowered)
 
 
 def composite_spec(kind, side, alpha, ks):
@@ -626,23 +618,18 @@ def uniform_shifts(spec):
         for kind, low, high, offset in steps)
 
 
-def chain(frame, spec, shift):
-    """The operator of a chain spec at a base spectral shift; an empty
-    chain maps every argument to the constant series 1."""
+def chain(frame, spec, shift, x):
+    """A chain spec at a base spectral shift applied to the series x; an
+    empty chain gives the constant series 1."""
     side, alpha, steps = spec
     if not steps:
-        return frame.constant_one
-    ops = [elementary_diagonal(frame, side, alpha, low, high, shift + offset)
-           if kind == "d"
-           else elementary_root(frame, kind, side, alpha, low, high,
-                                shift + offset)
-           for kind, low, high, offset in reversed(steps)]
-
-    def act(x):
-        for op in ops:
-            x = op(x)
-        return x
-    return act
+        return Series.constant(frame.ctx, arity=x.arity)
+    for kind, low, high, offset in reversed(steps):
+        x = (elementary_diagonal(frame, side, alpha, low, high,
+                                 shift + offset, x) if kind == "d"
+             else elementary_root(frame, kind, side, alpha, low, high,
+                                  shift + offset, x))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -690,16 +677,16 @@ def ratio_identities_check(n, order):
             shift = low if (side == "L") == (kind == "e") else high
             if sector.startswith("pair-"):
                 top = tuple(range(1, i)) + (i + 1,)
-                pairing = frame.g_tilde(i) if side == "L" else frame.g(i)
-                arg = pairing.shift(low)
+                arg = ("gt" if side == "L" else "g", i, low)
             else:
                 top = tuple(range(1, i + 1))
-                arg = frame.current(kind, i).shift(shift)
+                arg = (kind, i, shift)
             for a in _proper_subsets(n, i):
                 minor = (quantum_minor(ctx, top, a) if kind == "e"
                          else quantum_minor(ctx, a, top))
                 lhs = inv * minor if side == "L" else minor * inv
-                rhs = chain(frame, composite_spec(kind, side, i, a), shift)(arg)
+                rhs = frame.apply_chain(composite_spec(kind, side, i, a),
+                                        shift, arg)
                 _series_match(rep, "i=%d,a=%s" % (i, a), lhs, rhs)
         reports.append(rep)
     return reports
@@ -717,12 +704,12 @@ def diagonal_ratio_check(n, order):
         for j in range(1, i + 2):
             ks = (j,) + tuple(range(i + 2, n + 1))
             block = quantum_minor(ctx, ks, ks)
-            op_r = chain(frame, composite_spec("h", "R", m, ks), c)
-            _series_match(rep, "right,i=%d,j=%d" % (i, j),
-                          block * inv, op_r(frame.g(m).shift(c)))
-            op_l = chain(frame, composite_spec("h", "L", m, ks), c)
-            _series_match(rep, "left,i=%d,j=%d" % (i, j),
-                          inv * block, op_l(frame.g_tilde(m).shift(c)))
+            right = frame.apply_chain(composite_spec("h", "R", m, ks), c,
+                                      ("g", m, c))
+            _series_match(rep, "right,i=%d,j=%d" % (i, j), block * inv, right)
+            left = frame.apply_chain(composite_spec("h", "L", m, ks), c,
+                                     ("gt", m, c))
+            _series_match(rep, "left,i=%d,j=%d" % (i, j), inv * block, left)
     return rep
 
 
@@ -846,41 +833,42 @@ def formula_delta(frame, kind, i, shifts=None):
 
 def _build_delta(frame, kind, i, s):
     ctx = frame.ctx
-    subsets = _proper_subsets(ctx.n, i)
-    ei = frame.current("e", i)
-    fi = frame.current("f", i)
-    e_arg = ei.shift(s["arg_e"])
-    f_arg = fi.shift(s["arg_f"])
+    e_arg, f_arg = ("e", i, s["arg_e"]), ("f", i, s["arg_f"])
     powers = []
 
-    def op(sector, a, slot, side="R"):
-        return chain(frame, composite_spec(sector, side, i, a), s[slot])
+    def apply(sector, a, slot, arg, side="R"):
+        return frame.apply_chain(composite_spec(sector, side, i, a), s[slot],
+                                 arg)
 
     if kind in ("e", "f"):
         # mirror pair: "e" acts from the left and puts the current in the
         # right slot, "f" acts from the right and fills the left slot
         side = "L" if kind == "e" else "R"
-        pairing = frame.g(i) if kind == "f" else frame.g_tilde(i)
-        pair = pairing.shift(s["arg_pair"])
-        own = (ei if kind == "e" else fi).shift(s["head_arg"])
+        pair = ("g" if kind == "f" else "gt", i, s["arg_pair"])
+        own = frame.current(kind, i).shift(s["head_arg"])
         one = Series.constant(ctx)
         heads = [(one, own, 1) if kind == "e" else (own, one, 1)]
-        for a in subsets:
-            eop, fop = op("e", a, "op_e", side), op("f", a, "op_f", side)
-            left, right = eop(e_arg), fop(f_arg)
+        for a in _proper_subsets(ctx.n, i):
+            left = apply("e", a, "op_e", e_arg, side)
+            right = apply("f", a, "op_f", f_arg, side)
             powers.append((left, right, 1))
-            heads.append((left, fop(pair), 1) if kind == "e"
-                         else (eop(pair), right, 1))
+            heads.append((left, apply("f", a, "op_f", pair, side), 1)
+                         if kind == "e"
+                         else (apply("e", a, "op_e", pair, side), right, 1))
         geometric = (1 + outer_sum(ctx, powers)).invert()
         head = outer_sum(ctx, heads)
         return geometric * head if kind == "e" else head * geometric
 
-    pair = frame.g(i).shift(s["arg_pair"])
-    heads = [(fi.shift(s["head_f"]), ei.shift(s["head_e"]), 1)]
-    for a in subsets:
-        eop = op("e", a, "op_e")
-        powers.append((eop(e_arg), op("f", a, "op_f_pow")(f_arg), 1))
-        heads.append((eop(pair), op("f", a, "op_f_head")(pair), 1))
+    # at the printed slots the raising factors are the f formula's, which
+    # the frame memo hands over
+    pair = ("g", i, s["arg_pair"])
+    heads = [(frame.current("f", i).shift(s["head_f"]),
+              frame.current("e", i).shift(s["head_e"]), 1)]
+    for a in _proper_subsets(ctx.n, i):
+        powers.append((apply("e", a, "op_e", e_arg),
+                       apply("f", a, "op_f_pow", f_arg), 1))
+        heads.append((apply("e", a, "op_e", pair),
+                       apply("f", a, "op_f_head", pair), 1))
     base = outer_sum(ctx, heads) * (1 + outer_sum(ctx, powers)).invert()
     sub = (formula_delta(frame, "f", i)
            * formula_delta(frame, "e", i).shift(s["sub_shift"]))
@@ -1138,8 +1126,8 @@ def sl3_closed_delta(frame, kind, i=1, head_e_shift=0):
 
     def pair(a, b):  # the outer terms of a (x) b - [e_j, a] (x) [f_j, b]
         return [(a, b, 1),
-                (a.map_coeffs(_bracket_map(frame.root("e", j, j + 1), 1)),
-                 b.map_coeffs(_bracket_map(frame.root("f", j, j + 1), 1)), -1)]
+                (_bracket_series(frame.root("e", j, j + 1), 1, a),
+                 _bracket_series(frame.root("f", j, j + 1), 1, b), -1)]
 
     if kind == "e":
         head = outer_sum(ctx, [(one, e1, 1)] + pair(e1, frame.g_tilde(i)))

@@ -68,16 +68,20 @@ def payload(obj):
 # ---------------------------------------------------------------------------
 # text and LaTeX
 
-# spellings of a scalar, a generator T_ij^(k), the tensor sign and the
-# gap between a scalar and the word it multiplies
-Style = namedtuple("Style", "frac symbol tensor gap")
+# spellings of a scalar, a generator T_ij^(k), the tensor sign, the gap
+# between a scalar and the word it multiplies, and the explicit product
+# that joins a scalar to a tensor whose first slot is the unit 1
+Style = namedtuple("Style", "frac symbol tensor gap product")
 
-TEXT = Style(_frac_text, "T[%d](%d,%d)", " (x) ", " ")
-LATEX = Style(_frac_latex, r"T^{(%d)}_{%d,%d}", r" \otimes ", r"\, ")
+TEXT = Style(_frac_text, "T[%d](%d,%d)", " (x) ", " ", " * ")
+LATEX = Style(_frac_latex, r"T^{(%d)}_{%d,%d}", r" \otimes ", r"\, ",
+              r" \cdot ")
 
 
 def terms(coeff, style):
-    """An element or tensor as a signed sum of terms, e.g. `a - 2 b`."""
+    """An element or tensor as a signed sum of terms, e.g. `a - 2 b`;
+    a scalar before a unit slot is joined by the product, `-2 * 1 (x) a`,
+    so that the 1 does not read as a second scalar."""
     out = ""
     for slots, c in _slotted(coeff):
         if not any(slots):
@@ -91,7 +95,8 @@ def terms(coeff, style):
             elif c == -1:
                 term = "-" + body
             else:
-                term = style.frac(c) + style.gap + body
+                term = style.frac(c) + (style.gap if slots[0]
+                                        else style.product) + body
         if not out:
             out = term
         elif term.startswith("-"):

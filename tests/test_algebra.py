@@ -295,6 +295,29 @@ def test_repr_spells_terms_as_render_text():
     assert repr(zero(ctx)) == "0"
 
 
+def test_a_scalar_before_a_unit_slot_is_an_explicit_product():
+    # `-2 1 (x) a` would read as two scalars: a scalar other than +-1 joins
+    # a tensor whose first slot is 1 by a product sign; the constant, a
+    # coefficient of +-1 and a first slot that is a word keep their spelling
+    ctx = Context(2, 2, GL)
+    one, a, b = unit(ctx), generator(ctx, 1, 1, 1), generator(ctx, 1, 2, 1)
+    t = (Tensor.of_elements(one, a) * -2 + Tensor.of_elements(a, one) * -2
+         + Tensor.of_elements(one, b) * Fraction(1, 2)
+         + Tensor.of_elements(one, one) * 3 + Tensor.of_elements(one, a * b)
+         - Tensor.of_elements(b, a) * 3)
+    assert render.terms(t, render.TEXT) == (
+        "3 - 2 * 1 (x) T[1](1,1) + 1 (x) T[1](1,1) T[1](1,2)"
+        " + 1/2 * 1 (x) T[1](1,2) - 2 T[1](1,1) (x) 1"
+        " - 3 T[1](1,2) (x) T[1](1,1)")
+    assert render.terms(t, render.LATEX) == (
+        r"3 - 2 \cdot 1 \otimes T^{(1)}_{1,1}"
+        r" + 1 \otimes T^{(1)}_{1,1} T^{(1)}_{1,2}"
+        r" + \tfrac{1}{2} \cdot 1 \otimes T^{(1)}_{1,2}"
+        r" - 2\, T^{(1)}_{1,1} \otimes 1"
+        r" - 3\, T^{(1)}_{1,2} \otimes T^{(1)}_{1,1}")
+    assert repr(a * 3) == "3 T[1](1,1)"
+
+
 def assert_one_object_per_value(parts):
     """Equal parts are one object: as many ids as distinct values."""
     assert len({id(part) for part in parts}) == len(set(parts))

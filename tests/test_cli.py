@@ -437,9 +437,9 @@ def _expand_grid_argvs(target):
 # `_expand_grid_argvs(target)`.  A change meant to alter what `expand`
 # prints updates these and says why.
 EXPAND_GRID_SHA256 = {
-    "delta-e": "be8af9ceb269ef5671bbc82df7a2865b74422d4389fa2425a2f916aca76d2564",
-    "delta-f": "132123c421b651cc8d4af513956d7aff7a008017506f76ced320698e18755291",
-    "delta-h": "5efbcdea8e521057a4d4aab490011ad0fb3f65d21d812b7a35770b1db1a5813d",
+    "delta-e": "8223f52a5ed00a6a484ecdf150dc131fc3e71dcd86f57c22f2f91ca5aa3d67d2",
+    "delta-f": "5b91e27f1f5bde663221edb786f3313fca5332adb4c84a787ed5a29ce194ee83",
+    "delta-h": "5f9333ae781d3c0e73bc72ab3ad355c590e2324b6912420d4c2e9252832f3197",
     "phi-e": "452f0ab3ec4c14634fd71338cd8a2bcb1cbd909c68f9451ea9654f636b9eef5f",
     "phi-f": "22c87f5075df44e84ba786e2d8a94f00ed7499516812c0eedbf85f11af80ab69",
     "phi-h": "9fc66a9fb70d84ca83330bf5b31054309812936a6c6d69150d0dd1d43412ca3e",

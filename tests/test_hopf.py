@@ -1,7 +1,10 @@
 """Coproduct, counit, antipode: structural maps, axioms, closed formulas."""
 
+import ast
 import random
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,8 @@ from util import (
     repair_search,
     sl2_closed_delta_expanded,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "yangian"
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +456,9 @@ def test_chain_specs_of_the_checks_stay_in_range(monkeypatch):
     seen = []
     interpret = hopf.chain
 
-    def spy(frame, spec, shift):
+    def spy(frame, spec, shift, x):
         seen.append((frame.ctx.n, spec))
-        return interpret(frame, spec, shift)
+        return interpret(frame, spec, shift, x)
 
     monkeypatch.setattr(hopf, "chain", spy)
     for n in range(2, 7):
@@ -483,6 +488,83 @@ def test_uniform_shifts_moves_offsets_only(n):
             # the single-step hats already have the uniform pattern, and
             # so does every raising hat
             assert (moved == spec) == (m == 1 or kind == "e"), (kind, m)
+
+
+def _count_chains(monkeypatch):
+    """A list that grows by one on each call of hopf.chain."""
+    calls = []
+    interpret = hopf.chain
+
+    def spy(frame, spec, shift, x):
+        calls.append((spec, shift))
+        return interpret(frame, spec, shift, x)
+
+    monkeypatch.setattr(hopf, "chain", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n,order", [(4, 2), (5, 2)])
+def test_diagonal_coproduct_reads_the_raising_factors_it_shares(
+        monkeypatch, n, order):
+    # at the printed slots the h formula's raising factors on e(u+1) and
+    # on g(u) are the f formula's: only its two lowering factors per
+    # subset are new applications
+    calls = _count_chains(monkeypatch)
+    for i in range(1, n):
+        frame = hopf.CurrentFrame(Context(n, order, SL))
+        hopf.formula_delta(frame, "e", i)
+        hopf.formula_delta(frame, "f", i)
+        del calls[:]
+        hopf.formula_delta(frame, "h", i)
+        assert len(calls) == 2 * (comb(n, i) - 1), (n, i)
+
+
+def test_each_chain_application_is_built_once_per_frame(monkeypatch):
+    calls = _count_chains(monkeypatch)
+    hopf.coproduct_formula_check(5, 2)
+    # three applications per proper subset in the e and f formulas, two
+    # new ones in the h formula
+    assert len(calls) == 8 * sum(comb(5, i) - 1 for i in range(1, 5)) == 208
+
+
+def chain_callers(source):
+    """Qualified names of the functions of source that call chain(...)
+    by name or as an attribute, one entry per call."""
+    found = []
+
+    def walk(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, path + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "chain":
+                    found.append(".".join(path))
+            walk(child, path)
+
+    walk(ast.parse(source), ())
+    return found
+
+
+def test_chains_are_applied_only_through_the_frame():
+    found = {path.name: chain_callers(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "hopf.py": ["CurrentFrame.apply_chain.build"]}
+
+
+def test_the_chain_guard_sees_a_direct_application():
+    # a negative control: a direct call by name or attribute is caught
+    source = '''
+class CurrentFrame:
+    def apply_chain(self, spec, shift, arg):
+        return chain(self, spec, shift, arg)
+def check(frame, spec):
+    return hopf.chain(frame, spec, 0, frame.g(1)) + chained(frame)
+'''
+    assert chain_callers(source) == ["CurrentFrame.apply_chain", "check"]
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +761,10 @@ def test_frame_memo_root_actions_match_fresh_builds():
                         for side in ("L", "R"):
                             got = hopf.elementary_root(
                                 shared, kind, side, alpha, low, high,
-                                shift)(arg)
+                                shift, arg)
                             want = hopf.elementary_root(
                                 hopf.CurrentFrame(ctx), kind, side,
-                                alpha, low, high, shift)(arg)
+                                alpha, low, high, shift, arg)
                             assert got == want, (kind, side, alpha, low,
                                                  high, shift)
                             seen += 1
@@ -730,9 +812,9 @@ def test_diagonal_first_term_is_antipode_of_pairing_series(n, order):
     for i in range(1, n):
         m = n - i
         den = hopf.chain(frame, hopf.composite_spec(
-            "h", "L", m, tuple(range(i + 1, n + 1))), 0)(frame.g_tilde(m))
+            "h", "L", m, tuple(range(i + 1, n + 1))), 0, frame.g_tilde(m))
         num = hopf.chain(frame, hopf.composite_spec(
-            "h", "L", m, (i,) + tuple(range(i + 2, n + 1))), 0)(
+            "h", "L", m, (i,) + tuple(range(i + 2, n + 1))), 0,
             frame.g_tilde(m))
         first = den.invert() * num
         want = hopf.antipode_series(frame.g(i)).shift(half)

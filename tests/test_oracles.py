@@ -321,7 +321,7 @@ def test_hat_chains_at_degree_one_match_matrix_units():
                 assert engine_units(leading.coefficient(1)) == simple_root(
                     kind, m)
                 model = unit_chain(n, spec, simple_root(kind, m))
-                got = hopf.chain(frame, spec, c)(leading.shift(c + 1))
+                got = hopf.chain(frame, spec, c, leading.shift(c + 1))
                 assert engine_units(got.coefficient(1)) == model, (n, m, kind)
                 # the ratio at i has the corner generator at degree one
                 if model != simple_root(kind, i):
