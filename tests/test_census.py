@@ -36,20 +36,19 @@ def _identity(name):
     return name if name.startswith("ratio-") else "antipode-formula-" + name
 
 
-CHECKS = ("hat_ratio_check", "ratio_identities_check",
-          "diagonal_ratio_check", "coproduct_formula_check",
-          "antipode_formula_check")
-# the checks that read hopf.hat_spec
-HAT_CHECKS = ("hat_ratio_check", "antipode_formula_check")
+# the checks that read hopf.hat_spec come first
+HAT_CHECKS = (hopf.hat_ratio_check, hopf.antipode_formula_check)
+CHECKS = HAT_CHECKS + (hopf.ratio_identities_check,
+                       hopf.diagonal_ratio_check,
+                       hopf.coproduct_formula_check)
 
 
 def census(checks=CHECKS):
     """{n: {identity: status}} of every report of checks at n = 2..8."""
-    out = {}
+    out = {n: {} for n in RANKS}
     for n in RANKS:
-        out[n] = {}
-        for name in checks:
-            reports = getattr(hopf, name)(n, ORDER)
+        for check in checks:
+            reports = check(n, ORDER)
             for rep in reports if isinstance(reports, list) else [reports]:
                 out[n][rep.identity] = rep.status
     return out
