@@ -444,11 +444,12 @@ class Element(LinearCombination):
         """Coefficient of the empty word."""
         return self.terms.get("", ZERO)
 
-    def _mul_into(self, other, raw, sign=1):
-        """Add sign * (the GL normal form of self * other) into raw, uncut."""
+    def _mul_into(self, other, raw, factor=1):
+        """Add factor * (the GL normal form of self * other) into raw,
+        uncut; the factor is an integer, a sign in a signed sum."""
         for w1, c1 in self.terms.items():
-            if sign < 0:
-                c1 = -c1
+            if factor != 1:
+                c1 = c1 * factor
             for w2, c2 in other.terms.items():
                 c = c1 * c2
                 for w, k in normal_form_word(w1 + w2):
@@ -530,6 +531,13 @@ def mode_commutator(ctx, i, j, r, k, l, s):
         raise TruncationError("commutator degree %d exceeds bound %d"
                               % (r + s - 1, ctx.max_degree))
     return from_words(ctx, dict(commutator_words(i, j, r, k, l, s)))
+
+
+def add_into(raw, x, factor=1):
+    """Add factor * x, an already reduced element or tensor, into a raw
+    sum; a sum that reduces once is then exact term by term."""
+    for w, c in x.terms.items():
+        raw[w] = raw.get(w, ZERO) + factor * c
 
 
 def _from_products(ctx, arity, raw):

@@ -16,7 +16,10 @@ given truncation depth.
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import SL, Context, commutator, generator, unit, zero
+from .algebra import (
+    SL, Context, Element, _exact, _reduce_raw, add_into, commutator,
+    generator, unit, zero,
+)
 from .rtt import quantum_minor
 from .report import Report
 
@@ -35,6 +38,13 @@ def cartan_pairing(i, j):
 def leading_block(ctx, i):
     rows = tuple(range(1, i + 1))
     return quantum_minor(ctx, rows, rows)
+
+
+@lru_cache(maxsize=None)
+def leading_block_inverse(ctx, i):
+    """The inverse of the leading block t(1..i; 1..i)(u), inverted once
+    per (ctx, i); series are never mutated, so every caller shares it."""
+    return leading_block(ctx, i).invert()
 
 
 def _raised_block(ctx, i):
@@ -64,9 +74,9 @@ def current(ctx, kind, i):
         raise ValueError("simple root index out of range")
     recenter = Fraction(2 - i, 2)
     if kind == "e":
-        raw = leading_block(ctx, i).invert() * _raised_block(ctx, i)
+        raw = leading_block_inverse(ctx, i) * _raised_block(ctx, i)
     elif kind == "f":
-        raw = _lowered_block(ctx, i) * leading_block(ctx, i).invert()
+        raw = _lowered_block(ctx, i) * leading_block_inverse(ctx, i)
     else:
         return h_current(ctx, i, variant=1)
     return raw.shift(recenter)
@@ -89,19 +99,21 @@ def h_current(ctx, i, *, variant=1):
     if not 1 <= i <= ctx.n - 1:
         raise ValueError("simple root index out of range")
     recenter = Fraction(2 - i, 2)
-    lead = leading_block(ctx, i)
+    inv = leading_block_inverse(ctx, i)
     if variant == 1:
+        # the shift is a ring map of truncated series, so the inverse of
+        # the shifted block is the shifted inverse
         prev = leading_block(ctx, i - 1)
         nxt = leading_block(ctx, i + 1)
-        raw = lead.invert() * prev * nxt.shift(-1) * lead.shift(-1).invert()
+        raw = inv * prev * nxt.shift(-1) * inv.shift(-1)
         return raw.shift(recenter)
     if variant == 2:
-        base = (lead.invert() * _corner_block(ctx, i)).shift(recenter)
+        base = (inv * _corner_block(ctx, i)).shift(recenter)
         fi = current(ctx, "f", i)
         ei = current(ctx, "e", i)
         return base - fi.shift(1) * ei
     if variant == 3:
-        base = (_corner_block(ctx, i) * lead.invert()).shift(recenter)
+        base = (_corner_block(ctx, i) * inv).shift(recenter)
         fi = current(ctx, "f", i)
         ei = current(ctx, "e", i)
         return base - fi * ei.shift(1)
@@ -163,25 +175,93 @@ def _relation_context(n, degree, mode):
     return Context(n, degree + 1, mode)
 
 
+def scaled_mode(ctx, kind, i, k):
+    """The scaled mode 2^(k+1) x^(k) of the current x = e, f or h of
+    root i: the u^-(k+1) coefficient of the current read in v = 2u.
+
+    The (2 - i)/2 recentring of the currents is the only source of
+    denominators in their modes, and it puts at most 2^k under x^(k), so
+    every coefficient of a scaled mode is an int.
+    """
+    scale = 2 ** (k + 1)
+    return Element._trusted(ctx, {w: _exact(c * scale) for w, c
+                                  in _mode(ctx, kind, i, k).terms.items()})
+
+
+class BracketTable:
+    """The brackets of scaled modes that one relations sweep reads.
+
+    Modes are named by (kind, i, k).  [x, y] is formed with `commutator`
+    on first use and stored under (x, y); asked for [y, x] later, the
+    table returns the stored bracket with the sign -1, so every bracket
+    of two modes is formed at most once, up to sign.
+    """
+
+    __slots__ = ("modes", "_store")
+
+    def __init__(self, modes):
+        self.modes = modes
+        self._store = {}
+
+    def get(self, x, y):
+        """[x, y] as (bracket, sign), its value sign * bracket."""
+        out = self._store.get((x, y))
+        if out is not None:
+            return out, 1
+        out = self._store.get((y, x))
+        if out is not None:
+            return out, -1
+        out = self._store[x, y] = commutator(self.modes[x], self.modes[y])
+        return out, 1
+
+    def forget(self, kinds):
+        """Drop the stored brackets of two modes whose kinds are the
+        pair `kinds`, in either order: a sweep calls it after the last
+        family that reads them."""
+        pair = sorted(kinds)
+        self._store = {key: value for key, value in self._store.items()
+                       if sorted((key[0][0], key[1][0])) != pair}
+
+
 def relations_check(n, degree, mode=SL):
     """Sweep the defining current-algebra relations up to mode depth.
 
     Returns one report per relation family.  All brackets with total
     mode weight at most `degree` are checked, plus the degree-shifted
     recursion and Serre families on their natural index ranges.
+
+    The sweep reads the scaled modes (see `scaled_mode`) through one
+    `BracketTable`.  Each relation is homogeneous in the scaling once its
+    scalars are rescaled too: the pairing is compared with 2 h~, the
+    zero-mode weight is 2 a_ij and the recursion factor +-a_ij, all
+    integers.  Each case is one residual sum, lhs - rhs of the scaled
+    relation added into one raw dict and reduced once, and it equals
+    2^K times the residual of the relation itself, with K the case's
+    scaling exponent; a nonzero one is recorded divided by 2^K.
     """
     ctx = _relation_context(n, degree, mode)
     roots = range(1, n)
     d = degree
+    modes = {(kind, i, k): scaled_mode(ctx, kind, i, k)
+             for kind in CURRENT_KINDS for i in roots for k in range(d + 1)}
+    table = BracketTable(modes)
 
-    def e(i, k):
-        return _mode(ctx, "e", i, k)
+    def add(raw, x, y, factor=1):
+        bracket, sign = table.get(x, y)
+        add_into(raw, bracket, sign * factor)
 
-    def f(i, k):
-        return _mode(ctx, "f", i, k)
+    def settle(rep, terms, scaling, label, *args):
+        """Count a case whose scaled residual has the reduced terms;
+        record a nonzero one, scaled back by 2^-scaling."""
+        rep.tally()
+        if terms:
+            div = 2 ** scaling
+            rep.record(label % args, Element._trusted(
+                ctx, {w: _exact(Fraction(c, div)) for w, c in terms.items()}))
 
-    def h(i, k):
-        return _mode(ctx, "h", i, k)
+    def nonzero(raw):
+        # a sum of reduced terms needs no elimination and no cut
+        return {w: c for w, c in raw.items() if c}
 
     reports = []
 
@@ -192,52 +272,64 @@ def relations_check(n, degree, mode=SL):
                 continue
             for k in range(d + 1):
                 for l in range(d + 1 - k):
-                    rep.check("h%d(%d),h%d(%d)" % (i, k, j, l),
-                              commutator(h(i, k), h(j, l)), zero(ctx))
+                    raw = {}
+                    add(raw, ("h", i, k), ("h", j, l))
+                    settle(rep, nonzero(raw), k + l + 2,
+                           "h%d(%d),h%d(%d)", i, k, j, l)
     reports.append(rep)
+    table.forget("hh")
 
     rep = Report("raising-lowering-pairing", n=n, degree=degree, mode=mode)
     for i in roots:
         for j in roots:
             for k in range(d + 1):
                 for l in range(d + 1 - k):
-                    want = h(i, k + l) if i == j else zero(ctx)
-                    rep.check("e%d(%d),f%d(%d)" % (i, k, j, l),
-                              commutator(e(i, k), f(j, l)), want)
+                    raw = {}
+                    add(raw, ("e", i, k), ("f", j, l))
+                    if i == j:
+                        add_into(raw, modes["h", i, k + l], -2)
+                    settle(rep, nonzero(raw), k + l + 2,
+                           "e%d(%d),f%d(%d)", i, k, j, l)
     reports.append(rep)
+    table.forget("ef")
 
     rep = Report("diagonal-zero-mode-weights", n=n, degree=degree, mode=mode)
     for i in roots:
         for j in roots:
             a = cartan_pairing(i, j)
             for l in range(d + 1):
-                rep.check("h%d(0),e%d(%d)" % (i, j, l),
-                          commutator(h(i, 0), e(j, l)), a * e(j, l))
-                rep.check("h%d(0),f%d(%d)" % (i, j, l),
-                          commutator(h(i, 0), f(j, l)), -a * f(j, l))
+                for kind, weight in (("e", 2 * a), ("f", -2 * a)):
+                    raw = {}
+                    add(raw, ("h", i, 0), (kind, j, l))
+                    add_into(raw, modes[kind, j, l], -weight)
+                    settle(rep, nonzero(raw), l + 2,
+                           "h%d(0),%s%d(%d)", i, kind, j, l)
     reports.append(rep)
-
-    half = Fraction(1, 2)
 
     def recursion_family(name, left, right, sign):
         rep = Report(name, n=n, degree=degree, mode=mode)
         for i in roots:
             for j in roots:
-                a = sign * half * cartan_pairing(i, j)
+                a = sign * cartan_pairing(i, j)
                 for k in range(d):
                     for l in range(d - k):
-                        lhs = (commutator(left(i, k + 1), right(j, l))
-                               - commutator(left(i, k), right(j, l + 1)))
-                        rhs = a * (left(i, k) * right(j, l)
-                                   + right(j, l) * left(i, k))
-                        rep.check("%s:i=%d,j=%d,k=%d,l=%d" % (name, i, j, k, l),
-                                  lhs, rhs)
+                        raw = {}
+                        add(raw, (left, i, k + 1), (right, j, l))
+                        add(raw, (left, i, k), (right, j, l + 1), -1)
+                        if a:
+                            x, y = modes[left, i, k], modes[right, j, l]
+                            x._mul_into(y, raw, -a)
+                            y._mul_into(x, raw, -a)
+                        settle(rep, _reduce_raw(ctx, raw), k + l + 3,
+                               "%s:i=%d,j=%d,k=%d,l=%d", name, i, j, k, l)
         reports.append(rep)
+        if left != right:
+            table.forget(left + right)
 
-    recursion_family("diagonal-raising-recursion", h, e, 1)
-    recursion_family("diagonal-lowering-recursion", h, f, -1)
-    recursion_family("raising-raising-recursion", e, e, 1)
-    recursion_family("lowering-lowering-recursion", f, f, -1)
+    recursion_family("diagonal-raising-recursion", "h", "e", 1)
+    recursion_family("diagonal-lowering-recursion", "h", "f", -1)
+    recursion_family("raising-raising-recursion", "e", "e", 1)
+    recursion_family("lowering-lowering-recursion", "f", "f", -1)
 
     rep = Report("distant-roots-commute", n=n, degree=degree, mode=mode)
     for i in roots:
@@ -246,10 +338,11 @@ def relations_check(n, degree, mode=SL):
                 continue
             for k in range(d + 1):
                 for l in range(d + 1 - k):
-                    rep.check("e%d(%d),e%d(%d)" % (i, k, j, l),
-                              commutator(e(i, k), e(j, l)), zero(ctx))
-                    rep.check("f%d(%d),f%d(%d)" % (i, k, j, l),
-                              commutator(f(i, k), f(j, l)), zero(ctx))
+                    for kind in ("e", "f"):
+                        raw = {}
+                        add(raw, (kind, i, k), (kind, j, l))
+                        settle(rep, nonzero(raw), k + l + 2,
+                               "%s%d(%d),%s%d(%d)", kind, i, k, kind, j, l)
     reports.append(rep)
 
     rep = Report("adjacent-serre", n=n, degree=degree, mode=mode)
@@ -260,12 +353,19 @@ def relations_check(n, degree, mode=SL):
             for k1 in range(d + 1):
                 for k2 in range(k1, d + 1 - k1):
                     for l in range(d + 1 - k1 - k2):
-                        for gen in (e, f):
-                            name = "e" if gen is e else "f"
-                            lhs = (commutator(gen(i, k1), commutator(gen(i, k2), gen(j, l)))
-                                   + commutator(gen(i, k2), commutator(gen(i, k1), gen(j, l))))
-                            rep.check("%s:i=%d,j=%d,%d,%d,%d" % (name, i, j, k1, k2, l),
-                                      lhs, zero(ctx))
+                        for kind in ("e", "f"):
+                            # [x1, [x2, y]] + [x2, [x1, y]] in one raw sum
+                            raw = {}
+                            for outer, inner in ((k1, k2), (k2, k1)):
+                                x = modes[kind, i, outer]
+                                z, s = table.get((kind, i, inner),
+                                                 (kind, j, l))
+                                if z.terms:
+                                    x._mul_into(z, raw, s)
+                                    z._mul_into(x, raw, -s)
+                            settle(rep, _reduce_raw(ctx, raw),
+                                   k1 + k2 + l + 3, "%s:i=%d,j=%d,%d,%d,%d",
+                                   kind, i, j, k1, k2, l)
     reports.append(rep)
 
     return reports

@@ -67,7 +67,7 @@ from .algebra import (
     word_layer_memo,
     zero,
 )
-from .drinfeld import current, leading_block, root_element
+from .drinfeld import current, leading_block_inverse, root_element
 from .report import Report
 from .rtt import (
     inverse_matrix, quantum_minor, reflected_minor, t_entry, t_star_matrix,
@@ -506,14 +506,20 @@ class CurrentFrame:
             self.current("h", i)
             + self.current("f", i).shift(1) * self.current("e", i)))
 
-    def apply_chain(self, spec, shift, arg):
-        """A chain spec at a shift applied to arg = (name, index, shift):
-        the current "e", "f" or "h", or the pairing series "g" or "gt"."""
+    def argument(self, name, i, at):
+        """The current "e", "f" or "h", or the pairing series "g" or
+        "gt", of root i at u + at: shifted once per frame."""
         def build():
-            name, i, at = arg
             series = (self.g(i) if name == "g" else self.g_tilde(i)
                       if name == "gt" else self.current(name, i))
-            return chain(self, spec, shift, series.shift(at))
+            return series.shift(at)
+        return self.memo(("arg", name, i, at), build)
+
+    def apply_chain(self, spec, shift, arg):
+        """A chain spec at a shift applied to arg = (name, index, shift),
+        the series that `argument` names."""
+        def build():
+            return chain(self, spec, shift, self.argument(*arg))
         return self.memo(("chain", spec, shift, arg), build)
 
 
@@ -533,7 +539,7 @@ def _bracket_series(root, sign, x):
 def _root_correction(frame, kind, alpha, low, high, shift):
     """The shifted current at alpha, carried to the root (low, high)."""
     sign = 1 if kind == "e" else -1
-    corr = frame.current(kind, alpha).shift(shift)
+    corr = frame.argument(kind, alpha, shift)
     if alpha + 1 != high:
         corr = _bracket_series(frame.root(kind, alpha + 1, high), sign, corr)
     if low != alpha:
@@ -661,7 +667,7 @@ def ratio_identities_check(n, order):
     """
     ctx = Context(n, order, SL)
     frame = CurrentFrame(ctx)
-    inverses = {i: leading_block(ctx, i).invert() for i in range(1, n)}
+    inverses = {i: leading_block_inverse(ctx, i) for i in range(1, n)}
     reports = []
     for fam in RATIO_FAMILIES:
         sector, _, hand = fam.rpartition("-")
@@ -700,7 +706,7 @@ def diagonal_ratio_check(n, order):
     for i in range(1, n):
         m = n - i
         c = Fraction(m - 2, 2)
-        inv = leading_block(ctx, m).invert()
+        inv = leading_block_inverse(ctx, m)
         for j in range(1, i + 2):
             ks = (j,) + tuple(range(i + 2, n + 1))
             block = quantum_minor(ctx, ks, ks)
@@ -780,7 +786,7 @@ def hat_ratio_check(n, order):
     for i in range(1, n):
         m = n - i
         c = Fraction(m - 2, 2)
-        inv = leading_block(ctx, m).invert()
+        inv = leading_block_inverse(ctx, m)
         tail = tuple(range(i + 2, n + 1))
         up = quantum_minor(ctx, (i,) + tail, (i + 1,) + tail)
         down = quantum_minor(ctx, (i + 1,) + tail, (i,) + tail)

@@ -29,10 +29,11 @@ sub-minor memo.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import compress, permutations
 
 from .algebra import (
-    Context, Element, GL, SL, ZERO, ONE, commutator, generator, unit, zero,
+    Context, Element, GL, SL, ZERO, ONE, _reduce_raw, add_into, commutator,
+    generator, unit, zero,
 )
 from .series import Series, SeriesMatrix, product_sum
 from .report import Report
@@ -96,17 +97,20 @@ def mat_mul(x, y):
 
     The R-matrix lifts have a few nonzeros per row, so the nonzeros of
     each row of y are listed once and every nonzero of x runs over that
-    list only.  Products are summed in the same order as the dense loop.
+    list only; `compress` picks the nonzeros of a row.  Products are
+    summed in the same order as the dense loop.
     """
     size = len(x)
-    y_rows = [[(j, yv) for j, yv in enumerate(row) if yv] for row in y]
-    out = [[ZERO] * size for _ in range(size)]
-    for i in range(size):
-        row = out[i]
-        for k, xv in enumerate(x[i]):
-            if xv:
-                for j, yv in y_rows[k]:
-                    row[j] += xv * yv
+    span = range(size)
+    y_rows = [[(j, row[j]) for j in compress(span, row)] for row in y]
+    out = []
+    for x_row in x:
+        row = [ZERO] * size
+        for k in compress(span, x_row):
+            xv = x_row[k]
+            for j, yv in y_rows[k]:
+                row[j] += xv * yv
+        out.append(row)
     return out
 
 
@@ -360,12 +364,6 @@ def row_replaced_minors(ctx, rows, cols, i):
             for k in range(len(rows))]
 
 
-def _add_into(raw, x, sign):
-    """Add sign * x, an already reduced element, into a raw sum."""
-    for w, c in x.terms.items():
-        raw[w] = raw.get(w, ZERO) + sign * c
-
-
 def minor_bracket_sweep(ctx, rows, cols, comm, cent, label):
     """Commutation of every entry with the minor t(rows; cols)(v), into
     the report `comm`, and centrality of the minor in its own indices,
@@ -381,59 +379,82 @@ def minor_bracket_sweep(ctx, rows, cols, comm, cent, label):
     [T_ij^(a+1), c_b] - [T_ij^(a), c_(b+1)], with c_b the coefficient of
     the minor.  Each bracket [T_ij^(r), c_b], r + b <= order (the degree
     bound of ctx), is formed once: it serves two commutation cases and,
-    inside the minor's own indices, is a centrality case.  A scalar c_b (c_0 always is) is
-    central, so its bracket is zero with no product formed.  T^(0) is the
-    scalar delta, so its products select a coefficient.  Each right side
-    is summed into one raw dict and reduced once.
+    inside the minor's own indices, is a centrality case.  A scalar or
+    absent c_b (c_0 always is scalar) is central, so its bracket is zero
+    with no product formed.  T^(0) is the scalar delta, so its products
+    select a coefficient.
+
+    Each commutation case is one residual sum: its brackets and the
+    products of its right side, each with an absent minor coefficient
+    skipped, add into one raw dict that is reduced once.  The case is
+    counted, and only a nonzero residual becomes an element under a
+    formatted label.
     """
     rows, cols = tuple(rows), tuple(cols)
     idx = range(1, ctx.n + 1)
     order = ctx.max_degree
-    nil = zero(ctx)
-    minor = quantum_minor(ctx, rows, cols)
-    c = [minor.coefficient(b) for b in range(order + 1)]
-    scalar = [all(not w for w in x.terms) for x in c]
+    c = quantum_minor(ctx, rows, cols).coeffs
+    live = [b for b in range(order + 1)
+            if b in c and any(w for w in c[b].terms)]
     # the generators T_ij^(r), read from the memoised entries
     gen = {(i, j): t_entry(ctx, i, j).coeffs for i in idx for j in idx}
-    col_c = {j: [[s.coefficient(b) for b in range(order)]
-                 for s in column_replaced_minors(ctx, rows, cols, j)]
+
+    def present(minors, index):
+        """Per power b < order, the (index_k, coefficient) pairs of the
+        replaced minors whose u^-b coefficient is present."""
+        return [[(x, s.coeffs[b]) for x, s in zip(index, minors)
+                 if b in s.coeffs] for b in range(order)]
+
+    col_c = {j: present(column_replaced_minors(ctx, rows, cols, j), cols)
              for j in idx}
-    row_c = {i: [[s.coefficient(b) for b in range(order)]
-                 for s in row_replaced_minors(ctx, rows, cols, i)]
+    row_c = {i: present(row_replaced_minors(ctx, rows, cols, i), rows)
              for i in idx}
+    cases = [(a, b) for a in range(order) for b in range(order - a)]
     inside = {}
     for i in idx:
         row_i = row_c[i]
         for j in idx:
             col_j = col_c[j]
             x = gen[i, j]
-            bracket = {(r, b): nil if scalar[b] else commutator(x[r], c[b])
-                       for r in range(1, order + 1)
-                       for b in range(order + 1 - r)}
-            for a in range(order):
-                for b in range(order - a):
-                    lhs = bracket[a + 1, b]
-                    if a >= 1:
-                        lhs = lhs - bracket[a, b + 1]
-                    raw = {}
-                    for k, (a_k, b_k) in enumerate(zip(rows, cols)):
-                        if a == 0:
-                            if i == b_k:
-                                _add_into(raw, col_j[k][b], 1)
-                            if a_k == j:
-                                _add_into(raw, row_i[k][b], -1)
-                        else:
-                            col_j[k][b]._mul_into(gen[i, b_k][a], raw)
-                            gen[a_k, j][a]._mul_into(row_i[k][b], raw, -1)
-                    comm.check("T%d%d %s:u^-%d v^-%d" % (i, j, label, a, b),
-                               lhs, Element(ctx, raw))
+            bracket = {(r, b): commutator(x[r], c[b])
+                       for b in live for r in range(1, order + 1 - b)}
+            comm.tally(len(cases))
+            for a, b in cases:
+                raw = {}
+                lhs = bracket.get((a + 1, b))
+                if lhs is not None:
+                    add_into(raw, lhs)
+                if a:
+                    lhs = bracket.get((a, b + 1))
+                    if lhs is not None:
+                        add_into(raw, lhs, -1)
+                    for b_k, y in col_j[b]:
+                        y._mul_into(gen[i, b_k][a], raw, -1)
+                    for a_k, z in row_i[b]:
+                        gen[a_k, j][a]._mul_into(z, raw)
+                else:
+                    for b_k, y in col_j[b]:
+                        if b_k == i:
+                            add_into(raw, y, -1)
+                    for a_k, z in row_i[b]:
+                        if a_k == j:
+                            add_into(raw, z)
+                terms = _reduce_raw(ctx, raw) if raw else raw
+                if terms:
+                    comm.record("T%d%d %s:u^-%d v^-%d" % (i, j, label, a, b),
+                                Element._trusted(ctx, terms))
             if i in rows and j in cols:
                 inside[i, j] = bracket
     for i in rows:
         for j in cols:
-            for (r, b), value in inside[i, j].items():
-                cent.check("%s:T_%d%d^(%d) vs u^-%d" % (label, i, j, r, b),
-                           value, nil)
+            bracket = inside[i, j]
+            for r in range(1, order + 1):
+                for b in range(order + 1 - r):
+                    cent.tally()
+                    value = bracket.get((r, b))
+                    if value is not None and value.terms:
+                        cent.record("%s:T_%d%d^(%d) vs u^-%d"
+                                    % (label, i, j, r, b), value)
 
 
 def qdet_centrality_check(ctx, mode_bound):

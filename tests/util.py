@@ -3,13 +3,14 @@
 from fractions import Fraction
 from unittest import mock
 
-from yangian import hopf
+from yangian import drinfeld, hopf, rtt
 from yangian.algebra import (
-    SL, Context, Element, Tensor, commutator_words, decode_symbol,
-    decode_word, from_words,
+    SL, Context, Element, Tensor, commutator, commutator_words,
+    decode_symbol, decode_word, from_words, zero,
 )
 from yangian.drinfeld import leading_block
 from yangian.rtt import quantum_minor, t_entry
+from yangian.report import Report
 from yangian.series import Series, SeriesMatrix, series_outer
 
 
@@ -367,3 +368,173 @@ def repair_search(n, order):
                     names.append("narrow-gate")
                 found["%s-formula-%s%d" % (family, kind, i)] = names
     return found
+
+
+def minor_bracket_sweep_reference(ctx, rows, cols, comm, cent, label):
+    """The minor sweep as each case was checked before the residual sums:
+    every case builds its left side and its right side as elements and
+    compares them with `Report.check`; an absent minor coefficient is an
+    empty element.  It reads the minors through `rtt`, so a patch of
+    `rtt.quantum_minor` reaches it."""
+    rows, cols = tuple(rows), tuple(cols)
+    idx = range(1, ctx.n + 1)
+    order = ctx.max_degree
+    nil = zero(ctx)
+    minor = rtt.quantum_minor(ctx, rows, cols)
+    c = [minor.coefficient(b) for b in range(order + 1)]
+    scalar = [all(not w for w in x.terms) for x in c]
+    gen = {(i, j): rtt.t_entry(ctx, i, j).coeffs for i in idx for j in idx}
+    col_c = {j: [[s.coefficient(b) for b in range(order)]
+                 for s in rtt.column_replaced_minors(ctx, rows, cols, j)]
+             for j in idx}
+    row_c = {i: [[s.coefficient(b) for b in range(order)]
+                 for s in rtt.row_replaced_minors(ctx, rows, cols, i)]
+             for i in idx}
+
+    def add(raw, x, sign):
+        for w, v in x.terms.items():
+            raw[w] = raw.get(w, 0) + sign * v
+
+    inside = {}
+    for i in idx:
+        row_i = row_c[i]
+        for j in idx:
+            col_j = col_c[j]
+            x = gen[i, j]
+            bracket = {(r, b): nil if scalar[b] else commutator(x[r], c[b])
+                       for r in range(1, order + 1)
+                       for b in range(order + 1 - r)}
+            for a in range(order):
+                for b in range(order - a):
+                    lhs = bracket[a + 1, b]
+                    if a >= 1:
+                        lhs = lhs - bracket[a, b + 1]
+                    raw = {}
+                    for k, (a_k, b_k) in enumerate(zip(rows, cols)):
+                        if a == 0:
+                            if i == b_k:
+                                add(raw, col_j[k][b], 1)
+                            if a_k == j:
+                                add(raw, row_i[k][b], -1)
+                        else:
+                            col_j[k][b]._mul_into(gen[i, b_k][a], raw)
+                            gen[a_k, j][a]._mul_into(row_i[k][b], raw, -1)
+                    comm.check("T%d%d %s:u^-%d v^-%d" % (i, j, label, a, b),
+                               lhs, Element(ctx, raw))
+            if i in rows and j in cols:
+                inside[i, j] = bracket
+    for i in rows:
+        for j in cols:
+            for (r, b), value in inside[i, j].items():
+                cent.check("%s:T_%d%d^(%d) vs u^-%d" % (label, i, j, r, b),
+                           value, nil)
+
+
+def relations_check_reference(n, degree, mode=SL):
+    """The current-relation sweep as each case was checked before the
+    scaled modes and the bracket table: every bracket is formed fresh
+    from the modes x^(k) read through `drinfeld._mode` (so a patch of it
+    reaches this body), with the recursion factor +-a_ij/2, and each
+    case compares two elements with `Report.check`."""
+    ctx = drinfeld._relation_context(n, degree, mode)
+    roots = range(1, n)
+    d = degree
+    cartan = drinfeld.cartan_pairing
+
+    def e(i, k):
+        return drinfeld._mode(ctx, "e", i, k)
+
+    def f(i, k):
+        return drinfeld._mode(ctx, "f", i, k)
+
+    def h(i, k):
+        return drinfeld._mode(ctx, "h", i, k)
+
+    reports = []
+
+    rep = Report("diagonal-modes-commute", n=n, degree=degree, mode=mode)
+    for i in roots:
+        for j in roots:
+            if j < i:
+                continue
+            for k in range(d + 1):
+                for l in range(d + 1 - k):
+                    rep.check("h%d(%d),h%d(%d)" % (i, k, j, l),
+                              commutator(h(i, k), h(j, l)), zero(ctx))
+    reports.append(rep)
+
+    rep = Report("raising-lowering-pairing", n=n, degree=degree, mode=mode)
+    for i in roots:
+        for j in roots:
+            for k in range(d + 1):
+                for l in range(d + 1 - k):
+                    want = h(i, k + l) if i == j else zero(ctx)
+                    rep.check("e%d(%d),f%d(%d)" % (i, k, j, l),
+                              commutator(e(i, k), f(j, l)), want)
+    reports.append(rep)
+
+    rep = Report("diagonal-zero-mode-weights", n=n, degree=degree, mode=mode)
+    for i in roots:
+        for j in roots:
+            a = cartan(i, j)
+            for l in range(d + 1):
+                rep.check("h%d(0),e%d(%d)" % (i, j, l),
+                          commutator(h(i, 0), e(j, l)), a * e(j, l))
+                rep.check("h%d(0),f%d(%d)" % (i, j, l),
+                          commutator(h(i, 0), f(j, l)), -a * f(j, l))
+    reports.append(rep)
+
+    half = Fraction(1, 2)
+
+    def recursion_family(name, left, right, sign):
+        rep = Report(name, n=n, degree=degree, mode=mode)
+        for i in roots:
+            for j in roots:
+                a = sign * half * cartan(i, j)
+                for k in range(d):
+                    for l in range(d - k):
+                        lhs = (commutator(left(i, k + 1), right(j, l))
+                               - commutator(left(i, k), right(j, l + 1)))
+                        rhs = a * (left(i, k) * right(j, l)
+                                   + right(j, l) * left(i, k))
+                        rep.check("%s:i=%d,j=%d,k=%d,l=%d"
+                                  % (name, i, j, k, l), lhs, rhs)
+        reports.append(rep)
+
+    recursion_family("diagonal-raising-recursion", h, e, 1)
+    recursion_family("diagonal-lowering-recursion", h, f, -1)
+    recursion_family("raising-raising-recursion", e, e, 1)
+    recursion_family("lowering-lowering-recursion", f, f, -1)
+
+    rep = Report("distant-roots-commute", n=n, degree=degree, mode=mode)
+    for i in roots:
+        for j in roots:
+            if abs(i - j) < 2:
+                continue
+            for k in range(d + 1):
+                for l in range(d + 1 - k):
+                    rep.check("e%d(%d),e%d(%d)" % (i, k, j, l),
+                              commutator(e(i, k), e(j, l)), zero(ctx))
+                    rep.check("f%d(%d),f%d(%d)" % (i, k, j, l),
+                              commutator(f(i, k), f(j, l)), zero(ctx))
+    reports.append(rep)
+
+    rep = Report("adjacent-serre", n=n, degree=degree, mode=mode)
+    for i in roots:
+        for j in roots:
+            if abs(i - j) != 1:
+                continue
+            for k1 in range(d + 1):
+                for k2 in range(k1, d + 1 - k1):
+                    for l in range(d + 1 - k1 - k2):
+                        for gen in (e, f):
+                            name = "e" if gen is e else "f"
+                            lhs = (commutator(gen(i, k1),
+                                              commutator(gen(i, k2), gen(j, l)))
+                                   + commutator(gen(i, k2),
+                                                commutator(gen(i, k1), gen(j, l))))
+                            rep.check("%s:i=%d,j=%d,%d,%d,%d"
+                                      % (name, i, j, k1, k2, l), lhs, zero(ctx))
+    reports.append(rep)
+
+    return reports
