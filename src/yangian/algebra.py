@@ -22,7 +22,9 @@ product under the degree projection.
 Products accumulate, then reduce once: `_mul_into` adds every term of a
 product into one raw dict, so a sum of products (a series coefficient,
 or a bracket [a, b], which adds a b and -b a) is SL-eliminated and cut
-once, not once per product.  Sums and differences work in one copied
+once, not once per product.  `add_into` adds an already reduced element
+into such a sum, so a residual lhs - rhs of brackets and products is one
+raw dict, reduced once.  Sums and differences work in one copied
 terms dict.  Tensor products look each slot product up in a graded
 table of (word, coefficient, degree) triples and drop a partial key as
 soon as its slot degrees pass the bound; slot degrees are nonnegative,

@@ -11,6 +11,16 @@ with three equivalent expressions for h_i(u).  Modes are the series
 coefficients, e_i(u) = sum_k e_i^(k) u^(-k-1), and satisfy the usual
 current-algebra relations, which relations_check sweeps in full at a
 given truncation depth.
+
+The minors and their inverses are integral; the (2-i)/2 recentring is
+the only source of denominators in the modes.  So the sweep reads the
+scaled modes 2^(k+1) x^(k), the currents in the doubled variable v = 2u,
+whose coefficients are ints, and each relation, homogeneous in that
+scaling, keeps integer factors.  It forms every bracket of two modes
+once per call, in a table that answers [y, x] as -[x, y], and checks
+each case as one residual sum reduced once; a failing case records its
+residual scaled back to the modes themselves.  Each leading block is
+inverted once per context, for every current built from it.
 """
 
 from fractions import Fraction

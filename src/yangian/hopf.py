@@ -465,9 +465,10 @@ class CurrentFrame:
     whose degree bound is the order of every series the frame builds.
 
     A frame memoises, each under a key that names every input it reads:
-    the pairing series g and g~, the spectral corrections of the root
-    actions, applied chain specs, the inverted antipode denominators and
-    the whole current formulas.  A declared deviation that moves one
+    the pairing series g and g~, the shifted arguments of the chains and
+    corrections, the spectral corrections of the root actions, applied
+    chain specs, the inverted antipode denominators and the whole
+    current formulas.  A declared deviation that moves one
     spectral slot therefore rebuilds only the pieces reading that slot.
 
     A frame lives for one check function and is dropped with it; nothing
@@ -667,7 +668,6 @@ def ratio_identities_check(n, order):
     """
     ctx = Context(n, order, SL)
     frame = CurrentFrame(ctx)
-    inverses = {i: leading_block_inverse(ctx, i) for i in range(1, n)}
     reports = []
     for fam in RATIO_FAMILIES:
         sector, _, hand = fam.rpartition("-")
@@ -675,7 +675,7 @@ def ratio_identities_check(n, order):
         side = "L" if hand == "left" else "R"
         rep = Report("ratio-" + fam, n=n, order=order, gate="printed")
         for i in range(1, n):
-            inv = inverses[i]
+            inv = leading_block_inverse(ctx, i)
             low = Fraction(i - 2, 2)
             high = Fraction(i, 2)
             # raising from the left and lowering from the right take the

@@ -18,6 +18,11 @@ pass per index set checks the commutation of every entry with the minor
 and the centrality of the minor in its own indices: it looks the minor
 and its row- and column-replaced minors up once and forms each bracket
 of an entry coefficient with a minor coefficient once, for both reports.
+Each commutation case is one residual sum: its brackets and the products
+of its right side, read from the stored coefficients with absent ones
+skipped, add into one raw dict that is reduced once.  Reduction is
+linear and the brackets are already reduced, so the residual is exactly
+lhs - rhs; an element and a label are built only when it is nonzero.
 Every series is cut at the degree bound of its context, so entries
 T_ij(u), each shifted entry T_ij(u+c), quantum minors and the inverse
 T(u)^{-1} are memoised per context, keyed by nothing but the context
