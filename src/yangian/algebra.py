@@ -39,8 +39,10 @@ equal, so the kinds do not mix.  Only memo misses fill the table, and a
 value keeps its parts' values and order: sharing changes object
 identity, never a result.  Sharing holds within one scope:
 `clear_word_layer` empties the table together with the four memos that
-hold its parts, the word layer, and `suites.run_suite` calls it at the
-start of each suite, so a run of many suites peaks at its largest.
+hold its parts, the word layer.  `suites.run_suite` calls it at the
+start of each suite and `drinfeld.relations_check` after each relation
+family, so a run peaks at its largest suite and the sweep at its largest
+family.
 
 Coefficients are exact rationals: an int while integral, a Fraction only
 once a denominator appears.  The structure constants are integers, and
@@ -611,7 +613,12 @@ def clear_word_layer():
     Emptying the table alone would leave memo values holding parts that
     later misses store again as new objects; emptied together, equal
     parts stay one object.  The other memos hold no shared parts and
-    are left as they are.
+    are left as they are.  The memos are of pure functions, so a clear
+    changes which equal objects are shared, never a value.  Callers:
+    `suites.run_suite` before each suite, and `drinfeld.relations_check`
+    after each relation family; the families share so few words that
+    this adds only 8% normal-form misses (14,691 -> 15,889 at n = 5,
+    degree 2; 262,377 -> 277,335 at n = 6, degree 3).
     """
     for clear in _WORD_LAYER:
         clear()

@@ -19,16 +19,19 @@ whose coefficients are ints, and each relation, homogeneous in that
 scaling, keeps integer factors.  It forms every bracket of two modes
 once per call, in a table that answers [y, x] as -[x, y], and checks
 each case as one residual sum reduced once; a failing case records its
-residual scaled back to the modes themselves.  Each leading block is
-inverted once per context, for every current built from it.
+residual scaled back to the modes themselves.  The relation families
+share almost no words, so each family starts with an empty word layer
+(`algebra.clear_word_layer`), while the bracket table keeps its brackets
+for the whole call.  Each leading block is inverted once per context,
+for every current built from it.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
-    SL, Context, Element, _exact, _reduce_raw, add_into, commutator,
-    generator, unit, zero,
+    SL, Context, Element, _exact, _reduce_raw, add_into, clear_word_layer,
+    commutator, generator, unit, zero,
 )
 from .rtt import quantum_minor
 from .report import Report
@@ -224,14 +227,6 @@ class BracketTable:
         out = self._store[x, y] = commutator(self.modes[x], self.modes[y])
         return out, 1
 
-    def forget(self, kinds):
-        """Drop the stored brackets of two modes whose kinds are the
-        pair `kinds`, in either order: a sweep calls it after the last
-        family that reads them."""
-        pair = sorted(kinds)
-        self._store = {key: value for key, value in self._store.items()
-                       if sorted((key[0][0], key[1][0])) != pair}
-
 
 def relations_check(n, degree, mode=SL):
     """Sweep the defining current-algebra relations up to mode depth.
@@ -248,6 +243,10 @@ def relations_check(n, degree, mode=SL):
     relation added into one raw dict and reduced once, and it equals
     2^K times the residual of the relation itself, with K the case's
     scaling exponent; a nonzero one is recorded divided by 2^K.
+
+    Each family starts with an empty word layer: the sweep calls
+    `algebra.clear_word_layer` when a family's report is complete.  The
+    table keeps its brackets for the whole call.
     """
     ctx = _relation_context(n, degree, mode)
     roots = range(1, n)
@@ -275,6 +274,10 @@ def relations_check(n, degree, mode=SL):
 
     reports = []
 
+    def close(rep):
+        reports.append(rep)
+        clear_word_layer()
+
     rep = Report("diagonal-modes-commute", n=n, degree=degree, mode=mode)
     for i in roots:
         for j in roots:
@@ -286,8 +289,7 @@ def relations_check(n, degree, mode=SL):
                     add(raw, ("h", i, k), ("h", j, l))
                     settle(rep, nonzero(raw), k + l + 2,
                            "h%d(%d),h%d(%d)", i, k, j, l)
-    reports.append(rep)
-    table.forget("hh")
+    close(rep)
 
     rep = Report("raising-lowering-pairing", n=n, degree=degree, mode=mode)
     for i in roots:
@@ -300,8 +302,7 @@ def relations_check(n, degree, mode=SL):
                         add_into(raw, modes["h", i, k + l], -2)
                     settle(rep, nonzero(raw), k + l + 2,
                            "e%d(%d),f%d(%d)", i, k, j, l)
-    reports.append(rep)
-    table.forget("ef")
+    close(rep)
 
     rep = Report("diagonal-zero-mode-weights", n=n, degree=degree, mode=mode)
     for i in roots:
@@ -314,7 +315,7 @@ def relations_check(n, degree, mode=SL):
                     add_into(raw, modes[kind, j, l], -weight)
                     settle(rep, nonzero(raw), l + 2,
                            "h%d(0),%s%d(%d)", i, kind, j, l)
-    reports.append(rep)
+    close(rep)
 
     def recursion_family(name, left, right, sign):
         rep = Report(name, n=n, degree=degree, mode=mode)
@@ -332,9 +333,7 @@ def relations_check(n, degree, mode=SL):
                             y._mul_into(x, raw, -a)
                         settle(rep, _reduce_raw(ctx, raw), k + l + 3,
                                "%s:i=%d,j=%d,k=%d,l=%d", name, i, j, k, l)
-        reports.append(rep)
-        if left != right:
-            table.forget(left + right)
+        close(rep)
 
     recursion_family("diagonal-raising-recursion", "h", "e", 1)
     recursion_family("diagonal-lowering-recursion", "h", "f", -1)
@@ -353,7 +352,7 @@ def relations_check(n, degree, mode=SL):
                         add(raw, (kind, i, k), (kind, j, l))
                         settle(rep, nonzero(raw), k + l + 2,
                                "%s%d(%d),%s%d(%d)", kind, i, k, kind, j, l)
-    reports.append(rep)
+    close(rep)
 
     rep = Report("adjacent-serre", n=n, degree=degree, mode=mode)
     for i in roots:
@@ -376,7 +375,7 @@ def relations_check(n, degree, mode=SL):
                             settle(rep, _reduce_raw(ctx, raw),
                                    k1 + k2 + l + 3, "%s:i=%d,j=%d,%d,%d,%d",
                                    kind, i, j, k1, k2, l)
-    reports.append(rep)
+    close(rep)
 
     return reports
 

@@ -7,7 +7,8 @@ so the output stream is deterministic.
 Each suite starts with an empty word layer: `run_suite` calls
 `algebra.clear_word_layer` first, so the normal forms, slot products and
 word coproducts a suite builds, and their shared parts, last until the
-next suite starts.  The other memos persist for the process.
+next suite starts (in the current-relation sweep, until its family
+ends).  The other memos persist for the process.
 """
 
 import random

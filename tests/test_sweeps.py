@@ -5,15 +5,18 @@ replaced.
 lhs - rhs into one raw dict and reduce it once; the relations sweep reads
 integral scaled modes through one bracket table.  Each test keeps the
 case-by-case body (`tests/util.py`) as its reference: the reports must be
-equal as JSON, also when a perturbed input makes cases fail.
+equal as JSON, also when a perturbed input makes cases fail.  The
+relations sweep empties the word layer after each family, which a
+memory guard holds against the same sweep with the clearing disabled.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from yangian import drinfeld, hopf, rtt
+from yangian import algebra, drinfeld, hopf, rtt
 from yangian.algebra import Context, Element, GL, SL, generator
 from yangian.report import Report
 from yangian.series import Series
@@ -153,6 +156,48 @@ def test_each_bracket_of_two_modes_is_formed_once_per_sweep(monkeypatch):
     reports = drinfeld.relations_check(4, 2)
     assert all(rep.passed for rep in reports)
     assert formed and len(formed) == len(set(formed))
+
+
+def test_the_word_layer_is_emptied_after_each_relation_family(monkeypatch):
+    cleared = []
+    real = drinfeld.clear_word_layer
+
+    def spy():
+        cleared.append(algebra.normal_form_word.cache_info().currsize)
+        real()
+
+    monkeypatch.setattr(drinfeld, "clear_word_layer", spy)
+    reports = drinfeld.relations_check(3, 2)
+    assert len(cleared) == len(reports) == 9
+    assert cleared[0]
+    assert algebra.normal_form_word.cache_info().currsize == 0
+
+
+def _relations_sweep_peak(n, degree):
+    """Tracemalloc peak of `relations_check(n, degree)`, in bytes, from
+    an empty word layer."""
+    algebra.clear_word_layer()
+    tracemalloc.start()
+    try:
+        drinfeld.relations_check(n, degree)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,degree", [(4, 2), (3, 3)])
+def test_clearing_between_families_halves_the_sweep_peak(
+        monkeypatch, n, degree):
+    # the currents outlive the sweep, so they are built before it runs
+    ctx = drinfeld._relation_context(n, degree, SL)
+    for kind in drinfeld.CURRENT_KINDS:
+        for i in range(1, n):
+            drinfeld.current(ctx, kind, i)
+    cleared = _relations_sweep_peak(n, degree)
+    # negative control: the same sweep keeping every family's words
+    monkeypatch.setattr(drinfeld, "clear_word_layer", lambda: None)
+    kept = _relations_sweep_peak(n, degree)
+    assert cleared < kept / 2
 
 
 @pytest.mark.parametrize("n,degree", [(2, 4), (3, 3), (5, 2)])
